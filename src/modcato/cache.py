@@ -23,7 +23,7 @@ log = logging.getLogger("modcato.cache")
 
 RECORD_VERSION = "modcato-cache-v1"
 
-KINDS = ("gram", "rank_p", "rank_0", "simple_dim", "decomp_row")
+KINDS = ("gram", "rank_0", "simple_dim", "decomp_row")
 
 _configured: Path | None = None
 _explicit = False

@@ -32,6 +32,7 @@ from .errors import (
     ExactnessError,
     InvalidCharacterError,
     RegionError,
+    require_prime,
 )
 from .hypalg import SizeGuard, simple_weight_dim
 from .reporting import Report
@@ -151,6 +152,7 @@ def simple_character(
     lam: Weight, p: int, box: TruncationBox, *, guard: SizeGuard | None = None
 ) -> SimpleCharacter:
     """Assemble ch L(lam) on a box from per-weight-space Gram ranks."""
+    require_prime(p)
     if not box.contains(lam):
         raise BoxMarginError(f"box does not contain the highest weight {lam}")
     key = (lam, p, box)
@@ -198,6 +200,7 @@ def decomposition_numbers(
     missing intermediate weight would silently drop composition factors,
     so anything short of downward-complete is rejected.
     """
+    require_prime(p)
     rs = mu.system
     region = list(region)
     if mu not in region:
@@ -421,6 +424,7 @@ def hom_dim_projective(
 
 def steinberg_digits(lam: Weight, p: int) -> tuple[Weight, ...]:
     """Base-p digit weights of a dominant weight, all coordinates in [0, p)."""
+    require_prime(p)
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     rs = lam.system

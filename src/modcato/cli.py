@@ -79,10 +79,6 @@ def _emit(args, text_payload: str, json_payload) -> None:
         print(text_payload)
 
 
-def _coords_str(w: Weight) -> str:
-    return ",".join(str(c) for c in w.coords)
-
-
 def _character_output(args, chi, meta: dict) -> None:
     rows = [[_coords_str_from(coords), c] for coords, c in chi.serialize()]
     payload = dict(meta)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that the
+characteristic p is a prime."""
+
+import math
 
 
 class ModcatoError(Exception):
@@ -28,3 +31,13 @@ class ExactnessError(ModcatoError):
 
 class InvalidCharacterError(ModcatoError):
     """An input character is not a nonnegative combination of simples."""
+
+
+def require_prime(p: int) -> None:
+    """Raise a ModcatoError naming p unless p is a prime."""
+    if (
+        not isinstance(p, int)
+        or p < 2
+        or any(p % d == 0 for d in range(2, math.isqrt(p) + 1))
+    ):
+        raise ModcatoError(f"p={p!r} is not a prime")

@@ -1,11 +1,16 @@
 """Exact straightening in the integral enveloping algebra, and divided-power
 contravariant Gram matrices on Verma weight spaces.
 
-Straightening works with ordinary powers over the integers throughout;
-divided-power values are recovered at the very end by exact factorial
+Straightening works with ordinary powers over the integers throughout.  The
+ordinary-power Gram <f^I v, f^J v> at a numeric lambda is built by the
+contravariance <f_k x, y> = <x, e_k y>: writing f^I = f_k f^I' with k the
+first root of I, row I is row I' of the Gram one root higher, applied to
+e_k f^J v, whose e-free straightening terms are evaluated at lambda.
+Divided-power values are recovered at the very end by exact factorial
 division, whose exactness is asserted entrywise (it holds precisely because
-the divided powers span an integral form).  Reduction mod p happens only at
-rank computation.
+the divided powers span an integral form).  Entry (I, J) and entry (J, I)
+come from different rows of the recursion, so the symmetry check compares
+two independent routes.  Reduction mod p happens only at rank computation.
 
 Structure constants come from fixed matrix realizations of the three
 supported types; a bracket-closure, Jacobi, and root-string self-test runs
@@ -344,8 +349,9 @@ class PBWEngine:
         self._memo_insert_e: dict = {}
         self._memo_insert_f: dict = {}
         self._memo_cross: dict = {}
-        self._memo_cross0: dict = {}
-        self._gram_polys: dict = {}
+        self._memo_e_on_f: dict = {}
+        self._raw_lam: tuple[int, ...] | None = None
+        self._raw_grams: dict = {}
 
     # -- small helpers ----------------------------------------------------
     @staticmethod
@@ -450,42 +456,6 @@ class PBWEngine:
         self._memo_cross[key] = result
         return result
 
-    def cross_f_free(self, e_exps: tuple[int, ...], k: int):
-        """The f-free part of cross(); everything that can still reach U^0."""
-        key = (e_exps, k)
-        hit = self._memo_cross0.get(key)
-        if hit is not None:
-            return hit
-        if not any(e_exps):
-            self._memo_cross0[key] = {}
-            return {}
-        top = max(i for i in range(len(e_exps)) if e_exps[i])
-        rest = self._bump(e_exps, top, -1)
-        out: dict[tuple, int] = {}
-        for (h1, e1), c in self.cross_f_free(rest, k).items():
-            for e2, c2 in self.insert_e(e1, top).items():
-                key2 = (h1, e2)
-                out[key2] = out.get(key2, 0) + c * c2
-        for idx, cb in self.st.bracket_table[(self.st.e_index(top), self.st.f_index(k))]:
-            kind, pos = self.st.classify(idx)
-            if kind == "h":
-                key2 = (self._bump(self._zero_h, pos), rest)
-                out[key2] = out.get(key2, 0) + cb
-                pairing = self._e_weight_pairing(rest, pos)
-                if pairing:
-                    key2 = (self._zero_h, rest)
-                    out[key2] = out.get(key2, 0) - cb * pairing
-            elif kind == "e":
-                for e2, c2 in self.insert_e(rest, pos).items():
-                    key2 = (self._zero_h, e2)
-                    out[key2] = out.get(key2, 0) + cb * c2
-            else:
-                for mono, c2 in self.cross_f_free(rest, pos).items():
-                    out[mono] = out.get(mono, 0) + cb * c2
-        result = {m: c for m, c in out.items() if c}
-        self._memo_cross0[key] = result
-        return result
-
     # -- full monomial times generator --------------------------------------
     def _expand_shift(self, h_exps: tuple[int, ...], shifts: tuple[int, ...]):
         """Expansion of prod_i (h_i - shifts[i])^{h_exps[i]} in h-monomials."""
@@ -561,61 +531,64 @@ class PBWEngine:
             )
         return nxt
 
-    # -- Gram pipeline -------------------------------------------------------
-    def sigma_e_state(self, f_exps: tuple[int, ...]):
-        """Normal form of the transpose of the f-monomial (an e-element)."""
-        state = {self._zero_e: 1}
-        for k in range(len(f_exps) - 1, -1, -1):
-            for _ in range(f_exps[k]):
-                nxt: dict[tuple[int, ...], int] = {}
-                for mono, c in state.items():
-                    for mono2, c2 in self.insert_e(mono, k).items():
-                        nxt[mono2] = nxt.get(mono2, 0) + c * c2
-                state = nxt
-        return state
-
-    def hc_pair_poly(self, i_exps, j_exps, guard: SizeGuard):
-        """U^0 component of transpose(f_I) * f_J, as an h-polynomial.
-
-        Terms that acquire an f factor can never return to U^0 (right
-        multiplication only adds f letters), so they are dropped eagerly.
-        """
-        state = {
-            (self._zero_h, e): c for e, c in self.sigma_e_state(i_exps).items()
-        }
-        for k in range(len(j_exps)):
-            for _ in range(j_exps[k]):
-                nxt: dict[tuple, int] = {}
-                for (h1, e1), c in state.items():
-                    for (h2, e2), c2 in self.cross_f_free(e1, k).items():
-                        key = (tuple(a + b for a, b in zip(h1, h2)), e2)
-                        val = nxt.get(key, 0) + c * c2
-                        if val:
-                            nxt[key] = val
-                        else:
-                            nxt.pop(key, None)
-                if len(nxt) > guard.max_terms:
-                    raise SizeGuardError(
-                        f"Gram pipeline exceeded {guard.max_terms} terms"
-                    )
-                state = nxt
-        poly: dict[tuple[int, ...], int] = {}
-        for (h1, e1), c in state.items():
-            if not any(e1):
-                poly[h1] = poly.get(h1, 0) + c
-        return {m: c for m, c in poly.items() if c}
-
-    def gram_poly_matrix(self, nu_coeffs: tuple[int, ...], guard: SizeGuard):
-        hit = self._gram_polys.get(nu_coeffs)
+    # -- contravariant form ---------------------------------------------------
+    def _e_on_f(self, k: int, j_exps: tuple[int, ...], guard: SizeGuard):
+        """e_k f^J v_lam as {f-exponents: h-polynomial in lam}.  Terms that
+        keep an e letter kill the highest-weight vector and are dropped."""
+        key = (k, j_exps)
+        hit = self._memo_e_on_f.get(key)
         if hit is not None:
             return hit
-        exps_list = _f_exponents(self.rs, nu_coeffs)
-        polys = tuple(
-            tuple(self.hc_pair_poly(i_exps, j_exps, guard) for j_exps in exps_list)
-            for i_exps in exps_list
-        )
-        self._gram_polys[nu_coeffs] = (exps_list, polys)
-        return exps_list, polys
+        state = {(self._zero_f, self._zero_h, self._bump(self._zero_e, k)): 1}
+        for pos, a in enumerate(j_exps):
+            for _ in range(a):
+                state = self.apply_gen(state, "f", pos, guard)
+        result: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for (f_exps, h_exps, e_exps), c in state.items():
+            if not any(e_exps):
+                result.setdefault(f_exps, {})[h_exps] = c
+        self._memo_e_on_f[key] = result
+        return result
+
+    def raw_gram(self, lam_coords: tuple[int, ...], nu_coeffs: tuple[int, ...], guard: SizeGuard):
+        """Ordinary-power Gram <f^I v, f^J v> on the (lam - nu) weight space.
+
+        With k the first root in f^I = f_k f^I', the contravariance
+        <f_k x, y> = <x, e_k y> gives row I as row I' of the Gram one root
+        higher, applied to e_k f^J v.  Returns the sorted basis and the rows
+        as {I: {J: value}}.  Only the Grams of the latest lam are kept.
+        """
+        if lam_coords != self._raw_lam:
+            self._raw_lam, self._raw_grams = lam_coords, {}
+        hit = self._raw_grams.get(nu_coeffs)
+        if hit is not None:
+            return hit
+        basis = _f_exponents(self.rs, nu_coeffs)
+        if not any(nu_coeffs):
+            return basis, {basis[0]: {basis[0]: 1}}
+        rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        by_root: dict[int, tuple] = {}
+        for i_exps in basis:
+            k = next(t for t, a in enumerate(i_exps) if a)
+            if k not in by_root:
+                root = self.rs.positive_roots[k].coeffs
+                _, higher = self.raw_gram(
+                    lam_coords, tuple(a - b for a, b in zip(nu_coeffs, root)), guard
+                )
+                e_k_columns = {
+                    j: {f: _eval_poly(poly, lam_coords) for f, poly in self._e_on_f(k, j, guard).items()}
+                    for j in basis
+                }
+                by_root[k] = (higher, e_k_columns)
+            higher, e_k_columns = by_root[k]
+            row = higher[self._bump(i_exps, k, -1)]
+            rows[i_exps] = {
+                j: sum(c * row[f] for f, c in column.items())
+                for j, column in e_k_columns.items()
+            }
+        result = (basis, rows)
+        self._raw_grams[nu_coeffs] = result
+        return result
 
 
 @lru_cache(maxsize=None)
@@ -626,6 +599,7 @@ def get_engine(cartan_type: str, flip: tuple[int, ...] = ()) -> PBWEngine:
 # ---------------------------------------------------------------------------
 # Public operations.
 
+@lru_cache(maxsize=None)
 def _f_exponents(rs: RootSystem, nu_coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     roots = [r.coeffs for r in rs.positive_roots]
     out: list[tuple[int, ...]] = []
@@ -808,20 +782,21 @@ def shapovalov_gram(
             entries = tuple(tuple(row) for row in data["entries"])
             return GramMatrix(lam, nu, basis, entries)
     eng = engine or get_engine(rs.cartan_type)
-    exps_list, polys = eng.gram_poly_matrix(nu.coeffs, guard)
+    exps_list, raw = eng.raw_gram(lam.coords, nu.coeffs, guard)
+    facts = [_factorial_product(exps) for exps in exps_list]
     entries = []
-    for i, i_exps in enumerate(exps_list):
+    for i_exps, fi in zip(exps_list, facts):
         row = []
-        for j, j_exps in enumerate(exps_list):
-            raw = _eval_poly(polys[i][j], lam.coords)
-            den = _factorial_product(i_exps) * _factorial_product(j_exps)
-            if raw % den != 0:
+        raw_row = raw[i_exps]
+        for j_exps, fj in zip(exps_list, facts):
+            value, rem = divmod(raw_row[j_exps], fi * fj)
+            if rem:
                 raise ExactnessError(
                     f"divided-power value not integral at lam={lam.coords}, "
                     f"nu={nu.coeffs}, pair=({i_exps},{j_exps})"
                 )
             STATS["exact_divisions"] += 1
-            row.append(raw // den)
+            row.append(value)
         entries.append(tuple(row))
     entries = tuple(entries)
     for i in range(dim):

@@ -23,7 +23,7 @@ from .category_o import (
     truncate_flag,
 )
 from .charring import negate_weights
-from .errors import ModcatoError
+from .errors import ModcatoError, require_prime
 from .hypalg import SizeGuard
 from .reporting import Report
 from .rootdata import Weight, is_dominant
@@ -52,6 +52,7 @@ class ShiftContext:
 
     @staticmethod
     def build(K: LocallyClosedSet, gamma: Weight, p: int, l: int) -> "ShiftContext":
+        require_prime(p)
         if l < 1:
             raise ModcatoError("the twist exponent l must be positive")
         if not is_dominant(gamma):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import PredicateError
+from .errors import PredicateError, require_prime
 from .rootdata import RootVector, Weight, leq
 
 
@@ -167,6 +167,7 @@ def _assert_open_on_sample(Jprime: CarvedOpen, K: LocallyClosedSet) -> None:
 
 def periodicity_condition(K: LocallyClosedSet, p: int, l: int) -> bool:
     """No two elements of K differ by p^l times a positive root-lattice vector."""
+    require_prime(p)
     rs = K.sorted[0].system
     factor = p**l
     for k1 in K.sorted:

@@ -91,3 +91,60 @@ def binomial_int(a: int, n: int) -> int:
     d = math.factorial(n)
     assert num % d == 0
     return num // d
+
+
+# Symmetric form (alpha_i, alpha_j) on the simple roots.  B2's alpha_1 is the
+# long simple root.
+SIMPLE_ROOT_FORM = {
+    "A1": ((2,),),
+    "A2": ((2, -1), (-1, 2)),
+    "B2": ((4, -2), (-2, 2)),
+}
+
+
+def coroot_pairing(cartan_type: str, mu: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    """<mu, beta^vee> for mu in fundamental coordinates <mu, alpha_i^vee> and
+    beta = sum_i beta_i alpha_i a positive root."""
+    form = SIMPLE_ROOT_FORM[cartan_type]
+    rank = len(beta)
+    beta_sq = sum(beta[i] * beta[j] * form[i][j] for i in range(rank) for j in range(rank))
+    value = Fraction(sum(beta[i] * mu[i] * form[i][i] for i in range(rank)), beta_sq)
+    assert value.denominator == 1
+    return int(value)
+
+
+def shapovalov_product(cartan_type: str, lam: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    """prod_{beta > 0} prod_{r >= 1} (<lam + rho, beta^vee> - r)^{P(nu - r beta)},
+    the lambda-dependent factor of the Shapovalov determinant on the
+    (lam - nu) weight space, with P the Kostant partition function."""
+    counts = partition_counts_by_genfun(cartan_type, sum(nu))
+    lam_rho = tuple(c + 1 for c in lam)
+    out = 1
+    for beta in POSITIVE_ROOTS[cartan_type]:
+        pairing = coroot_pairing(cartan_type, lam_rho, beta)
+        r = 1
+        while all(n - r * b >= 0 for n, b in zip(nu, beta)):
+            rest = tuple(n - r * b for n, b in zip(nu, beta))
+            out *= (pairing - r) ** counts.get(rest, 0)
+            r += 1
+    return out
+
+
+def determinant(rows) -> Fraction:
+    """Exact determinant by Gaussian elimination over the rationals."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    n = len(mat)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if mat[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            mat[c], mat[piv] = mat[piv], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for r in range(c + 1, n):
+            factor = mat[r][c] / mat[c][c]
+            if factor:
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[c])]
+    return det

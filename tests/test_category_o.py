@@ -20,9 +20,15 @@ from modcato.category_o import (
     validate_table_consistency,
 )
 from modcato.charring import TruncationBox, char_add, char_scale, verma_character
-from modcato.errors import InvalidCharacterError, PredicateError, RegionError
+from modcato.errors import (
+    InvalidCharacterError,
+    ModcatoError,
+    PredicateError,
+    RegionError,
+)
+from modcato.periodicity import ShiftContext
 from modcato.rootdata import build_root_system
-from modcato.topology import OpenSet
+from modcato.topology import LocallyClosedSet, OpenSet, min_l
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -85,6 +91,23 @@ def test_decomposition_region_validation():
         decomposition_numbers(A1.weight(1), 2, [A1.weight(-1)])
     with pytest.raises(RegionError):
         decomposition_numbers(A1.weight(1), 2, [A1.weight(1), A1.weight(2)])
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 6])
+def test_non_prime_p_is_rejected(p):
+    lam = A1.weight(3)
+    K = LocallyClosedSet.make([A1.weight(0), A1.weight(2)])
+    calls = [
+        lambda: simple_character(lam, p, box1(3, 3)),
+        lambda: full_simple_character(lam, p),
+        lambda: decomposition_numbers(lam, p, [lam]),
+        lambda: steinberg_digits(lam, p),
+        lambda: min_l(K, p),
+        lambda: ShiftContext.build(K, A1.weight(4), p, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ModcatoError, match=f"p={p} is not a prime"):
+            call()
 
 
 def test_table_consistency_a1():

@@ -137,6 +137,20 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2  # gamma not in p^l X
 
 
+@pytest.mark.parametrize("argv", [
+    ["char", "simple", "--type", "A1", "--p", "4", "--lambda", "3", "--depth", "3"],
+    ["char", "simple", "--type", "A1", "--p", "1", "--lambda", "3", "--depth", "3"],
+    ["char", "simple", "--type", "A1", "--p", "0", "--lambda", "3", "--depth", "3"],
+    ["char", "simple", "--type", "A1", "--p", "6", "--lambda", "3", "--depth", "3"],
+    ["topology", "minl", "--type", "A1", "--p", "1", "--set", "0;2"],
+])
+def test_non_prime_p_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"p={argv[argv.index('--p') + 1]} is not a prime" in err
+
+
 def test_argparse_usage_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["char", "simple", "--type", "Z9", "--p", "2", "--lambda", "1",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,7 +29,13 @@ from modcato.hypalg import (
 )
 from modcato.rootdata import build_root_system, kostant_partition
 
-from oracles import lucas_dominates, sl2_divided_gram, sl2_gram_ordinary
+from oracles import (
+    determinant,
+    lucas_dominates,
+    shapovalov_product,
+    sl2_divided_gram,
+    sl2_gram_ordinary,
+)
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -250,22 +257,67 @@ def test_sign_flip_leaves_ranks_invariant():
 
 
 def test_hc_pipeline_agrees_with_general_straightening():
-    eng = get_engine("A2")
-    guard = SizeGuard()
-    for rv in A2.root_vectors_up_to_height(3):
-        exps_list, polys = eng.gram_poly_matrix(rv.coeffs, guard)
-        for i, i_exps in enumerate(exps_list):
-            for j, j_exps in enumerate(exps_list):
-                word = []
-                for k in range(len(i_exps) - 1, -1, -1):
-                    if i_exps[k]:
-                        word.append(("e", k, i_exps[k]))
-                for k in range(len(j_exps)):
-                    if j_exps[k]:
-                        word.append(("f", k, j_exps[k]))
-                u0 = hc_project(straighten(A2, word))
-                general = {m.h_exps: c for m, c in u0.terms.items()}
-                assert general == polys[i][j]
+    # Differential check: the recursive Gram against straightening the whole
+    # word transpose(f^I) f^J and projecting to U^0, entry by entry.
+    for rs in (A2, B2):
+        eng = get_engine(rs.cartan_type)
+        m = len(rs.positive_roots)
+        for rv in rs.root_vectors_up_to_height(3):
+            basis = enumerate_f_monomials(rs, rv)
+            u0 = {}
+            for bi in basis:
+                for bj in basis:
+                    word = [("e", k, bi.f_exps[k]) for k in reversed(range(m)) if bi.f_exps[k]]
+                    word += [("f", k, bj.f_exps[k]) for k in range(m) if bj.f_exps[k]]
+                    den = math.prod(math.factorial(a) for a in bi.f_exps + bj.f_exps)
+                    u0[bi, bj] = (hc_project(straighten(rs, word)), den)
+            for a in range(-2, 4):
+                for b in range(-2, 4):
+                    lam = rs.weight(a, b)
+                    g = shapovalov_gram(lam, rv, engine=eng)
+                    assert list(g.basis) == basis
+                    for i, bi in enumerate(basis):
+                        for j, bj in enumerate(basis):
+                            h, den = u0[bi, bj]
+                            raw = evaluate_h_polynomial(h, lam)
+                            assert raw % den == 0
+                            assert g.entries[i][j] == raw // den, (rs.cartan_type, lam, rv)
+
+
+# Shapovalov 1972; Jantzen, Kontravariante Formen auf induzierten
+# Darstellungen, Math. Ann. 1977.  det G_nu(lam) is a nonzero constant times
+# prod_{beta>0} prod_{r>=1} (<lam+rho, beta^vee> - r)^{P(nu - r beta)}; the
+# divided-power normalisation only changes the constant.
+SHAPOVALOV_CONSTANTS = {
+    ("A2", (1, 1)): Fraction(1),
+    ("A2", (2, 1)): Fraction(1, 2),
+    ("A2", (2, 2)): Fraction(1, 8),
+    ("A2", (3, 2)): Fraction(1, 48),
+    ("B2", (1, 1)): Fraction(1),
+    ("B2", (1, 2)): Fraction(1, 2),
+    ("B2", (2, 2)): Fraction(1, 8),
+    ("B2", (2, 3)): Fraction(1, 48),
+    ("B2", (2, 4)): Fraction(1, 4608),
+}
+
+
+@pytest.mark.parametrize(
+    "cartan_type,nu", sorted(SHAPOVALOV_CONSTANTS),
+    ids=[f"{t}-{a},{b}" for t, (a, b) in sorted(SHAPOVALOV_CONSTANTS)],
+)
+def test_gram_determinant_matches_shapovalov_formula(cartan_type, nu):
+    rs = build_root_system(cartan_type)
+    eng = get_engine(cartan_type)
+    constant = SHAPOVALOV_CONSTANTS[cartan_type, nu]
+    for a in range(-3, 6):
+        for b in range(-3, 6):
+            g = shapovalov_gram(rs.weight(a, b), rs.root_vector(*nu), engine=eng)
+            det = determinant(g.entries)
+            assert det == constant * shapovalov_product(cartan_type, (a, b), nu), (a, b)
+            assert det.denominator == 1
+            for p in (2, 3):
+                if int(det) % p:
+                    assert rank_mod_p(g.entries, p) == len(g.entries), (a, b, p)
 
 
 def test_size_guard_trips():
