@@ -31,6 +31,7 @@ from .errors import (
     BoxMarginError,
     ExactnessError,
     InvalidCharacterError,
+    ModcatoError,
     RegionError,
     require_prime,
 )
@@ -135,6 +136,10 @@ class DecompositionTable:
 _SIMPLE_CACHE: dict = {}
 
 
+def _csv(coords: Iterable[int]) -> str:
+    return ",".join(map(str, coords))
+
+
 def full_support_box(lam: Weight) -> TruncationBox:
     """Box holding the entire hull of the Weyl orbit of a dominant weight."""
     return TruncationBox.make((lam,), height_drop(lam))
@@ -151,7 +156,11 @@ def _covers_full_support(lam: Weight, box: TruncationBox) -> bool:
 def simple_character(
     lam: Weight, p: int, box: TruncationBox, *, guard: SizeGuard | None = None
 ) -> SimpleCharacter:
-    """Assemble ch L(lam) on a box from per-weight-space Gram ranks."""
+    """Assemble ch L(lam) on a box from per-weight-space Gram ranks.
+
+    The finished character is one ``simple_dim`` disk record; a hit skips
+    every Gram build, and the highest-weight check still runs on it.
+    """
     require_prime(p)
     if not box.contains(lam):
         raise BoxMarginError(f"box does not contain the highest weight {lam}")
@@ -160,17 +169,27 @@ def simple_character(
     if hit is not None:
         return hit
     rs = lam.system
-    coeffs = {}
-    for w in box.weights():
-        rv = rs.to_root_vector(lam - w)
-        if rv is None or not rv.is_nonnegative():
-            continue
-        dim = simple_weight_dim(lam, rv, p, guard=guard)
-        if dim:
-            coeffs[w] = dim
+    ceiling = "|".join(_csv(c) for c in sorted(w.coords for w in box.ceiling))
+    payload = f"lam={_csv(lam.coords)};box={ceiling};depth={box.depth}"
+    cached = cache_store.get_value("simple_dim", rs.cartan_type, p, payload)
+    if cached is not None:
+        coeffs = {rs.weight(*coords): dim for coords, dim in json.loads(cached)}
+    else:
+        coeffs = {}
+        for w in box.weights():
+            rv = rs.to_root_vector(lam - w)
+            if rv is None or not rv.is_nonnegative():
+                continue
+            dim = simple_weight_dim(lam, rv, p, guard=guard)
+            if dim:
+                coeffs[w] = dim
     complete = is_dominant(lam) and _covers_full_support(lam, box)
     chi = FormalCharacter(coeffs, box, complete)
     assert chi.coefficient(lam) == 1
+    if cached is None:
+        cache_store.put_value(
+            "simple_dim", rs.cartan_type, p, payload, json.dumps(chi.serialize())
+        )
     result = SimpleCharacter(lam, p, chi)
     _SIMPLE_CACHE[key] = result
     return result
@@ -217,9 +236,7 @@ def decomposition_numbers(
         raise RegionError(
             "region is not downward-complete below the highest weight"
         )
-    payload = (
-        f"mu={','.join(map(str, mu.coords))};depth={depth}"
-    )
+    payload = f"mu={_csv(mu.coords)};depth={depth}"
     cached = cache_store.get_value("decomp_row", rs.cartan_type, p, payload)
     if cached is not None:
         return {
@@ -255,7 +272,8 @@ def build_decomposition_table(
     guard: SizeGuard | None = None,
 ) -> DecompositionTable:
     """Region-bounded table [Delta(mu) : L(lam)] over a locally closed set."""
-    rs = None
+    if depth is not None and depth < 0:
+        raise ModcatoError(f"depth={depth} must be nonnegative")
     weights = sorted(set(weights), key=lambda w: w.coords)
     if not weights:
         raise ValueError("table region must be nonempty")

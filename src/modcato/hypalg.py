@@ -21,15 +21,13 @@ under the interpreter lock are safe for concurrent use.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from . import cache as cache_store
-from .errors import ExactnessError, SizeGuardError
+from .errors import ExactnessError, SizeGuardError, require_prime
 from .rootdata import RootSystem, RootVector, Weight, build_root_system, kostant_partition
 
 
@@ -768,19 +766,6 @@ def shapovalov_gram(
         raise SizeGuardError(
             f"weight space dimension {dim} exceeds guard {guard.max_gram_dim}"
         )
-    use_cache = engine is None
-    if use_cache:
-        cached = cache_store.get_value(
-            "gram", rs.cartan_type, None, _gram_payload(lam, nu)
-        )
-        if cached is not None:
-            data = json.loads(cached)
-            basis = tuple(
-                PBWMonomial(tuple(f), (0,) * rs.rank, (0,) * len(rs.positive_roots))
-                for f in data["basis"]
-            )
-            entries = tuple(tuple(row) for row in data["entries"])
-            return GramMatrix(lam, nu, basis, entries)
     eng = engine or get_engine(rs.cartan_type)
     exps_list, raw = eng.raw_gram(lam.coords, nu.coeffs, guard)
     facts = [_factorial_product(exps) for exps in exps_list]
@@ -808,28 +793,12 @@ def shapovalov_gram(
         PBWMonomial(exps, (0,) * rs.rank, (0,) * len(rs.positive_roots))
         for exps in exps_list
     ]
-    gram = GramMatrix(lam, nu, tuple(basis), entries)
-    if use_cache:
-        cache_store.put_value(
-            "gram",
-            rs.cartan_type,
-            None,
-            _gram_payload(lam, nu),
-            json.dumps(
-                {"basis": [list(b.f_exps) for b in gram.basis],
-                 "entries": [list(r) for r in entries]},
-                sort_keys=True,
-            ),
-        )
-    return gram
-
-
-def _gram_payload(lam: Weight, nu: RootVector) -> str:
-    return f"lam={','.join(map(str, lam.coords))};nu={','.join(map(str, nu.coeffs))}"
+    return GramMatrix(lam, nu, tuple(basis), entries)
 
 
 def rank_mod_p(rows: Iterable[Iterable[int]], p: int) -> int:
     """Rank over F_p by exact Gaussian elimination, first nonzero pivot."""
+    require_prime(p)
     mat = [[v % p for v in row] for row in rows]
     if not mat:
         return 0
@@ -880,27 +849,12 @@ def simple_weight_dim(
 ) -> int:
     """dim of the (lam - nu) weight space of the simple head L(lam) over F_p:
     the mod-p rank of the divided-power Gram matrix."""
-    rs = lam.system
-    payload = _gram_payload(lam, nu)
-    cached = cache_store.get_value("simple_dim", rs.cartan_type, p, payload)
-    if cached is not None:
-        return int(cached)
-    gram = shapovalov_gram(lam, nu, guard=guard)
-    r = rank_mod_p(gram.entries, p)
-    cache_store.put_value("simple_dim", rs.cartan_type, p, payload, str(r))
-    return r
+    require_prime(p)
+    return rank_mod_p(shapovalov_gram(lam, nu, guard=guard).entries, p)
 
 
 def gram_rank_char0(
     lam: Weight, nu: RootVector, *, guard: SizeGuard | None = None
 ) -> int:
     """Rank of the Gram matrix over the rationals."""
-    rs = lam.system
-    payload = _gram_payload(lam, nu)
-    cached = cache_store.get_value("rank_0", rs.cartan_type, None, payload)
-    if cached is not None:
-        return int(cached)
-    gram = shapovalov_gram(lam, nu, guard=guard)
-    r = rank_rational(gram.entries)
-    cache_store.put_value("rank_0", rs.cartan_type, None, payload, str(r))
-    return r
+    return rank_rational(shapovalov_gram(lam, nu, guard=guard).entries)

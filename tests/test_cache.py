@@ -25,11 +25,11 @@ def test_round_trip(isolate):
 
 
 def test_fresh_store_is_absent(isolate):
-    assert cache.get_value("rank_0", "A2", None, "lam=1,0;nu=1,1") is None
+    assert cache.get_value("decomp_row", "A2", 3, "mu=1,0;depth=2") is None
 
 
 def test_idempotent_puts_single_record(isolate):
-    key = cache.make_key("rank_0", "A1", None, "lam=3;nu=2")
+    key = cache.make_key("decomp_row", "A1", 2, "mu=3;depth=2")
     cache.put(key, "1")
     cache.put(key, "1")
     files = [p for p in isolate.iterdir() if p.suffix == ".rec"]
@@ -38,8 +38,8 @@ def test_idempotent_puts_single_record(isolate):
 
 
 def test_corrupt_record_treated_as_absent(isolate, caplog):
-    key = cache.make_key("gram", "A1", None, "lam=3;nu=1")
-    cache.put(key, "{}")
+    key = cache.make_key("simple_dim", "A1", 3, "lam=3;box=3;depth=1")
+    cache.put(key, "[]")
     path = isolate / key.filename()
     path.write_text("garbage")
     with caplog.at_level(logging.WARNING, logger="modcato.cache"):
@@ -48,7 +48,7 @@ def test_corrupt_record_treated_as_absent(isolate, caplog):
 
 
 def test_version_mismatch_invalidates(isolate):
-    key = cache.make_key("gram", "A1", None, "lam=3;nu=2")
+    key = cache.make_key("simple_dim", "A1", 3, "lam=3;box=3;depth=2")
     path = isolate / key.filename()
     path.write_text(f"modcato-cache-v0\t{key.canonical()}\t5\n")
     assert cache.get(key) is None

@@ -26,6 +26,7 @@ from modcato.errors import (
     PredicateError,
     RegionError,
 )
+from modcato.hypalg import rank_mod_p, simple_weight_dim
 from modcato.periodicity import ShiftContext
 from modcato.rootdata import build_root_system
 from modcato.topology import LocallyClosedSet, OpenSet, min_l
@@ -104,10 +105,19 @@ def test_non_prime_p_is_rejected(p):
         lambda: steinberg_digits(lam, p),
         lambda: min_l(K, p),
         lambda: ShiftContext.build(K, A1.weight(4), p, 1),
+        lambda: simple_weight_dim(lam, A1.root_vector(1), p),
+        lambda: rank_mod_p([[3]], p),
     ]
     for call in calls:
         with pytest.raises(ModcatoError, match=f"p={p} is not a prime"):
             call()
+
+
+def test_negative_table_depth_is_rejected():
+    weights = [A1.weight(c) for c in (-3, -1, 1)]
+    with pytest.raises(ModcatoError, match="depth=-3 must be nonnegative"):
+        build_decomposition_table(weights, 2, depth=-3)
+    assert build_decomposition_table(weights, 2, depth=0).entries
 
 
 def test_table_consistency_a1():

@@ -151,6 +151,16 @@ def test_non_prime_p_exit_2(capsys, argv):
     assert f"p={argv[argv.index('--p') + 1]} is not a prime" in err
 
 
+def test_negative_table_depth_exit_2(capsys):
+    code, out, err = run(
+        capsys, "periodicity", "full", "--type", "A1", "--p", "2", "--l", "1",
+        "--set", "0,2", "--gamma", "2", "--depth=-3",
+    )
+    assert code == 2
+    assert out == ""
+    assert "depth=-3 must be nonnegative" in err
+
+
 def test_argparse_usage_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["char", "simple", "--type", "Z9", "--p", "2", "--lambda", "1",
@@ -183,3 +193,38 @@ def test_identical_runs_identical_bytes(capsys, tmp_path):
     assert code1 == code2 == 0
     assert out1 == out2
     assert any(p.suffix == ".rec" for p in tmp_path.iterdir())
+
+
+def test_warm_cache_replays_answers_without_gram_work(capsys, tmp_path, monkeypatch):
+    import modcato.category_o as category_o
+
+    use = ["--cache-dir", str(tmp_path)]
+    commands = [
+        ["char", "simple", "--type", "A2", "--p", "3", "--lambda", "2,1",
+         "--depth", "4", *use],
+        ["decomp", "--type", "A2", "--p", "2", "--mu", "2,2", "--depth", "4",
+         "--format", "json", *use],
+        ["periodicity", "full", "--type", "A2", "--p", "2", "--l", "1",
+         "--set", "0,0;2,-1", "--gamma", "2,2", "--depth", "2", *use],
+    ]
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    cold = [run(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in cold] == [0, 0, 0]
+    records = sorted(p for p in tmp_path.iterdir() if p.suffix == ".rec")
+    kinds = {p.read_text(encoding="utf-8").split("\t")[1].split(";")[0] for p in records}
+    assert kinds == {"kind=simple_dim", "kind=decomp_row"}
+
+    # A fresh process has no in-memory simple characters; the disk alone must
+    # answer every command, without a single Gram rank.
+    category_o._SIMPLE_CACHE.clear()
+
+    def no_gram_work(*args, **kwargs):
+        raise AssertionError("warm run recomputed a weight space")
+
+    monkeypatch.setattr(category_o, "simple_weight_dim", no_gram_work)
+    warm = [run(capsys, *argv) for argv in commands]
+    assert warm == cold
+    assert sorted(p for p in tmp_path.iterdir() if p.suffix == ".rec") == records
+    for kind in ("gram", "rank_0"):
+        with pytest.raises(ValueError):
+            cache.make_key(kind, "A2", None, "lam=0,0;nu=1,1")
