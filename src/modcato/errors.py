@@ -1,8 +1,6 @@
 """Exception types shared across the package, and the check that the
 characteristic p is a prime."""
 
-import math
-
 
 class ModcatoError(Exception):
     """Base class for all library errors."""
@@ -33,11 +31,28 @@ class InvalidCharacterError(ModcatoError):
     """An input character is not a nonnegative combination of simples."""
 
 
+# Miller-Rabin to these bases is exact below _MR_LIMIT, the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def require_prime(p: int) -> None:
-    """Raise a ModcatoError naming p unless p is a prime."""
-    if (
-        not isinstance(p, int)
-        or p < 2
-        or any(p % d == 0 for d in range(2, math.isqrt(p) + 1))
-    ):
+    """Raise a ModcatoError naming p unless p is a prime below _MR_LIMIT."""
+    if not isinstance(p, int) or not _strong_probable_prime(p):
         raise ModcatoError(f"p={p!r} is not a prime")
+    if p >= _MR_LIMIT:
+        raise ModcatoError(f"p={p} is too large: primality is certified below {_MR_LIMIT}")
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """False when n < 2 or some base in _MR_BASES witnesses that n is composite."""
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        if pow(b, d, n) != 1 and all(pow(b, d << i, n) != n - 1 for i in range(s)):
+            return False
+    return True

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import ExactnessError, SizeGuardError, require_prime
-from .rootdata import RootSystem, RootVector, Weight, build_root_system, kostant_partition
+from .rootdata import RootSystem, RootVector, Weight, _mat_mul, build_root_system, kostant_partition
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,6 @@ def _mat_add(*ms):
 
 def _mat_neg(m):
     return tuple(tuple(-v for v in row) for row in m)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def _mat_bracket(a, b):

@@ -2,11 +2,13 @@
 
 Weights are stored in fundamental-weight coordinates and root-lattice
 vectors in simple-root coordinates; the Cartan matrix converts between
-the two.  All arithmetic is exact (ints and Fractions, never floats).
+the two.  All arithmetic is exact and never uses floats; lattice
+conversion is integer-only (adjugate of C and a divisibility test by det C).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -142,7 +144,9 @@ class RootSystem:
         self.cartan_matrix: tuple[tuple[int, ...], ...] = _CARTAN[cartan_type]
         self.rank = len(self.cartan_matrix)
         self.half_norms: tuple[int, ...] = _HALF_NORM[cartan_type]
-        self._cartan_inv = _invert(self.cartan_matrix)
+        # C^{-1} = adj(C) / det(C), with det(C) > 0 (checked in _validate).
+        self._cartan_det = _det(self.cartan_matrix)
+        self._cartan_adj = _adjugate(self.cartan_matrix)
         self.positive_roots = tuple(RootVector(self, c) for c in _POSITIVE[cartan_type])
         self.simple_roots = tuple(
             RootVector(self, tuple(1 if j == i else 0 for j in range(self.rank)))
@@ -215,6 +219,7 @@ class RootSystem:
         assert all(a[i][i] == 2 for i in range(self.rank))
         assert all(a[i][j] <= 0 for i in range(self.rank) for j in range(self.rank) if i != j)
         assert len(self.weyl_group) == _WEYL_SIZE[self.cartan_type]
+        assert self._cartan_det > 0
         for i in range(self.rank):
             assert self.rho.coords[i] == 1
         for w in self.weyl_group:
@@ -253,12 +258,15 @@ class RootSystem:
 
     def to_root_vector(self, w: Weight) -> RootVector | None:
         """Exact conversion; None when ``w`` is not in the root lattice."""
+        d = self._cartan_det
         coeffs = []
-        for row in self._cartan_inv:
-            v = sum(row[j] * w.coords[j] for j in range(self.rank))
-            if v.denominator != 1:
+        for row in self._cartan_adj:
+            v = 0
+            for a, c in zip(row, w.coords):
+                v += a * c
+            if v % d:
                 return None
-            coeffs.append(int(v))
+            coeffs.append(v // d)
         return RootVector(self, tuple(coeffs))
 
     def root_pairing(self, w: Weight, k: int) -> int:
@@ -267,15 +275,15 @@ class RootSystem:
 
     # -- enumeration ------------------------------------------------------
 
-    def root_vectors_up_to_height(self, h: int) -> Iterator[RootVector]:
-        """All nonnegative root-lattice vectors of height at most ``h``."""
-        if self.rank == 1:
-            for a in range(h + 1):
-                yield RootVector(self, (a,))
-        else:
-            for a in range(h + 1):
-                for b in range(h + 1 - a):
-                    yield RootVector(self, (a, b))
+    def root_vectors_up_to_height(
+        self, h: int, below: RootVector | None = None
+    ) -> Iterator[RootVector]:
+        """All nonnegative root vectors of height at most ``h``, and at most
+        ``below`` componentwise when given, in lexicographic order."""
+        tops = (h,) * self.rank if below is None else below.coeffs
+        for coeffs in itertools.product(*(range(t + 1) for t in tops)):
+            if sum(coeffs) <= h:
+                yield RootVector(self, coeffs)
 
 
 def _check_same(a: RootSystem, b: RootSystem) -> None:
@@ -296,14 +304,10 @@ def _det(m) -> int:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-def _invert(m) -> tuple[tuple[Fraction, ...], ...]:
-    d = _det(m)
+def _adjugate(m) -> tuple[tuple[int, ...], ...]:
     if len(m) == 1:
-        return ((Fraction(1, d),),)
-    return (
-        (Fraction(m[1][1], d), Fraction(-m[0][1], d)),
-        (Fraction(-m[1][0], d), Fraction(m[0][0], d)),
-    )
+        return ((1,),)
+    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
 
 
 @lru_cache(maxsize=None)
@@ -357,10 +361,9 @@ def _kp(cartan_type: str, coeffs: tuple[int, ...], idx: int) -> int:
 
 def weight_height(lam: Weight) -> Fraction:
     """Height of ``lam`` in the rational span of the simple roots."""
-    inv = lam.system._cartan_inv
-    return sum(
-        (sum(row[j] * lam.coords[j] for j in range(lam.system.rank)) for row in inv),
-        Fraction(0),
+    rs = lam.system
+    return Fraction(
+        sum(a * c for row in rs._cartan_adj for a, c in zip(row, lam.coords)), rs._cartan_det
     )
 
 

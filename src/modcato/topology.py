@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import PredicateError, require_prime
-from .rootdata import RootVector, Weight, leq
+from .rootdata import Weight, leq
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class OpenSet:
             gap = rs.to_root_vector(c - lam)
             if gap is None or not gap.is_nonnegative():
                 continue
-            for rv in _vectors_below(gap):
+            for rv in rs.root_vectors_up_to_height(gap.height(), below=gap):
                 w = lam + rs.weight_of(rv)
                 found[w.coords] = w
         return tuple(found[c] for c in sorted(found))
@@ -104,25 +104,14 @@ class LocallyClosedSet:
         return [list(w.coords) for w in self.sorted]
 
 
-def _vectors_below(gap: RootVector):
-    """All root vectors 0 <= rv <= gap, componentwise."""
-    rs = gap.system
-    if rs.rank == 1:
-        for a in range(gap.coeffs[0] + 1):
-            yield RootVector(rs, (a,))
-    else:
-        for a in range(gap.coeffs[0] + 1):
-            for b in range(gap.coeffs[1] + 1):
-                yield RootVector(rs, (a, b))
-
-
 def interval(lam: Weight, nu: Weight) -> tuple[Weight, ...]:
     """The finite order interval [lam, nu]; empty unless lam <= nu."""
     rs = lam.system
     gap = rs.to_root_vector(nu - lam)
     if gap is None or not gap.is_nonnegative():
         return ()
-    out = tuple(lam + rs.weight_of(rv) for rv in _vectors_below(gap))
+    vectors = rs.root_vectors_up_to_height(gap.height(), below=gap)
+    out = tuple(lam + rs.weight_of(rv) for rv in vectors)
     return tuple(sorted(out, key=lambda w: w.coords))
 
 

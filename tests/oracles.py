@@ -7,6 +7,7 @@ sl2 matrices, digitwise arithmetic).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 POSITIVE_ROOTS = {
@@ -111,6 +112,36 @@ def coroot_pairing(cartan_type: str, mu: tuple[int, ...], beta: tuple[int, ...])
     value = Fraction(sum(beta[i] * mu[i] * form[i][i] for i in range(rank)), beta_sq)
     assert value.denominator == 1
     return int(value)
+
+
+def cartan_matrix(cartan_type: str) -> tuple[tuple[int, ...], ...]:
+    """C[i][j] = <alpha_j, alpha_i^vee> = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i)."""
+    form = SIMPLE_ROOT_FORM[cartan_type]
+    rank = len(form)
+    assert all(2 * form[i][j] % form[i][i] == 0 for i in range(rank) for j in range(rank))
+    return tuple(tuple(2 * form[i][j] // form[i][i] for j in range(rank)) for i in range(rank))
+
+
+def root_lattice_points(cartan_type: str, n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """{C c: c} for every c in [-n, n]^rank, by brute force: root-lattice
+    points in fundamental-weight coordinates, each with its simple-root
+    coefficients."""
+    cm = cartan_matrix(cartan_type)
+    rank = len(cm)
+    points = {}
+    for c in itertools.product(range(-n, n + 1), repeat=rank):
+        points[tuple(sum(cm[i][j] * c[j] for j in range(rank)) for i in range(rank))] = c
+    return points
+
+
+def lattice_height(points: dict, w: tuple[int, ...], max_index: int = 6) -> Fraction:
+    """Rational height of w, read off the least multiple k w (k <= max_index)
+    that ``points`` holds: height(w) = height(k w) / k."""
+    for k in range(1, max_index + 1):
+        pre = points.get(tuple(k * x for x in w))
+        if pre is not None:
+            return Fraction(sum(pre), k)
+    raise AssertionError(f"no multiple of {w} up to {max_index} is in the sampled lattice")
 
 
 def shapovalov_product(cartan_type: str, lam: tuple[int, ...], nu: tuple[int, ...]) -> int:

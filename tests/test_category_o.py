@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from modcato.category_o import (
@@ -25,6 +27,7 @@ from modcato.errors import (
     ModcatoError,
     PredicateError,
     RegionError,
+    require_prime,
 )
 from modcato.hypalg import rank_mod_p, simple_weight_dim
 from modcato.periodicity import ShiftContext
@@ -111,6 +114,36 @@ def test_non_prime_p_is_rejected(p):
     for call in calls:
         with pytest.raises(ModcatoError, match=f"p={p} is not a prime"):
             call()
+
+
+def test_require_prime_agrees_with_trial_division():
+    for n in range(-2, 10**4):
+        is_prime = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        if is_prime:
+            require_prime(n)
+        else:
+            with pytest.raises(ModcatoError, match=f"p={n} is not a prime"):
+                require_prime(n)
+
+
+@pytest.mark.parametrize("n", [561, 2047, 3215031751])
+def test_require_prime_rejects_pseudoprimes(n):
+    # A Carmichael number, the least strong pseudoprime to base 2, and the
+    # least strong pseudoprime to bases 2, 3, 5 and 7.
+    with pytest.raises(ModcatoError, match=f"p={n} is not a prime"):
+        require_prime(n)
+
+
+def test_require_prime_on_large_values():
+    require_prime(1000000000000000003)
+    require_prime(2**61 - 1)
+    with pytest.raises(ModcatoError, match="p=1000000000000000001 is not a prime"):
+        require_prime(10**18 + 1)
+    # The least strong pseudoprime to every base up to 37 sits at the bound.
+    with pytest.raises(ModcatoError, match="p=318665857834031151167461 is too large"):
+        require_prime(318665857834031151167461)
+    with pytest.raises(ModcatoError, match=f"p={2**89 - 1} is too large"):
+        require_prime(2**89 - 1)
 
 
 def test_negative_table_depth_is_rejected():

@@ -151,6 +151,22 @@ def test_non_prime_p_exit_2(capsys, argv):
     assert f"p={argv[argv.index('--p') + 1]} is not a prime" in err
 
 
+def test_large_prime_p_exit_0(capsys):
+    code, out, _ = run(capsys, "char", "simple", "--type", "A1",
+                       "--p", "1000000000000000003", "--lambda=1", "--depth", "1")
+    assert code == 0
+    assert out.split() == ["weight", "coeff", "------", "-----", "-1", "1", "1", "1"]
+
+
+def test_uncertifiable_p_exit_2(capsys):
+    p = str(2**89 - 1)
+    code, out, err = run(capsys, "char", "simple", "--type", "A1", "--p", p,
+                         "--lambda=1", "--depth", "1")
+    assert code == 2
+    assert out == ""
+    assert f"p={p} is too large" in err
+
+
 def test_negative_table_depth_exit_2(capsys):
     code, out, err = run(
         capsys, "periodicity", "full", "--type", "A1", "--p", "2", "--l", "1",

@@ -16,7 +16,12 @@ from modcato.rootdata import (
     weight_height,
 )
 
-from oracles import partition_counts_by_genfun
+from oracles import (
+    cartan_matrix,
+    lattice_height,
+    partition_counts_by_genfun,
+    root_lattice_points,
+)
 
 
 @pytest.fixture(params=["A1", "A2", "B2"])
@@ -184,6 +189,41 @@ def test_conversions_roundtrip(rs):
 def test_weight_height_matches_root_height(rs):
     for rv in rs.root_vectors_up_to_height(5):
         assert weight_height(rs.weight_of(rv)) == rv.height()
+
+
+def test_lattice_conversion_against_brute_force_oracle(rs):
+    # In [-6, 6]^rank every multiple k w with k <= det C = 2 or 3 has
+    # preimage coefficients of size at most 24, so the sample below holds
+    # every root-lattice point the test looks up.
+    assert rs.cartan_matrix == cartan_matrix(rs.cartan_type)
+    points = root_lattice_points(rs.cartan_type, 24)
+    zero = rs.zero_weight()
+    for coords in itertools.product(range(-6, 7), repeat=rs.rank):
+        w = rs.weight(*coords)
+        pre = points.get(coords)
+        rv = rs.to_root_vector(w)
+        assert (rv is None) == (pre is None), coords
+        assert rv is None or rv.coeffs == pre, coords
+        nonnegative = pre is not None and min(pre) >= 0
+        assert leq(zero, w) == nonnegative, coords
+        assert leq(rs.rho - w, rs.rho) == nonnegative, coords
+        assert weight_height(w) == lattice_height(points, coords), coords
+
+
+def test_root_vector_enumeration_is_lexicographic():
+    a1 = build_root_system("A1")
+    a2 = build_root_system("A2")
+    assert [rv.coeffs for rv in a1.root_vectors_up_to_height(2)] == [(0,), (1,), (2,)]
+    assert [rv.coeffs for rv in a2.root_vectors_up_to_height(2)] == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0),
+    ]
+    assert [rv.coeffs for rv in a2.root_vectors_up_to_height(3, below=a2.root_vector(1, 2))] == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
+    ]
+    assert [rv.coeffs for rv in a2.root_vectors_up_to_height(2, below=a2.root_vector(1, 2))] == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1),
+    ]
+    assert list(a2.root_vectors_up_to_height(-1)) == []
 
 
 def test_dot_action_of_identity(rs):
