@@ -133,6 +133,7 @@ class DecompositionTable:
         return sorted(triples)
 
 
+# (lam, p) -> {nu coefficients: dim L(lam)_{lam - nu}}
 _SIMPLE_CACHE: dict = {}
 
 
@@ -158,41 +159,39 @@ def simple_character(
 ) -> SimpleCharacter:
     """Assemble ch L(lam) on a box from per-weight-space Gram ranks.
 
-    The finished character is one ``simple_dim`` disk record; a hit skips
-    every Gram build, and the highest-weight check still runs on it.
+    The ranks are memoized per (lam, p) and weight space, so a character
+    asked on a new box ranks only the weight spaces no earlier box held.
+    The finished character is one ``simple_dim`` disk record per box; a hit
+    fills the memo without a Gram build, and the highest-weight check still
+    runs on it.
     """
     require_prime(p)
     if not box.contains(lam):
         raise BoxMarginError(f"box does not contain the highest weight {lam}")
-    key = (lam, p, box)
-    hit = _SIMPLE_CACHE.get(key)
-    if hit is not None:
-        return hit
     rs = lam.system
+    dims = _SIMPLE_CACHE.setdefault((lam, p), {})
+    below = [(w, rs.to_root_vector(lam - w)) for w in box.weights()]
+    below = [(w, rv) for w, rv in below if rv is not None and rv.is_nonnegative()]
     ceiling = "|".join(_csv(c) for c in sorted(w.coords for w in box.ceiling))
     payload = f"lam={_csv(lam.coords)};box={ceiling};depth={box.depth}"
     cached = cache_store.get_value("simple_dim", rs.cartan_type, p, payload)
-    if cached is not None:
-        coeffs = {rs.weight(*coords): dim for coords, dim in json.loads(cached)}
-    else:
-        coeffs = {}
-        for w in box.weights():
-            rv = rs.to_root_vector(lam - w)
-            if rv is None or not rv.is_nonnegative():
-                continue
-            dim = simple_weight_dim(lam, rv, p, guard=guard)
-            if dim:
-                coeffs[w] = dim
+    # A record lists the nonzero dimensions of every weight space in its box.
+    on_disk = None if cached is None else {tuple(c): d for c, d in json.loads(cached)}
+    for w, rv in below:
+        if rv.coeffs not in dims:
+            dims[rv.coeffs] = (
+                simple_weight_dim(lam, rv, p, guard=guard)
+                if on_disk is None
+                else on_disk.get(w.coords, 0)
+            )
     complete = is_dominant(lam) and _covers_full_support(lam, box)
-    chi = FormalCharacter(coeffs, box, complete)
+    chi = FormalCharacter({w: dims[rv.coeffs] for w, rv in below}, box, complete)
     assert chi.coefficient(lam) == 1
     if cached is None:
         cache_store.put_value(
             "simple_dim", rs.cartan_type, p, payload, json.dumps(chi.serialize())
         )
-    result = SimpleCharacter(lam, p, chi)
-    _SIMPLE_CACHE[key] = result
-    return result
+    return SimpleCharacter(lam, p, chi)
 
 
 def full_simple_character(lam: Weight, p: int, *, guard: SizeGuard | None = None) -> SimpleCharacter:

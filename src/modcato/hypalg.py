@@ -5,7 +5,9 @@ Straightening works with ordinary powers over the integers throughout.  The
 ordinary-power Gram <f^I v, f^J v> at a numeric lambda is built by the
 contravariance <f_k x, y> = <x, e_k y>: writing f^I = f_k f^I' with k the
 first root of I, row I is row I' of the Gram one root higher, applied to
-e_k f^J v, whose e-free straightening terms are evaluated at lambda.
+e_k f^J v.  That column comes from the memoised one-letter commutation
+e_k f_j f^J' v = f_j e_k f^J' v + [e_k, f_j] f^J' v; whole-word
+straightening stays as the public API and the test oracle.
 Divided-power values are recovered at the very end by exact factorial
 division, whose exactness is asserted entrywise (it holds precisely because
 the divided powers span an integral form).  Entry (I, J) and entry (J, I)
@@ -336,8 +338,7 @@ class PBWEngine:
         self._zero_f = (0,) * m
         self._zero_h = (0,) * r
         self._zero_e = (0,) * m
-        self._memo_insert_e: dict = {}
-        self._memo_insert_f: dict = {}
+        self._memo_insert: dict = {}
         self._memo_cross: dict = {}
         self._memo_e_on_f: dict = {}
         self._raw_lam: tuple[int, ...] | None = None
@@ -348,64 +349,39 @@ class PBWEngine:
     def _bump(exps: tuple[int, ...], k: int, by: int = 1) -> tuple[int, ...]:
         return exps[:k] + (exps[k] + by,) + exps[k + 1 :]
 
-    def _e_weight_pairing(self, e_exps: tuple[int, ...], i: int) -> int:
-        rf = self.st.root_fund
-        return sum(e_exps[k] * rf[k][i] for k in range(self.st.nroots) if e_exps[k])
-
-    def _f_weight_pairings(self, f_exps: tuple[int, ...]) -> tuple[int, ...]:
+    def _weight_pairings(self, exps: tuple[int, ...]) -> tuple[int, ...]:
+        """<sum_k exps[k] beta_k, alpha_i^vee> for every simple root i."""
         rf = self.st.root_fund
         return tuple(
-            sum(f_exps[k] * rf[k][i] for k in range(self.st.nroots) if f_exps[k])
+            sum(exps[k] * rf[k][i] for k in range(self.st.nroots) if exps[k])
             for i in range(self.st.rank)
         )
 
     # -- nilpotent-part insertion ------------------------------------------
-    def insert_e(self, e_exps: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
-        """Normal form of (e-monomial) * e_k inside the positive part."""
-        key = (e_exps, k)
-        hit = self._memo_insert_e.get(key)
+    def insert(self, kind: str, exps: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
+        """Normal form of (kind-monomial) * kind_k inside the positive
+        (kind "e") or negative (kind "f") part."""
+        key = (kind, exps, k)
+        hit = self._memo_insert.get(key)
         if hit is not None:
             return hit
-        top = max((i for i in range(len(e_exps)) if e_exps[i]), default=-1)
+        top = max((i for i in range(len(exps)) if exps[i]), default=-1)
         if top <= k:
-            result = {self._bump(e_exps, k): 1}
+            result = {self._bump(exps, k): 1}
         else:
-            rest = self._bump(e_exps, top, -1)
+            index = self.st.e_index if kind == "e" else self.st.f_index
+            rest = self._bump(exps, top, -1)
             out: dict[tuple[int, ...], int] = {}
-            for mono, c in self.insert_e(rest, k).items():
-                for mono2, c2 in self.insert_e(mono, top).items():
+            for mono, c in self.insert(kind, rest, k).items():
+                for mono2, c2 in self.insert(kind, mono, top).items():
                     out[mono2] = out.get(mono2, 0) + c * c2
-            for idx, cb in self.st.bracket_table[(self.st.e_index(top), self.st.e_index(k))]:
-                kind, pos = self.st.classify(idx)
-                assert kind == "e"
-                for mono2, c2 in self.insert_e(rest, pos).items():
+            for idx, cb in self.st.bracket_table[(index(top), index(k))]:
+                kind2, pos = self.st.classify(idx)
+                assert kind2 == kind
+                for mono2, c2 in self.insert(kind, rest, pos).items():
                     out[mono2] = out.get(mono2, 0) + cb * c2
             result = {m: c for m, c in out.items() if c}
-        self._memo_insert_e[key] = result
-        return result
-
-    def insert_f(self, f_exps: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
-        """Normal form of (f-monomial) * f_k inside the negative part."""
-        key = (f_exps, k)
-        hit = self._memo_insert_f.get(key)
-        if hit is not None:
-            return hit
-        top = max((i for i in range(len(f_exps)) if f_exps[i]), default=-1)
-        if top <= k:
-            result = {self._bump(f_exps, k): 1}
-        else:
-            rest = self._bump(f_exps, top, -1)
-            out: dict[tuple[int, ...], int] = {}
-            for mono, c in self.insert_f(rest, k).items():
-                for mono2, c2 in self.insert_f(mono, top).items():
-                    out[mono2] = out.get(mono2, 0) + c * c2
-            for idx, cb in self.st.bracket_table[(self.st.f_index(top), self.st.f_index(k))]:
-                kind, pos = self.st.classify(idx)
-                assert kind == "f"
-                for mono2, c2 in self.insert_f(rest, pos).items():
-                    out[mono2] = out.get(mono2, 0) + cb * c2
-            result = {m: c for m, c in out.items() if c}
-        self._memo_insert_f[key] = result
+        self._memo_insert[key] = result
         return result
 
     # -- moving one f past an e-monomial -----------------------------------
@@ -423,7 +399,7 @@ class PBWEngine:
         rest = self._bump(e_exps, top, -1)
         out: dict[tuple, int] = {}
         for (f1, h1, e1), c in self.cross(rest, k).items():
-            for e2, c2 in self.insert_e(e1, top).items():
+            for e2, c2 in self.insert("e", e1, top).items():
                 key2 = (f1, h1, e2)
                 out[key2] = out.get(key2, 0) + c * c2
         for idx, cb in self.st.bracket_table[(self.st.e_index(top), self.st.f_index(k))]:
@@ -431,12 +407,12 @@ class PBWEngine:
             if kind == "h":
                 key2 = (self._zero_f, self._bump(self._zero_h, pos), rest)
                 out[key2] = out.get(key2, 0) + cb
-                pairing = self._e_weight_pairing(rest, pos)
+                pairing = self._weight_pairings(rest)[pos]
                 if pairing:
                     key2 = (self._zero_f, self._zero_h, rest)
                     out[key2] = out.get(key2, 0) - cb * pairing
             elif kind == "e":
-                for e2, c2 in self.insert_e(rest, pos).items():
+                for e2, c2 in self.insert("e", rest, pos).items():
                     key2 = (self._zero_f, self._zero_h, e2)
                     out[key2] = out.get(key2, 0) + cb * c2
             else:
@@ -472,7 +448,7 @@ class PBWEngine:
             for _ in range(extra[k]):
                 nxt: dict[tuple[int, ...], int] = {}
                 for m, c in state.items():
-                    for m2, c2 in self.insert_f(m, k).items():
+                    for m2, c2 in self.insert("f", m, k).items():
                         nxt[m2] = nxt.get(m2, 0) + c * c2
                 state = nxt
         return state
@@ -481,16 +457,16 @@ class PBWEngine:
         f_exps, h_exps, e_exps = mono
         out: dict[tuple, int] = {}
         if kind == "e":
-            for e2, c in self.insert_e(e_exps, pos).items():
+            for e2, c in self.insert("e", e_exps, pos).items():
                 out[(f_exps, h_exps, e2)] = c
         elif kind == "h":
             out[(f_exps, self._bump(h_exps, pos), e_exps)] = 1
-            pairing = self._e_weight_pairing(e_exps, pos)
+            pairing = self._weight_pairings(e_exps)[pos]
             if pairing:
                 out[(f_exps, h_exps, e_exps)] = -pairing
         elif kind == "f":
             for (f_t, h_t, e_t), ct in self.cross(e_exps, pos).items():
-                shifts = self._f_weight_pairings(f_t)
+                shifts = self._weight_pairings(f_t)
                 shifted = self._expand_shift(h_exps, shifts)
                 merged_f = self._mul_f_mono(f_exps, f_t)
                 for fr, cf in merged_f.items():
@@ -523,20 +499,44 @@ class PBWEngine:
 
     # -- contravariant form ---------------------------------------------------
     def _e_on_f(self, k: int, j_exps: tuple[int, ...], guard: SizeGuard):
-        """e_k f^J v_lam as {f-exponents: h-polynomial in lam}.  Terms that
-        keep an e letter kill the highest-weight vector and are dropped."""
+        """e_k f^J v_lam as {f-exponents: h-polynomial in lam}.
+
+        With j the first root of J = j + J', commute one letter:
+        e_k f^J v = f_j (e_k f^J' v) + [e_k, f_j] f^J' v.  An h_i in the
+        bracket acts on f^J' v as h_i - <wt f^J', alpha_i^vee>, an e_beta
+        recurses on (beta, J'), an f_gamma reorders f_gamma f^J' in U^-.
+        """
         key = (k, j_exps)
         hit = self._memo_e_on_f.get(key)
         if hit is not None:
             return hit
-        state = {(self._zero_f, self._zero_h, self._bump(self._zero_e, k)): 1}
-        for pos, a in enumerate(j_exps):
-            for _ in range(a):
-                state = self.apply_gen(state, "f", pos, guard)
+        terms = []  # (f-exponents, h-polynomial, scale)
+        if any(j_exps):
+            j = next(t for t, a in enumerate(j_exps) if a)
+            rest = self._bump(j_exps, j, -1)
+            f_j = self._bump(self._zero_f, j)
+            for f_exps, poly in self._e_on_f(k, rest, guard).items():
+                terms += [(f2, poly, c) for f2, c in self._mul_f_mono(f_j, f_exps).items()]
+            for idx, cb in self.st.bracket_table[(self.st.e_index(k), self.st.f_index(j))]:
+                kind, pos = self.st.classify(idx)
+                if kind == "h":
+                    shift = self._weight_pairings(rest)[pos]
+                    terms.append((rest, {self._bump(self._zero_h, pos): 1, self._zero_h: -shift}, cb))
+                elif kind == "e":
+                    terms += [(f, poly, cb) for f, poly in self._e_on_f(pos, rest, guard).items()]
+                else:
+                    f_pos = self._bump(self._zero_f, pos)
+                    terms += [(f2, {self._zero_h: c}, cb) for f2, c in self._mul_f_mono(f_pos, rest).items()]
+        flat: dict[tuple, int] = {}
+        for f_exps, poly, scale in terms:
+            for h_exps, c in poly.items():
+                flat[f_exps, h_exps] = flat.get((f_exps, h_exps), 0) + scale * c
         result: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for (f_exps, h_exps, e_exps), c in state.items():
-            if not any(e_exps):
+        for (f_exps, h_exps), c in flat.items():
+            if c:
                 result.setdefault(f_exps, {})[h_exps] = c
+        if sum(map(len, result.values())) > guard.max_terms:
+            raise SizeGuardError(f"straightening exceeded {guard.max_terms} terms")
         self._memo_e_on_f[key] = result
         return result
 

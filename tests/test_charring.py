@@ -267,6 +267,17 @@ def test_peel_reports_missing_region():
         peel_decompose(chi, basis, [A1.weight(0)])
 
 
+def test_peel_rejects_basis_on_shallower_box():
+    # A basis character that is not complete is authoritative only on its
+    # own box; on a shallower box than chi's it would leave deep weights
+    # unsubtracted, so peeling must refuse it.
+    box = a1box(0, 6)
+    chi = verma_character(A1.weight(0), box)
+    basis = {w: verma_character(w, TruncationBox.make((w,), 2)) for w in box.weights()}
+    with pytest.raises(BoxMarginError):
+        peel_decompose(chi, basis, box.weights())
+
+
 def test_height_spread():
     box = a1box(2, 4)
     chi = char_add(char_single(A1.weight(2), box), char_single(A1.weight(-2), box))

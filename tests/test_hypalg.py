@@ -11,6 +11,7 @@ import pytest
 from modcato.charring import weyl_character
 from modcato.errors import SizeGuardError
 from modcato.hypalg import (
+    PBWEngine,
     SizeGuard,
     binomial_mod_p,
     chi_eval,
@@ -284,6 +285,26 @@ def test_hc_pipeline_agrees_with_general_straightening():
                             assert g.entries[i][j] == raw // den, (rs.cartan_type, lam, rv)
 
 
+@pytest.mark.parametrize(
+    "cartan_type,flip", [("A2", ()), ("B2", ()), ("B2", (2, 3))], ids=["A2", "B2", "B2-flipped"]
+)
+def test_e_on_f_recursion_matches_straightening(cartan_type, flip):
+    # The one-letter commutation against straightening the word e_k f^J in
+    # full: the terms free of e are the ones that survive on v_lam.
+    rs = build_root_system(cartan_type)
+    eng = PBWEngine(get_structure(cartan_type, flip))
+    guard = SizeGuard()
+    for rv in rs.root_vectors_up_to_height(5):
+        for mono in enumerate_f_monomials(rs, rv):
+            word = [("f", j, a) for j, a in enumerate(mono.f_exps) if a]
+            for k in range(len(rs.positive_roots)):
+                expect = {}
+                for t, c in straighten(rs, [("e", k, 1)] + word, engine=eng).terms.items():
+                    if not any(t.e_exps):
+                        expect.setdefault(t.f_exps, {})[t.h_exps] = c
+                assert eng._e_on_f(k, mono.f_exps, guard) == expect, (k, mono.f_exps)
+
+
 # Shapovalov 1972; Jantzen, Kontravariante Formen auf induzierten
 # Darstellungen, Math. Ann. 1977.  det G_nu(lam) is a nonzero constant times
 # prod_{beta>0} prod_{r>=1} (<lam+rho, beta^vee> - r)^{P(nu - r beta)}; the
@@ -327,6 +348,11 @@ def test_size_guard_trips():
     tiny2 = SizeGuard(max_gram_dim=200, max_terms=2)
     with pytest.raises(SizeGuardError):
         straighten(A2, [("e", 0, 2), ("e", 1, 2), ("f", 0, 2), ("f", 1, 2)], guard=tiny2)
+    # A fresh engine has no memo to fall back on: the commutation recursion
+    # behind the Gram must check the guard itself.
+    with pytest.raises(SizeGuardError):
+        shapovalov_gram(A2.weight(3, 3), A2.root_vector(2, 2), guard=tiny2,
+                        engine=PBWEngine(get_structure("A2")))
 
 
 def test_rank_helpers():
