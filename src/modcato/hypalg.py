@@ -6,8 +6,11 @@ ordinary-power Gram <f^I v, f^J v> at a numeric lambda is built by the
 contravariance <f_k x, y> = <x, e_k y>: writing f^I = f_k f^I' with k the
 first root of I, row I is row I' of the Gram one root higher, applied to
 e_k f^J v.  That column comes from the memoised one-letter commutation
-e_k f_j f^J' v = f_j e_k f^J' v + [e_k, f_j] f^J' v; whole-word
-straightening stays as the public API and the test oracle.
+e_k f_j f^J' v = f_j e_k f^J' v + [e_k, f_j] f^J' v, and each f_j f^M in it
+from the memoised left multiplication f_j f_m f^M' = f_m f_j f^M' +
+[f_j, f_m] f^M'.  Bases are solved for: only non-simple roots' exponents are
+enumerated.  Whole-word straightening inserts letters on the right, never
+calls either recursion, and stays as the public API and the test oracle.
 Divided-power values are recovered at the very end by exact factorial
 division, whose exactness is asserted entrywise (it holds precisely because
 the divided powers span an integral form).  Entry (I, J) and entry (J, I)
@@ -23,6 +26,7 @@ under the interpreter lock are safe for concurrent use.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -341,6 +345,7 @@ class PBWEngine:
         self._memo_insert: dict = {}
         self._memo_cross: dict = {}
         self._memo_e_on_f: dict = {}
+        self._memo_left_f: dict = {}
         self._raw_lam: tuple[int, ...] | None = None
         self._raw_grams: dict = {}
 
@@ -442,17 +447,6 @@ class PBWEngine:
             out = nxt
         return out
 
-    def _mul_f_mono(self, f_exps: tuple[int, ...], extra: tuple[int, ...]):
-        state = {f_exps: 1}
-        for k in range(len(extra)):
-            for _ in range(extra[k]):
-                nxt: dict[tuple[int, ...], int] = {}
-                for m, c in state.items():
-                    for m2, c2 in self.insert("f", m, k).items():
-                        nxt[m2] = nxt.get(m2, 0) + c * c2
-                state = nxt
-        return state
-
     def mono_mul_gen(self, mono: tuple, kind: str, pos: int):
         f_exps, h_exps, e_exps = mono
         out: dict[tuple, int] = {}
@@ -468,7 +462,9 @@ class PBWEngine:
             for (f_t, h_t, e_t), ct in self.cross(e_exps, pos).items():
                 shifts = self._weight_pairings(f_t)
                 shifted = self._expand_shift(h_exps, shifts)
-                merged_f = self._mul_f_mono(f_exps, f_t)
+                # cross leaves at most one f letter; insert it right of f^F.
+                assert sum(f_t) <= 1
+                merged_f = self.insert("f", f_exps, f_t.index(1)) if any(f_t) else {f_exps: 1}
                 for fr, cf in merged_f.items():
                     for hm, ch in shifted.items():
                         hr = tuple(a + b for a, b in zip(hm, h_t))
@@ -498,6 +494,32 @@ class PBWEngine:
         return nxt
 
     # -- contravariant form ---------------------------------------------------
+    def _left_f(self, j: int, m_exps: tuple[int, ...], guard: SizeGuard):
+        """f_j f^M in PBW order.  With m the first root of M = m + M', it is
+        f^{M + e_j} when j <= m, else f_m (f_j f^M') + [f_j, f_m] f^M'.
+        Ordered products are memoised too, so _e_on_f shares their keys."""
+        key = (j, m_exps)
+        hit = self._memo_left_f.get(key)
+        if hit is not None:
+            return hit
+        m = next((t for t, a in enumerate(m_exps) if a), j)
+        if j <= m:
+            result = {self._bump(m_exps, j): 1}
+        else:
+            rest = self._bump(m_exps, m, -1)
+            out: dict[tuple[int, ...], int] = {}
+            for f2, c in self._left_f(j, rest, guard).items():
+                for f3, c3 in self._left_f(m, f2, guard).items():
+                    out[f3] = out.get(f3, 0) + c * c3
+            for idx, cb in self.st.bracket_table[(self.st.f_index(j), self.st.f_index(m))]:
+                for f3, c3 in self._left_f(self.st.classify(idx)[1], rest, guard).items():
+                    out[f3] = out.get(f3, 0) + cb * c3
+            result = {f: c for f, c in out.items() if c}
+            if len(result) > guard.max_terms:
+                raise SizeGuardError(f"straightening exceeded {guard.max_terms} terms")
+        self._memo_left_f[key] = result
+        return result
+
     def _e_on_f(self, k: int, j_exps: tuple[int, ...], guard: SizeGuard):
         """e_k f^J v_lam as {f-exponents: h-polynomial in lam}.
 
@@ -514,9 +536,8 @@ class PBWEngine:
         if any(j_exps):
             j = next(t for t, a in enumerate(j_exps) if a)
             rest = self._bump(j_exps, j, -1)
-            f_j = self._bump(self._zero_f, j)
             for f_exps, poly in self._e_on_f(k, rest, guard).items():
-                terms += [(f2, poly, c) for f2, c in self._mul_f_mono(f_j, f_exps).items()]
+                terms += [(f2, poly, c) for f2, c in self._left_f(j, f_exps, guard).items()]
             for idx, cb in self.st.bracket_table[(self.st.e_index(k), self.st.f_index(j))]:
                 kind, pos = self.st.classify(idx)
                 if kind == "h":
@@ -525,8 +546,7 @@ class PBWEngine:
                 elif kind == "e":
                     terms += [(f, poly, cb) for f, poly in self._e_on_f(pos, rest, guard).items()]
                 else:
-                    f_pos = self._bump(self._zero_f, pos)
-                    terms += [(f2, {self._zero_h: c}, cb) for f2, c in self._mul_f_mono(f_pos, rest).items()]
+                    terms += [(f2, {self._zero_h: c}, cb) for f2, c in self._left_f(pos, rest, guard).items()]
         flat: dict[tuple, int] = {}
         for f_exps, poly, scale in terms:
             for h_exps, c in poly.items():
@@ -591,22 +611,17 @@ def get_engine(cartan_type: str, flip: tuple[int, ...] = ()) -> PBWEngine:
 
 @lru_cache(maxsize=None)
 def _f_exponents(rs: RootSystem, nu_coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Sorted f-exponents of weight -nu.  Only non-simple roots are looped
+    over; the simple roots' exponents are the rest of nu, if nonnegative."""
     roots = [r.coeffs for r in rs.positive_roots]
+    others = [k for k, r in enumerate(roots) if sum(r) > 1]
     out: list[tuple[int, ...]] = []
-
-    def rec(idx: int, remaining: tuple[int, ...], acc: list[int]):
-        if idx == len(roots):
-            if all(c == 0 for c in remaining):
-                out.append(tuple(acc))
-            return
-        root = roots[idx]
-        k = 0
-        rem = remaining
-        while all(c >= 0 for c in rem):
-            rec(idx + 1, rem, acc + [k])
-            k += 1
-            rem = tuple(c - k * r for c, r in zip(remaining, root))
-    rec(0, nu_coeffs, [])
+    ranges = [range(min(n // c for n, c in zip(nu_coeffs, roots[k]) if c) + 1) for k in others]
+    for combo in itertools.product(*ranges):
+        chosen = dict(zip(others, combo))
+        rem = [n - sum(a * roots[k][i] for k, a in chosen.items()) for i, n in enumerate(nu_coeffs)]
+        if min(rem) >= 0:
+            out.append(tuple(chosen[k] if k in chosen else rem[r.index(1)] for k, r in enumerate(roots)))
     return tuple(sorted(out))
 
 

@@ -36,6 +36,28 @@ def partition_counts_by_genfun(cartan_type: str, max_height: int) -> dict[tuple[
     return series
 
 
+def f_exponents_brute_force(cartan_type: str, nu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every exponent vector (a_beta) with sum_beta a_beta beta = nu, found
+    by trying each exponent of each positive root in turn, sorted."""
+    roots = POSITIVE_ROOTS[cartan_type]
+    out: list[tuple[int, ...]] = []
+
+    def rec(idx: int, remaining: tuple[int, ...], acc: list[int]):
+        if idx == len(roots):
+            if all(c == 0 for c in remaining):
+                out.append(tuple(acc))
+            return
+        k = 0
+        rem = remaining
+        while all(c >= 0 for c in rem):
+            rec(idx + 1, rem, acc + [k])
+            k += 1
+            rem = tuple(c - k * r for c, r in zip(remaining, roots[idx]))
+
+    rec(0, tuple(nu), [])
+    return tuple(sorted(out))
+
+
 def sl2_gram_ordinary(t: int, n: int) -> Fraction:
     """<f^n v, f^n v> on the depth-n truncated Verma of highest weight t.
 

@@ -21,7 +21,7 @@ from modcato.category_o import (
     truncate_flag,
     validate_table_consistency,
 )
-from modcato.charring import TruncationBox, char_add, char_scale, verma_character
+from modcato.charring import TruncationBox, char_add, char_scale, verma_character, weyl_character
 from modcato.errors import (
     InvalidCharacterError,
     ModcatoError,
@@ -290,6 +290,16 @@ def test_simple_dimensions_match_literature():
     assert dim(B2, (1, 0), 3) == 5
     assert dim(B2, (0, 1), 3) == 4
     assert dim(B2, (2, 2), 3) == 81     # Steinberg p=3, height-14 Gram sweep
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_steinberg_module_is_the_weyl_module_a2(p):
+    # Steinberg 1963; Jantzen, Representations of Algebraic Groups, II.3.18:
+    # L((p-1) rho) is the Weyl module, of dimension p^{|Phi^+|}.
+    lam = A2.weight(p - 1, p - 1)
+    chi = full_simple_character(lam, p).char
+    assert chi.coeffs == weyl_character(lam).coeffs
+    assert sum(c for _, c in chi.items()) == p**3
 
 
 def test_steinberg_and_frobenius_b2():

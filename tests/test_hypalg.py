@@ -32,7 +32,9 @@ from modcato.rootdata import build_root_system, kostant_partition
 
 from oracles import (
     determinant,
+    f_exponents_brute_force,
     lucas_dominates,
+    partition_counts_by_genfun,
     shapovalov_product,
     sl2_divided_gram,
     sl2_gram_ordinary,
@@ -59,6 +61,18 @@ def test_enumerate_f_monomials_counts_match_partition():
             monos = enumerate_f_monomials(rs, rv)
             assert len(monos) == kostant_partition(rv)
             assert monos == sorted(monos)
+
+
+@pytest.mark.parametrize("cartan_type", ["A1", "A2", "B2"])
+def test_enumerate_f_monomials_matches_brute_force(cartan_type):
+    # The solved basis against trying every exponent of every root: the same
+    # tuples in the same order, and as many as the generating function says.
+    rs = build_root_system(cartan_type)
+    counts = partition_counts_by_genfun(cartan_type, 14)
+    for rv in rs.root_vectors_up_to_height(14):
+        exps = [m.f_exps for m in enumerate_f_monomials(rs, rv)]
+        assert exps == list(f_exponents_brute_force(cartan_type, rv.coeffs)), rv.coeffs
+        assert len(exps) == counts[rv.coeffs], rv.coeffs
 
 
 def test_enumerate_f_monomials_examples():
@@ -303,6 +317,35 @@ def test_e_on_f_recursion_matches_straightening(cartan_type, flip):
                     if not any(t.e_exps):
                         expect.setdefault(t.f_exps, {})[t.h_exps] = c
                 assert eng._e_on_f(k, mono.f_exps, guard) == expect, (k, mono.f_exps)
+
+
+@pytest.mark.parametrize(
+    "cartan_type,flip", [("A2", ()), ("B2", ()), ("B2", (2, 3))], ids=["A2", "B2", "B2-flipped"]
+)
+def test_left_f_matches_straightening(cartan_type, flip):
+    # The memoised left multiplication in U^- against straightening the word
+    # f_j f^M, on a fresh engine per product so no memo entry is shared.
+    rs = build_root_system(cartan_type)
+    structure = get_structure(cartan_type, flip)
+    oracle = PBWEngine(structure)
+    guard = SizeGuard()
+    for rv in rs.root_vectors_up_to_height(6):
+        for mono in enumerate_f_monomials(rs, rv):
+            word = [("f", t, a) for t, a in enumerate(mono.f_exps) if a]
+            for j in range(len(rs.positive_roots)):
+                u = straighten(rs, [("f", j, 1)] + word, engine=oracle)
+                assert all(not any(t.h_exps) and not any(t.e_exps) for t in u.terms)
+                expect = {t.f_exps: c for t, c in u.terms.items()}
+                got = PBWEngine(structure)._left_f(j, mono.f_exps, guard)
+                assert got == expect, (j, mono.f_exps)
+    assert not oracle._memo_left_f  # the oracle never takes the route it checks
+
+
+def test_left_f_checks_size_guard():
+    # f_(1,0) f_(0,1)^2 has three terms in B2; a fresh engine must trip.
+    assert len(PBWEngine(get_structure("B2"))._left_f(1, (2, 0, 0, 0), SizeGuard())) > 1
+    with pytest.raises(SizeGuardError):
+        PBWEngine(get_structure("B2"))._left_f(1, (2, 0, 0, 0), SizeGuard(max_terms=1))
 
 
 # Shapovalov 1972; Jantzen, Kontravariante Formen auf induzierten
