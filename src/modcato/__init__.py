@@ -42,15 +42,11 @@ from .hypalg import (  # noqa: F401
     GramMatrix,
     PBWMonomial,
     SizeGuard,
-    UElement,
     binomial_mod_p,
-    chi_eval,
     enumerate_f_monomials,
     gram_rank_char0,
-    hc_project,
     shapovalov_gram,
     simple_weight_dim,
-    straighten,
 )
 from .periodicity import (  # noqa: F401
     ShiftContext,

@@ -1,26 +1,25 @@
-"""Exact straightening in the integral enveloping algebra, and divided-power
-contravariant Gram matrices on Verma weight spaces.
+"""Divided-power contravariant Gram matrices on Verma weight spaces, and
+their ranks, from exact integer arithmetic in the enveloping algebra.
 
-Straightening works with ordinary powers over the integers throughout.  The
-ordinary-power Gram <f^I v, f^J v> at a numeric lambda is built by the
+The ordinary-power Gram <f^I v, f^J v> at a numeric lambda is built by the
 contravariance <f_k x, y> = <x, e_k y>: writing f^I = f_k f^I' with k the
 first root of I, row I is row I' of the Gram one root higher, applied to
 e_k f^J v.  That column comes from the memoised one-letter commutation
 e_k f_j f^J' v = f_j e_k f^J' v + [e_k, f_j] f^J' v, and each f_j f^M in it
 from the memoised left multiplication f_j f_m f^M' = f_m f_j f^M' +
 [f_j, f_m] f^M'.  Bases are solved for: only non-simple roots' exponents are
-enumerated.  Whole-word straightening inserts letters on the right, never
-calls either recursion, and stays as the public API and the test oracle.
-Divided-power values are recovered at the very end by exact factorial
-division, whose exactness is asserted entrywise (it holds precisely because
-the divided powers span an integral form).  Entry (I, J) and entry (J, I)
-come from different rows of the recursion, so the symmetry check compares
-two independent routes.  Reduction mod p happens only at rank computation.
+enumerated.  Divided-power values are recovered at the very end by exact
+factorial division, whose exactness is asserted entrywise (it holds
+precisely because the divided powers span an integral form).  Entry (I, J)
+and entry (J, I) come from different rows of the recursion, so the symmetry
+check compares two independent routes.  Reduction mod p happens only at
+rank computation; ranks over Q and structure-constant coordinates come from
+one fraction-free (Bareiss) eliminator whose every division is checked.
 
 Structure constants come from fixed matrix realizations of the three
 supported types; a bracket-closure, Jacobi, and root-string self-test runs
 once per realization, so a transcription error cannot survive construction.
-The straightening memo tables are plain dicts: reads and idempotent inserts
+The engine's memo tables are plain dicts: reads and idempotent inserts
 under the interpreter lock are safe for concurrent use.
 """
 
@@ -29,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -57,39 +55,6 @@ class PBWMonomial(NamedTuple):
     f_exps: tuple[int, ...]
     h_exps: tuple[int, ...]
     e_exps: tuple[int, ...]
-
-
-@dataclass(eq=False)
-class UElement:
-    """Integer combination of PBW monomials."""
-
-    system: RootSystem
-    terms: dict[PBWMonomial, int]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, UElement)
-            and self.system.cartan_type == other.system.cartan_type
-            and self.terms == other.terms
-        )
-
-    def support(self) -> list[PBWMonomial]:
-        return sorted(self.terms)
-
-    def weight(self) -> RootVector:
-        """Common weight of all terms; raises when inhomogeneous."""
-        rs = self.system
-        weights = set()
-        for mono in self.terms:
-            v = [0] * rs.rank
-            for k, root in enumerate(rs.positive_roots):
-                for i in range(rs.rank):
-                    v[i] += (mono.e_exps[k] - mono.f_exps[k]) * root.coeffs[i]
-            weights.add(tuple(v))
-        if len(weights) > 1:
-            raise ValueError("element is not weight homogeneous")
-        coeffs = weights.pop() if weights else (0,) * rs.rank
-        return RootVector(rs, coeffs)
 
 
 @dataclass(frozen=True)
@@ -167,35 +132,50 @@ def _realization(cartan_type: str):
     return f, h, e
 
 
-def _solve_in_basis(basis_vecs, target):
-    """Exact coordinates of target in the span of basis_vecs, or None."""
-    cols = len(basis_vecs)
-    rows = len(target)
-    aug = [
-        [Fraction(basis_vecs[c][r]) for c in range(cols)] + [Fraction(target[r])]
-        for r in range(rows)
-    ]
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if aug[r][c] != 0), None)
+def _bareiss(rows):
+    """Echelon form of an integer matrix by fraction-free elimination
+    (Bareiss 1968), and its pivot columns.  Each entry stays a minor of the
+    input, so every division by the previous pivot is exact; a remainder
+    raises ExactnessError."""
+    mat = [list(row) for row in rows]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if piv is None:
             continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][c]
-        aug[rank] = [v * inv for v in aug[rank]]
-        for r in range(rows):
-            if r != rank and aug[r][c] != 0:
-                factor = aug[r][c]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[rank])]
+        mat[r], mat[piv] = mat[piv], mat[r]
+        top = mat[r]
+        for i in range(r + 1, len(mat)):
+            row, lead = mat[i], mat[i][c]
+            for j in range(c, len(row)):
+                row[j], rem = divmod(top[c] * row[j] - lead * top[j], prev)
+                if rem:
+                    raise ExactnessError("inexact division in fraction-free elimination")
+        prev = top[c]
         pivots.append(c)
-        rank += 1
-    for r in range(rank, rows):
-        if aug[r][cols] != 0:
-            return None
-    coords = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        coords[c] = aug[r][cols]
+        if len(pivots) == len(mat):
+            break
+    return mat, pivots
+
+
+def _solve_in_basis(basis_vecs, target):
+    """Integer coordinates of target in the span of basis_vecs, or None when
+    it lies outside; raises ExactnessError when they are not integral."""
+    cols = len(basis_vecs)
+    mat, pivots = _bareiss(
+        [[vec[r] for vec in basis_vecs] + [t] for r, t in enumerate(target)]
+    )
+    if pivots and pivots[-1] == cols:
+        return None
+    coords = [0] * cols
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        rhs = mat[r][cols] - sum(mat[r][j] * coords[j] for j in range(c + 1, cols))
+        coords[c], rem = divmod(rhs, mat[r][c])
+        if rem:
+            raise ExactnessError("non-integral coordinates in the basis")
     return coords
 
 
@@ -256,14 +236,7 @@ class ChevalleyStructure:
         coords = _solve_in_basis(self._basis_vecs, vec)
         if coords is None:
             raise ExactnessError("bracket does not close on the Chevalley basis")
-        out = []
-        for idx, c in enumerate(coords):
-            if c == 0:
-                continue
-            if c.denominator != 1:
-                raise ExactnessError("non-integral structure constant")
-            out.append((idx, int(c)))
-        return tuple(out)
+        return tuple((idx, c) for idx, c in enumerate(coords) if c)
 
     def _bracket_combo(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -333,17 +306,14 @@ def get_structure(cartan_type: str, flip: tuple[int, ...] = ()) -> ChevalleyStru
 
 
 class PBWEngine:
-    """Memoized normal-ordering engine over one Chevalley structure."""
+    """Memoised Gram construction over one Chevalley structure: the
+    one-letter commutation e_k f^J v, the left multiplication f_j f^M in
+    U^-, and the ordinary-power Grams of the latest lambda."""
 
     def __init__(self, structure: ChevalleyStructure):
         self.st = structure
         self.rs = structure.rs
-        m, r = structure.nroots, structure.rank
-        self._zero_f = (0,) * m
-        self._zero_h = (0,) * r
-        self._zero_e = (0,) * m
-        self._memo_insert: dict = {}
-        self._memo_cross: dict = {}
+        self._zero_h = (0,) * structure.rank
         self._memo_e_on_f: dict = {}
         self._memo_left_f: dict = {}
         self._raw_lam: tuple[int, ...] | None = None
@@ -361,137 +331,6 @@ class PBWEngine:
             sum(exps[k] * rf[k][i] for k in range(self.st.nroots) if exps[k])
             for i in range(self.st.rank)
         )
-
-    # -- nilpotent-part insertion ------------------------------------------
-    def insert(self, kind: str, exps: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
-        """Normal form of (kind-monomial) * kind_k inside the positive
-        (kind "e") or negative (kind "f") part."""
-        key = (kind, exps, k)
-        hit = self._memo_insert.get(key)
-        if hit is not None:
-            return hit
-        top = max((i for i in range(len(exps)) if exps[i]), default=-1)
-        if top <= k:
-            result = {self._bump(exps, k): 1}
-        else:
-            index = self.st.e_index if kind == "e" else self.st.f_index
-            rest = self._bump(exps, top, -1)
-            out: dict[tuple[int, ...], int] = {}
-            for mono, c in self.insert(kind, rest, k).items():
-                for mono2, c2 in self.insert(kind, mono, top).items():
-                    out[mono2] = out.get(mono2, 0) + c * c2
-            for idx, cb in self.st.bracket_table[(index(top), index(k))]:
-                kind2, pos = self.st.classify(idx)
-                assert kind2 == kind
-                for mono2, c2 in self.insert(kind, rest, pos).items():
-                    out[mono2] = out.get(mono2, 0) + cb * c2
-            result = {m: c for m, c in out.items() if c}
-        self._memo_insert[key] = result
-        return result
-
-    # -- moving one f past an e-monomial -----------------------------------
-    def cross(self, e_exps: tuple[int, ...], k: int):
-        """Normal form of (e-monomial) * f_k as f/h/e triples."""
-        key = (e_exps, k)
-        hit = self._memo_cross.get(key)
-        if hit is not None:
-            return hit
-        if not any(e_exps):
-            result = {(self._bump(self._zero_f, k), self._zero_h, self._zero_e): 1}
-            self._memo_cross[key] = result
-            return result
-        top = max(i for i in range(len(e_exps)) if e_exps[i])
-        rest = self._bump(e_exps, top, -1)
-        out: dict[tuple, int] = {}
-        for (f1, h1, e1), c in self.cross(rest, k).items():
-            for e2, c2 in self.insert("e", e1, top).items():
-                key2 = (f1, h1, e2)
-                out[key2] = out.get(key2, 0) + c * c2
-        for idx, cb in self.st.bracket_table[(self.st.e_index(top), self.st.f_index(k))]:
-            kind, pos = self.st.classify(idx)
-            if kind == "h":
-                key2 = (self._zero_f, self._bump(self._zero_h, pos), rest)
-                out[key2] = out.get(key2, 0) + cb
-                pairing = self._weight_pairings(rest)[pos]
-                if pairing:
-                    key2 = (self._zero_f, self._zero_h, rest)
-                    out[key2] = out.get(key2, 0) - cb * pairing
-            elif kind == "e":
-                for e2, c2 in self.insert("e", rest, pos).items():
-                    key2 = (self._zero_f, self._zero_h, e2)
-                    out[key2] = out.get(key2, 0) + cb * c2
-            else:
-                for mono, c2 in self.cross(rest, pos).items():
-                    out[mono] = out.get(mono, 0) + cb * c2
-        result = {m: c for m, c in out.items() if c}
-        self._memo_cross[key] = result
-        return result
-
-    # -- full monomial times generator --------------------------------------
-    def _expand_shift(self, h_exps: tuple[int, ...], shifts: tuple[int, ...]):
-        """Expansion of prod_i (h_i - shifts[i])^{h_exps[i]} in h-monomials."""
-        out = {self._zero_h: 1}
-        for i, b in enumerate(h_exps):
-            if b == 0:
-                continue
-            s = shifts[i]
-            if s == 0:
-                out = {self._bump(m, i, b): c for m, c in out.items()}
-                continue
-            nxt: dict[tuple[int, ...], int] = {}
-            for m, c in out.items():
-                for kk in range(b + 1):
-                    coeff = c * math.comb(b, kk) * (-s) ** (b - kk)
-                    key = self._bump(m, i, kk)
-                    nxt[key] = nxt.get(key, 0) + coeff
-            out = nxt
-        return out
-
-    def mono_mul_gen(self, mono: tuple, kind: str, pos: int):
-        f_exps, h_exps, e_exps = mono
-        out: dict[tuple, int] = {}
-        if kind == "e":
-            for e2, c in self.insert("e", e_exps, pos).items():
-                out[(f_exps, h_exps, e2)] = c
-        elif kind == "h":
-            out[(f_exps, self._bump(h_exps, pos), e_exps)] = 1
-            pairing = self._weight_pairings(e_exps)[pos]
-            if pairing:
-                out[(f_exps, h_exps, e_exps)] = -pairing
-        elif kind == "f":
-            for (f_t, h_t, e_t), ct in self.cross(e_exps, pos).items():
-                shifts = self._weight_pairings(f_t)
-                shifted = self._expand_shift(h_exps, shifts)
-                # cross leaves at most one f letter; insert it right of f^F.
-                assert sum(f_t) <= 1
-                merged_f = self.insert("f", f_exps, f_t.index(1)) if any(f_t) else {f_exps: 1}
-                for fr, cf in merged_f.items():
-                    for hm, ch in shifted.items():
-                        hr = tuple(a + b for a, b in zip(hm, h_t))
-                        key = (fr, hr, e_t)
-                        val = out.get(key, 0) + ct * cf * ch
-                        if val:
-                            out[key] = val
-                        else:
-                            out.pop(key, None)
-        else:
-            raise ValueError(f"unknown generator kind {kind!r}")
-        return {m: c for m, c in out.items() if c}
-
-    def apply_gen(self, state: dict, kind: str, pos: int, guard: SizeGuard):
-        nxt: dict[tuple, int] = {}
-        for mono, c in state.items():
-            for mono2, c2 in self.mono_mul_gen(mono, kind, pos).items():
-                val = nxt.get(mono2, 0) + c * c2
-                if val:
-                    nxt[mono2] = val
-                else:
-                    nxt.pop(mono2, None)
-        if len(nxt) > guard.max_terms:
-            raise SizeGuardError(
-                f"straightening exceeded {guard.max_terms} terms"
-            )
-        return nxt
 
     # -- contravariant form ---------------------------------------------------
     def _left_f(self, j: int, m_exps: tuple[int, ...], guard: SizeGuard):
@@ -516,7 +355,7 @@ class PBWEngine:
                     out[f3] = out.get(f3, 0) + cb * c3
             result = {f: c for f, c in out.items() if c}
             if len(result) > guard.max_terms:
-                raise SizeGuardError(f"straightening exceeded {guard.max_terms} terms")
+                raise SizeGuardError(f"U^- commutation exceeded {guard.max_terms} terms")
         self._memo_left_f[key] = result
         return result
 
@@ -556,7 +395,7 @@ class PBWEngine:
             if c:
                 result.setdefault(f_exps, {})[h_exps] = c
         if sum(map(len, result.values())) > guard.max_terms:
-            raise SizeGuardError(f"straightening exceeded {guard.max_terms} terms")
+            raise SizeGuardError(f"U^- commutation exceeded {guard.max_terms} terms")
         self._memo_e_on_f[key] = result
         return result
 
@@ -635,93 +474,6 @@ def enumerate_f_monomials(rs: RootSystem, nu: RootVector) -> list[PBWMonomial]:
     return [
         PBWMonomial(exps, zero_h, zero_e) for exps in _f_exponents(rs, nu.coeffs)
     ]
-
-
-def straighten(
-    rs: RootSystem,
-    word: Iterable[tuple[str, int, int]],
-    *,
-    guard: SizeGuard | None = None,
-    engine: PBWEngine | None = None,
-) -> UElement:
-    """Expand a product of generator powers in the ordinary-power PBW basis.
-
-    ``word`` is a sequence of (kind, index, power) with kind in "e", "f",
-    "h"; indices refer to positive roots (e, f) or simple roots (h).
-    """
-    guard = guard or DEFAULT_GUARD
-    eng = engine or get_engine(rs.cartan_type)
-    m = len(rs.positive_roots)
-    identity = ((0,) * m, (0,) * rs.rank, (0,) * m)
-    state: dict[tuple, int] = {identity: 1}
-    for kind, pos, power in word:
-        limit = m if kind in ("e", "f") else rs.rank
-        if not 0 <= pos < limit:
-            raise ValueError(f"generator index {pos} out of range for kind {kind!r}")
-        if power < 0:
-            raise ValueError("generator powers must be nonnegative")
-        for _ in range(power):
-            state = eng.apply_gen(state, kind, pos, guard)
-    return UElement(rs, {PBWMonomial(*mono): c for mono, c in state.items()})
-
-
-def multiply(u: UElement, v: UElement, *, guard: SizeGuard | None = None) -> UElement:
-    """Product of two normal-form elements, re-normalized."""
-    guard = guard or DEFAULT_GUARD
-    eng = get_engine(u.system.cartan_type)
-    out: dict[tuple, int] = {}
-    for mono2, c2 in v.terms.items():
-        word: list[tuple[str, int, int]] = []
-        for k, a in enumerate(mono2.f_exps):
-            if a:
-                word.append(("f", k, a))
-        for i, a in enumerate(mono2.h_exps):
-            if a:
-                word.append(("h", i, a))
-        for k, a in enumerate(mono2.e_exps):
-            if a:
-                word.append(("e", k, a))
-        state = {tuple(m): c for m, c in u.terms.items()}
-        for kind, pos, power in word:
-            for _ in range(power):
-                state = eng.apply_gen(state, kind, pos, guard)
-        for mono, c in state.items():
-            key = PBWMonomial(*mono)
-            val = out.get(key, 0) + c * c2
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
-    return UElement(u.system, out)
-
-
-def hc_project(u: UElement) -> UElement:
-    """Projection onto the U^0 factor of the triangular decomposition."""
-    kept = {
-        mono: c
-        for mono, c in u.terms.items()
-        if not any(mono.f_exps) and not any(mono.e_exps)
-    }
-    return UElement(u.system, kept)
-
-
-def evaluate_h_polynomial(u0: UElement, lam: Weight) -> int:
-    """Exact integer value of a U^0 element at h_i = <lam, alpha_i^vee>."""
-    total = 0
-    for mono, c in u0.terms.items():
-        if any(mono.f_exps) or any(mono.e_exps):
-            raise ValueError("element has terms outside U^0")
-        term = c
-        for i, e in enumerate(mono.h_exps):
-            if e:
-                term *= lam.coords[i] ** e
-        total += term
-    return total
-
-
-def chi_eval(u0: UElement, lam: Weight, p: int) -> int:
-    """Value of a U^0 element at lam, reduced mod p."""
-    return evaluate_h_polynomial(u0, lam) % p
 
 
 def binomial_mod_p(a: int, n: int, p: int) -> int:
@@ -829,26 +581,8 @@ def rank_mod_p(rows: Iterable[Iterable[int]], p: int) -> int:
 
 
 def rank_rational(rows: Iterable[Iterable[int]]) -> int:
-    mat = [[Fraction(v) for v in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][c]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c] != 0:
-                factor = mat[r][c]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    """Rank over Q: the pivot count of the fraction-free echelon form."""
+    return len(_bareiss(rows)[1])
 
 
 def simple_weight_dim(

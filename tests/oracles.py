@@ -201,3 +201,27 @@ def determinant(rows) -> Fraction:
             if factor:
                 mat[r] = [a - factor * b for a, b in zip(mat[r], mat[c])]
     return det
+
+
+def rank_by_fractions(rows) -> int:
+    """Rank over Q by Gauss-Jordan elimination over Fraction."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    if not mat:
+        return 0
+    ncols = len(mat[0])
+    rank = 0
+    for c in range(ncols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][c] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = 1 / mat[rank][c]
+        mat[rank] = [v * inv for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][c] != 0:
+                factor = mat[r][c]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
