@@ -1,12 +1,18 @@
 """Persistent memoization of expensive exact results across runs.
 
-Only finished answers persist: one ``simple_dim`` record per simple
-character (its weight -> dimension list on a truncation box) and one
-``decomp_row`` record per decomposition row.  The per-weight-space pieces
-behind them (Gram matrices, their ranks) are rebuilt instead: on an ext4
-virtio disk of a 2-core VM one atomic put takes 0.56-0.85 ms, while an A2
-Gram matrix with its mod-p rank takes 0.10-0.12 ms to compute (nu <= (6,6)),
-so a per-space record cost more to write than it saved.
+Only finished answers persist: one ``decomp_row`` record per decomposition
+row, and one ``simple_dim`` record (its weight -> dimension list on a
+truncation box) per simple character asked for in its own right, by
+``char simple``, ``steinberg``, ``tensor_flag`` and
+``full_simple_character``.  The pieces behind an answer are rebuilt
+instead.  One kind of piece is the simple characters a row is peeled into:
+their box is the row's, so only a rerun of that row could read them, and
+the row's own record answers the rerun first (on the cache-a2 benchmark,
+no process ever read one of those 389 records).  The other is the
+per-weight-space Gram matrices and their ranks: on an ext4 virtio disk of
+a 2-core VM one atomic put takes 0.56-0.85 ms, while an A2 Gram matrix
+with its mod-p rank takes 0.10-0.12 ms to compute (nu <= (6,6)), so a
+per-space record cost more to write than it saved.
 
 One record per file, one line per record: ``version<TAB>key<TAB>value``,
 all UTF-8 text, written atomically (temp file + rename).  Values are

@@ -38,6 +38,7 @@ from .errors import (
 from .hypalg import SizeGuard, simple_weight_dim
 from .reporting import Report
 from .rootdata import (
+    RootVector,
     Weight,
     height_drop,
     is_dominant,
@@ -163,35 +164,53 @@ def simple_character(
     asked on a new box ranks only the weight spaces no earlier box held.
     The finished character is one ``simple_dim`` disk record per box; a hit
     fills the memo without a Gram build, and the highest-weight check still
-    runs on it.
+    runs on it.  ``char simple``, ``steinberg``, :func:`tensor_flag` and
+    :func:`full_simple_character` come here.  The peel bases of
+    :func:`decomposition_numbers` and :func:`hom_dim_projective` use the
+    memo-only core and write no record: their box is the row's own, so only
+    a rerun of that row could read one, and the row's ``decomp_row`` record
+    answers the rerun first.
     """
     require_prime(p)
     if not box.contains(lam):
         raise BoxMarginError(f"box does not contain the highest weight {lam}")
     rs = lam.system
-    dims = _SIMPLE_CACHE.setdefault((lam, p), {})
-    below = [(w, rs.to_root_vector(lam - w)) for w in box.weights()]
-    below = [(w, rv) for w, rv in below if rv is not None and rv.is_nonnegative()]
     ceiling = "|".join(_csv(c) for c in sorted(w.coords for w in box.ceiling))
     payload = f"lam={_csv(lam.coords)};box={ceiling};depth={box.depth}"
     cached = cache_store.get_value("simple_dim", rs.cartan_type, p, payload)
     # A record lists the nonzero dimensions of every weight space in its box.
     on_disk = None if cached is None else {tuple(c): d for c, d in json.loads(cached)}
-    for w, rv in below:
-        if rv.coeffs not in dims:
-            dims[rv.coeffs] = (
-                simple_weight_dim(lam, rv, p, guard=guard)
-                if on_disk is None
-                else on_disk.get(w.coords, 0)
-            )
-    complete = is_dominant(lam) and _covers_full_support(lam, box)
-    chi = FormalCharacter({w: dims[rv.coeffs] for w, rv in below}, box, complete)
-    assert chi.coefficient(lam) == 1
+    chi = _simple_char(lam, p, box, guard, on_disk)
     if cached is None:
         cache_store.put_value(
             "simple_dim", rs.cartan_type, p, payload, json.dumps(chi.serialize())
         )
     return SimpleCharacter(lam, p, chi)
+
+
+def _simple_char(
+    lam: Weight, p: int, box: TruncationBox, guard: SizeGuard | None, on_disk=None
+) -> FormalCharacter:
+    """Memo-only core of :func:`simple_character`, for a lam in the box.
+
+    Weight spaces missing from ``_SIMPLE_CACHE`` are read from ``on_disk``
+    (weight coordinates -> dimension) when given, else ranked.
+    """
+    rs = lam.system
+    dims = _SIMPLE_CACHE.setdefault((lam, p), {})
+    below = box.below(lam)
+    for w, nu in below:
+        if nu not in dims:
+            dims[nu] = (
+                simple_weight_dim(lam, RootVector(rs, nu), p, guard=guard)
+                if on_disk is None
+                else on_disk.get(w.coords, 0)
+            )
+    complete = is_dominant(lam) and _covers_full_support(lam, box)
+    chi = FormalCharacter({w: dims[nu] for w, nu in below}, box, complete)
+    if chi.coefficient(lam) != 1:
+        raise ExactnessError(f"L({lam}) has multiplicity {chi.coefficient(lam)} at its highest weight")
+    return chi
 
 
 def full_simple_character(lam: Weight, p: int, *, guard: SizeGuard | None = None) -> SimpleCharacter:
@@ -243,16 +262,14 @@ def decomposition_numbers(
         }
     chi = verma_character(mu, box)
 
-    def basis(w: Weight) -> FormalCharacter:
-        return simple_character(w, p, box, guard=guard).char
-
-    row = peel_decompose(chi, basis, region)
+    row = peel_decompose(chi, lambda w: _simple_char(w, p, box, guard), region)
     for w, a in row.items():
         if a < 0:
             raise ExactnessError(
                 f"negative multiplicity {a} at {w} while decomposing {mu}"
             )
-    assert row.get(mu) == 1
+    if row.get(mu) != 1:
+        raise ExactnessError(f"row of {mu} has multiplicity {row.get(mu)} at its own head")
     cache_store.put_value(
         "decomp_row",
         rs.cartan_type,
@@ -348,7 +365,8 @@ def tensor_flag(
         raise BoxMarginError("box does not cover the full support of L(gamma)")
     chi = simple_character(gamma, p, box, guard=guard).char
     out = _flag_tensor_char(V, chi)
-    assert out.total() == V.total() * sum(c for _, c in chi.items())
+    if out.total() != V.total() * sum(c for _, c in chi.items()):
+        raise ExactnessError(f"flag total is not multiplied by dim L({gamma})")
     return out
 
 
@@ -379,7 +397,8 @@ def q_module_mult(lam: Weight, J: OpenSet) -> FlagVector:
         rv = rs.to_root_vector(mu - lam)
         out[mu] = kostant_partition(rv)
     flag = FlagVector(out)
-    assert flag.get(lam) == 1
+    if flag.get(lam) != 1:
+        raise ExactnessError(f"flag has multiplicity {flag.get(lam)} at its head {lam}")
     return flag
 
 
@@ -409,7 +428,8 @@ def projective_verma_mult(
         if val:
             out[mu] = val
     flag = FlagVector(out)
-    assert flag.get(lam) == 1
+    if flag.get(lam) != 1:
+        raise ExactnessError(f"flag has multiplicity {flag.get(lam)} at its head {lam}")
     return flag
 
 
@@ -423,14 +443,11 @@ def hom_dim_projective(
 ) -> int:
     """Multiplicity [M : L(lam)], read off as a Hom-space dimension from the
     projective cover; computed by peeling chi_M into simple characters."""
+    require_prime(p)
     if not J.contains(lam):
         raise ValueError(f"{lam} does not lie in the open set")
-    region = chi_M.box.weights()
-
-    def basis(w: Weight) -> FormalCharacter:
-        return simple_character(w, p, chi_M.box, guard=guard).char
-
-    coeffs = peel_decompose(chi_M, basis, region)
+    box = chi_M.box
+    coeffs = peel_decompose(chi_M, lambda w: _simple_char(w, p, box, guard), box.weights())
     negative = {w: a for w, a in coeffs.items() if a < 0}
     if negative:
         raise InvalidCharacterError(

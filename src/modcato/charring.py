@@ -17,9 +17,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
-from .errors import BoxMarginError, RegionError
+from .errors import BoxMarginError, ExactnessError, RegionError
 from .rootdata import (
     RootSystem,
+    RootVector,
     Weight,
     height_drop,
     is_dominant,
@@ -53,11 +54,22 @@ class TruncationBox:
     def system(self) -> RootSystem:
         return self.ceiling[0].system
 
+    # Membership works on the integer images adj(C)·w of weights: c - w is a
+    # nonnegative root vector of height <= depth iff every entry of
+    # adj(C)·(c - w) is a nonnegative multiple of det(C) summing to at most
+    # depth·det(C).  The map is linear, so images are computed once per box.
+
+    @cached_property
+    def _scaled_ceiling(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.system.scaled_root_coords(c) for c in self.ceiling)
+
     def contains(self, w: Weight) -> bool:
-        rs = self.system
-        for c in self.ceiling:
-            rv = rs.to_root_vector(c - w)
-            if rv is not None and rv.is_nonnegative() and rv.height() <= self.depth:
+        x = self.system.scaled_root_coords(w)
+        d = self.system.cartan_det
+        top = self.depth * d
+        for c in self._scaled_ceiling:
+            diff = [a - b for a, b in zip(c, x)]
+            if min(diff) >= 0 and sum(diff) <= top and not any(v % d for v in diff):
                 return True
         return False
 
@@ -74,6 +86,29 @@ class TruncationBox:
     def weights(self) -> tuple[Weight, ...]:
         """All box members, sorted by coordinates."""
         return self._weights
+
+    @cached_property
+    def _cosets(self) -> dict[tuple[int, ...], list[tuple[Weight, tuple[int, ...]]]]:
+        # Members with their images, grouped by the image modulo det(C):
+        # w and lam differ by a root-lattice vector iff their residues agree.
+        d = self.system.cartan_det
+        out: dict = {}
+        for w in self._weights:
+            x = self.system.scaled_root_coords(w)
+            out.setdefault(tuple([v % d for v in x]), []).append((w, x))
+        return out
+
+    def below(self, lam: Weight) -> list[tuple[Weight, tuple[int, ...]]]:
+        """Box members w <= lam, sorted, each with the simple-root
+        coordinates of lam - w."""
+        top = self.system.scaled_root_coords(lam)
+        d = self.system.cartan_det
+        out = []
+        for w, x in self._cosets.get(tuple([v % d for v in top]), ()):
+            nu = [(a - b) // d for a, b in zip(top, x)]
+            if min(nu) >= 0:
+                out.append((w, tuple(nu)))
+        return out
 
     def combine(self, other: "TruncationBox") -> "TruncationBox":
         """Result box of pointwise arithmetic: ceiling union, depth minimum."""
@@ -213,12 +248,10 @@ def verma_character(lam: Weight, box: TruncationBox) -> FormalCharacter:
         raise BoxMarginError(f"box ceiling region does not contain {lam}")
     rs = lam.system
     out = {}
-    for w in box.weights():
-        rv = rs.to_root_vector(lam - w)
-        if rv is not None and rv.is_nonnegative():
-            p = kostant_partition(rv)
-            if p:
-                out[w] = p
+    for w, nu in box.below(lam):
+        p = kostant_partition(RootVector(rs, nu))
+        if p:
+            out[w] = p
     return FormalCharacter(out, box, complete=False)
 
 
@@ -232,7 +265,8 @@ def weyl_dimension(lam: Weight) -> int:
     for k in range(len(rs.positive_roots)):
         num *= rs.root_pairing(lam + rs.rho, k)
         den *= rs.root_pairing(rs.rho, k)
-    assert num % den == 0
+    if num % den:
+        raise ExactnessError(f"Weyl dimension product of {lam} is not integral")
     return num // den
 
 
@@ -259,8 +293,10 @@ def weyl_character(lam: Weight) -> FormalCharacter:
         if total:
             out[w] = total
     chi = FormalCharacter(out, box, complete=True)
-    assert chi.coefficient(lam) == 1
-    assert sum(chi.coeffs.values()) == weyl_dimension(lam)
+    if chi.coefficient(lam) != 1:
+        raise ExactnessError(f"Weyl character of {lam} has top coefficient {chi.coefficient(lam)}")
+    if sum(chi.coeffs.values()) != weyl_dimension(lam):
+        raise ExactnessError(f"Weyl character of {lam} disagrees with the dimension formula")
     return chi
 
 

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterator
 
 SUPPORTED_TYPES = ("A1", "A2", "B2")
@@ -145,7 +146,7 @@ class RootSystem:
         self.rank = len(self.cartan_matrix)
         self.half_norms: tuple[int, ...] = _HALF_NORM[cartan_type]
         # C^{-1} = adj(C) / det(C), with det(C) > 0 (checked in _validate).
-        self._cartan_det = _det(self.cartan_matrix)
+        self.cartan_det = _det(self.cartan_matrix)
         self._cartan_adj = _adjugate(self.cartan_matrix)
         self.positive_roots = tuple(RootVector(self, c) for c in _POSITIVE[cartan_type])
         self.simple_roots = tuple(
@@ -219,7 +220,7 @@ class RootSystem:
         assert all(a[i][i] == 2 for i in range(self.rank))
         assert all(a[i][j] <= 0 for i in range(self.rank) for j in range(self.rank) if i != j)
         assert len(self.weyl_group) == _WEYL_SIZE[self.cartan_type]
-        assert self._cartan_det > 0
+        assert self.cartan_det > 0
         for i in range(self.rank):
             assert self.rho.coords[i] == 1
         for w in self.weyl_group:
@@ -256,9 +257,18 @@ class RootSystem:
         )
         return Weight(self, coords)
 
+    def scaled_root_coords(self, w: Weight) -> tuple[int, ...]:
+        """adj(C)·w, which is det(C) times the simple-root coordinates of ``w``.
+
+        The map is linear and integral on every weight; ``w`` lies in the
+        root lattice exactly when ``cartan_det`` divides every entry.
+        """
+        _check_same(self, w.system)
+        return tuple([sum(map(mul, row, w.coords)) for row in self._cartan_adj])
+
     def to_root_vector(self, w: Weight) -> RootVector | None:
         """Exact conversion; None when ``w`` is not in the root lattice."""
-        d = self._cartan_det
+        d = self.cartan_det
         coeffs = []
         for row in self._cartan_adj:
             v = 0
@@ -362,9 +372,7 @@ def _kp(cartan_type: str, coeffs: tuple[int, ...], idx: int) -> int:
 def weight_height(lam: Weight) -> Fraction:
     """Height of ``lam`` in the rational span of the simple roots."""
     rs = lam.system
-    return Fraction(
-        sum(a * c for row in rs._cartan_adj for a, c in zip(row, lam.coords)), rs._cartan_det
-    )
+    return Fraction(sum(rs.scaled_root_coords(lam)), rs.cartan_det)
 
 
 def dot_action(w: WeylElement, lam: Weight) -> Weight:

@@ -225,3 +225,25 @@ def rank_by_fractions(rows) -> int:
         if rank == len(mat):
             break
     return rank
+
+
+def box_contains(ceiling, depth: int, w) -> bool:
+    """Box membership by weight subtraction: c - w converted with
+    ``to_root_vector`` is nonnegative of height at most ``depth`` for some
+    ceiling weight c."""
+    for c in ceiling:
+        rv = c.system.to_root_vector(c - w)
+        if rv is not None and rv.is_nonnegative() and rv.height() <= depth:
+            return True
+    return False
+
+
+def below_set(lam, members) -> dict:
+    """The members w with lam - w a nonnegative root vector, each mapped to
+    the simple-root coordinates of lam - w."""
+    out = {}
+    for w in members:
+        rv = lam.system.to_root_vector(lam - w)
+        if rv is not None and rv.is_nonnegative():
+            out[w] = rv.coeffs
+    return out

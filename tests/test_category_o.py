@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
+from modcato import cache
 from modcato.category_o import (
     FlagVector,
     build_decomposition_table,
@@ -23,6 +25,7 @@ from modcato.category_o import (
 )
 from modcato.charring import TruncationBox, char_add, char_scale, verma_character, weyl_character
 from modcato.errors import (
+    BoxMarginError,
     InvalidCharacterError,
     ModcatoError,
     PredicateError,
@@ -33,6 +36,8 @@ from modcato.hypalg import rank_mod_p, simple_weight_dim
 from modcato.periodicity import ShiftContext
 from modcato.rootdata import build_root_system
 from modcato.topology import LocallyClosedSet, OpenSet, min_l
+
+import oracles
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -71,6 +76,45 @@ def test_simple_character_nondominant_is_infinite():
     assert chardict(chi) == {-3: 1, -5: 1}
 
 
+@pytest.mark.parametrize("typ", ["A1", "A2", "B2"])
+def test_simple_character_ranks_exactly_the_weight_spaces_below(typ, monkeypatch):
+    import modcato.category_o as category_o
+
+    rs = build_root_system(typ)
+    rng = random.Random(31 + rs.rank)
+    ranked = []
+
+    def record(lam, nu, p, guard=None):
+        ranked.append(nu.coeffs)
+        return 0 if any(nu.coeffs) else 1
+
+    monkeypatch.delenv("MODCATO_CACHE", raising=False)
+    cache.configure(None)
+    monkeypatch.setattr(category_o, "simple_weight_dim", record)
+    for _ in range(20):
+        ceiling = [rs.weight(*[rng.randint(-3, 3) for _ in range(rs.rank)])
+                   for _ in range(rng.randint(1, 3))]
+        box = TruncationBox.make(ceiling, rng.randint(0, 4))
+        lam = rng.choice(box.weights())
+        monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+        ranked.clear()
+        chi = simple_character(lam, 2, box).char
+        expected = oracles.below_set(lam, box.weights())
+        assert sorted(ranked) == sorted(expected.values())
+        assert chi.coeffs == {lam: 1}
+
+
+def test_box_margin_error_precedes_disk_access(monkeypatch):
+    import modcato.category_o as category_o
+
+    def no_disk(*args, **kwargs):
+        raise AssertionError("cache read before the box check")
+
+    monkeypatch.setattr(category_o.cache_store, "get_value", no_disk)
+    with pytest.raises(BoxMarginError):
+        simple_character(A1.weight(5), 2, box1(3, 4))
+
+
 def test_decomposition_row_triangular_singleton():
     row = decomposition_numbers(A1.weight(4), 5, [A1.weight(4)])
     assert row == {A1.weight(4): 1}
@@ -105,6 +149,8 @@ def test_non_prime_p_is_rejected(p):
         lambda: simple_character(lam, p, box1(3, 3)),
         lambda: full_simple_character(lam, p),
         lambda: decomposition_numbers(lam, p, [lam]),
+        lambda: hom_dim_projective(lam, OpenSet.down_closure([lam]),
+                                   verma_character(lam, box1(3, 3)), p),
         lambda: steinberg_digits(lam, p),
         lambda: min_l(K, p),
         lambda: ShiftContext.build(K, A1.weight(4), p, 1),

@@ -23,6 +23,8 @@ from modcato.charring import (
 from modcato.errors import BoxMarginError, RegionError
 from modcato.rootdata import build_root_system, is_dominant
 
+import oracles
+
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
 B2 = build_root_system("B2")
@@ -40,6 +42,53 @@ def test_box_membership_and_enumeration():
     assert not box.contains(A1.weight(1))
     assert not box.contains(A1.weight(-6))
     assert not box.contains(A1.weight(4))
+
+
+def _random_box(rs, rng):
+    """1-3 ceilings; a second ceiling, when present, lies in another coset."""
+    ceiling = [rs.weight(*[rng.randint(-4, 4) for _ in range(rs.rank)])]
+    if rng.random() < 0.7:
+        ceiling.append(ceiling[0] + rs.weight(*([0] * (rs.rank - 1) + [1])))
+        if rng.random() < 0.5:
+            ceiling.append(rs.weight(*[rng.randint(-4, 4) for _ in range(rs.rank)]))
+    return TruncationBox.make(ceiling, rng.randint(0, 5))
+
+
+@pytest.mark.parametrize("rs", [A1, A2, B2], ids=lambda rs: rs.cartan_type)
+def test_box_membership_matches_brute_force(rs):
+    rng = random.Random(8 + rs.rank)
+    shift = rs.weight(*([0] * (rs.rank - 1) + [1]))
+    assert rs.to_root_vector(shift) is None
+    seen = {"in": 0, "out of depth": 0, "out of coset": 0, "cosets": 0}
+    for _ in range(40):
+        box = _random_box(rs, rng)
+        if any(rs.to_root_vector(a - b) is None for a in box.ceiling for b in box.ceiling):
+            seen["cosets"] += 1
+        members = box.weights()
+        probes = list(members) + [
+            rs.weight(*[rng.randint(-12, 6) for _ in range(rs.rank)]) for _ in range(40)
+        ]
+        for w in probes:
+            expected = oracles.box_contains(box.ceiling, box.depth, w)
+            assert box.contains(w) == expected, (box, w)
+            if expected:
+                seen["in"] += 1
+            elif any(rs.to_root_vector(c - w) is not None for c in box.ceiling):
+                seen["out of depth"] += 1
+            else:
+                seen["out of coset"] += 1
+        assert all(oracles.box_contains(box.ceiling, box.depth, w) for w in members)
+        for lam in probes[:: 3]:
+            below = box.below(lam)
+            assert dict(below) == oracles.below_set(lam, members), (box, lam)
+            assert [w for w, _ in below] == sorted((w for w, _ in below), key=lambda w: w.coords)
+    assert min(seen.values()) > 0, seen
+    other = B2 if rs is not B2 else A2
+    box = _random_box(rs, rng)
+    with pytest.raises(ValueError):
+        box.contains(other.zero_weight())
+    with pytest.raises(ValueError):
+        box.below(other.zero_weight())
 
 
 def test_char_add_and_cancellation():

@@ -199,6 +199,44 @@ def test_internal_assertion_exit_3(capsys, monkeypatch):
     assert "internal assertion" in err
 
 
+def test_failed_highest_weight_check_exits_3(capsys, monkeypatch):
+    import modcato.category_o as category_o
+
+    real = category_o.simple_weight_dim
+
+    def no_top(lam, nu, p, guard=None):
+        return 0 if not any(nu.coeffs) else real(lam, nu, p, guard=guard)
+
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    monkeypatch.setattr(category_o, "simple_weight_dim", no_top)
+    code, out, err = run(capsys, "char", "simple", "--type", "A2", "--p", "3",
+                         "--lambda", "2,1", "--depth", "3")
+    assert code == 3
+    assert out == ""
+    assert "internal assertion failed" in err
+    assert "(2, 1)" in err
+
+
+def _record_kinds(directory):
+    return sorted(
+        p.read_text(encoding="utf-8").split("\t")[1].split(";")[0]
+        for p in directory.iterdir()
+        if p.suffix == ".rec"
+    )
+
+
+def test_cold_commands_write_only_their_answer_records(capsys, tmp_path):
+    row_dir, char_dir = tmp_path / "row", tmp_path / "char"
+    code, _, _ = run(capsys, "decomp", "--type", "A2", "--p", "3", "--mu=2,2",
+                     "--depth", "4", "--cache-dir", str(row_dir))
+    assert code == 0
+    assert _record_kinds(row_dir) == ["kind=decomp_row"]
+    code, _, _ = run(capsys, "char", "simple", "--type", "A2", "--p", "3",
+                     "--lambda", "2,1", "--depth", "4", "--cache-dir", str(char_dir))
+    assert code == 0
+    assert _record_kinds(char_dir) == ["kind=simple_dim"]
+
+
 def test_identical_runs_identical_bytes(capsys, tmp_path):
     argv = ["decomp", "--type", "A1", "--p", "2", "--mu", "3", "--depth", "4",
             "--format", "json", "--cache-dir", str(tmp_path)]
