@@ -47,6 +47,7 @@ from .hypalg import (  # noqa: F401
     gram_rank_char0,
     shapovalov_gram,
     simple_weight_dim,
+    simple_weight_dims,
 )
 from .periodicity import (  # noqa: F401
     ShiftContext,

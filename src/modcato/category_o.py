@@ -35,10 +35,9 @@ from .errors import (
     RegionError,
     require_prime,
 )
-from .hypalg import SizeGuard, simple_weight_dim
+from .hypalg import SizeGuard, simple_weight_dims
 from .reporting import Report
 from .rootdata import (
-    RootVector,
     Weight,
     height_drop,
     is_dominant,
@@ -196,16 +195,13 @@ def _simple_char(
     Weight spaces missing from ``_SIMPLE_CACHE`` are read from ``on_disk``
     (weight coordinates -> dimension) when given, else ranked.
     """
-    rs = lam.system
     dims = _SIMPLE_CACHE.setdefault((lam, p), {})
     below = box.below(lam)
-    for w, nu in below:
-        if nu not in dims:
-            dims[nu] = (
-                simple_weight_dim(lam, RootVector(rs, nu), p, guard=guard)
-                if on_disk is None
-                else on_disk.get(w.coords, 0)
-            )
+    missing = [(w, nu) for w, nu in below if nu not in dims]
+    if on_disk is not None:
+        dims.update((nu, on_disk.get(w.coords, 0)) for w, nu in missing)
+    elif missing:
+        dims.update(simple_weight_dims(lam, [nu for _, nu in missing], p, guard=guard))
     complete = is_dominant(lam) and _covers_full_support(lam, box)
     chi = FormalCharacter({w: dims[nu] for w, nu in below}, box, complete)
     if chi.coefficient(lam) != 1:

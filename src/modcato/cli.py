@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import __version__, cache
 from .category_o import (
@@ -246,7 +247,9 @@ def _add_common(sub, *, p=False, lam=False, depth=None, ceiling=False,
                      help="persistent cache directory (or MODCATO_CACHE)")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it reads no environment."""
     parser = argparse.ArgumentParser(
         prog="modcato",
         description="Exact character and multiplicity calculus for the "

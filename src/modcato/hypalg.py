@@ -1,20 +1,29 @@
 """Divided-power contravariant Gram matrices on Verma weight spaces, and
 their ranks, from exact integer arithmetic in the enveloping algebra.
 
-The ordinary-power Gram <f^I v, f^J v> at a numeric lambda is built by the
-contravariance <f_k x, y> = <x, e_k y>: writing f^I = f_k f^I' with k the
-first root of I, row I is row I' of the Gram one root higher, applied to
-e_k f^J v.  That column comes from the memoised one-letter commutation
+Each weight space nu has a plan that does not depend on lambda and is
+memoised per nu: the sorted PBW basis f^I (solved for: only non-simple
+roots' exponents are enumerated) and, for each row I = k + I' with k the
+first root of I, the index of f^I' in the basis of nu - beta_k.  By the
+contravariance <f_k x, y> = <x, e_k y>, row I of the ordinary-power Gram
+<f^I v, f^J v> is row I' of the Gram one root higher applied to the columns
+e_k f^J v, which the plan holds as index lists with coefficients affine in
+lambda.  Those come from the memoised one-letter commutation
 e_k f_j f^J' v = f_j e_k f^J' v + [e_k, f_j] f^J' v, and each f_j f^M in it
 from the memoised left multiplication f_j f_m f^M' = f_m f_j f^M' +
-[f_j, f_m] f^M'.  Bases are solved for: only non-simple roots' exponents are
-enumerated.  Divided-power values are recovered at the very end by exact
-factorial division, whose exactness is asserted entrywise (it holds
-precisely because the divided powers span an integral form).  Entry (I, J)
-and entry (J, I) come from different rows of the recursion, so the symmetry
-check compares two independent routes.  Reduction mod p happens only at
-rank computation; ranks over Q and structure-constant coordinates come from
-one fraction-free (Bareiss) eliminator whose every division is checked.
+[f_j, f_m] f^M'.  Both fill their memos from an explicit stack, so no
+Python recursion grows with the input.
+
+One sweep ranks any set of weight spaces at one lambda.  It walks their
+closure under nu -> nu - beta_k in ascending height and keeps only the raw
+Grams of the last few levels, as many as the largest root height (2 in A2,
+3 in B2).  Divided-power values come from exact factorial division, every
+division checked with ``divmod`` (it is exact precisely because the divided
+powers span an integral form).  Entry (I, J) and entry (J, I) come from
+different rows, so the symmetry check compares two independent routes.
+Reduction mod p happens only at rank computation; ranks over Q and
+structure-constant coordinates come from one fraction-free (Bareiss)
+eliminator whose every division is checked.
 
 Structure constants come from fixed matrix realizations of the three
 supported types; a bracket-closure, Jacobi, and root-string self-test runs
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -305,139 +315,213 @@ def get_structure(cartan_type: str, flip: tuple[int, ...] = ()) -> ChevalleyStru
     return ChevalleyStructure(build_root_system(cartan_type), flip)
 
 
+class _Group(NamedTuple):
+    """The rows of one Gram whose basis monomials f^I = f_k f^I' share their
+    first root k.  ``rows`` pairs each row index with the index of f^I' in
+    the basis of ``higher`` = nu - beta_k; the columns e_k f^J v are stored
+    flat: term t of all columns lies at index ``idxs[t]`` of that basis with
+    value ``sum_i coeffs[i][t] * (1, *lam)[i]``, and column J owns the terms
+    ``spans[J]``."""
+
+    higher: tuple[int, ...]
+    rows: tuple[tuple[int, int], ...]
+    idxs: tuple[int, ...]
+    coeffs: tuple[tuple[int, ...], ...]
+    spans: tuple[tuple[int, int], ...]
+
+
+class _Plan(NamedTuple):
+    """The lambda-independent recipe of one weight space's Gram."""
+
+    basis: tuple[tuple[int, ...], ...]
+    facts: tuple[int, ...]  # prod_k exps_I[k]!, the divided-power scale of row I
+    groups: tuple[_Group, ...]
+
+
 class PBWEngine:
     """Memoised Gram construction over one Chevalley structure: the
     one-letter commutation e_k f^J v, the left multiplication f_j f^M in
-    U^-, and the ordinary-power Grams of the latest lambda."""
+    U^-, and the per-weight-space Gram plans."""
 
     def __init__(self, structure: ChevalleyStructure):
-        self.st = structure
-        self.rs = structure.rs
-        self._zero_h = (0,) * structure.rank
+        st = self.st = structure
+        self.rs = st.rs
+        # Affine coefficients (c_0, c_1, ...) of the constant 1, and the
+        # linear part (c_1, ...) of each h_i.
+        self._one = (1,) + (0,) * st.rank
+        self._h_linear = [tuple(int(t == i) for t in range(st.rank)) for i in range(st.rank)]
+        # [e_y, f_j] as (kind, position, coefficient) terms.
+        self._e_brackets = {
+            (y, j): tuple((*st.classify(idx), c) for idx, c in st.bracket_table[st.e_index(y), st.f_index(j)])
+            for y in range(st.nroots)
+            for j in range(st.nroots)
+        }
+        # The (y', J') entries that e_y f^J v reads, by (y, first root of J).
+        self._e_reads = {
+            key: (key[0],) + tuple(pos for kind, pos, _ in terms if kind == "e")
+            for key, terms in self._e_brackets.items()
+        }
         self._memo_e_on_f: dict = {}
         self._memo_left_f: dict = {}
-        self._raw_lam: tuple[int, ...] | None = None
-        self._raw_grams: dict = {}
+        self._plans: dict = {}
+        self.max_root_height = max(sum(r.coeffs) for r in st.rs.positive_roots)
+        # _left_f writes f_m (f_j f^M') as f^{...+e_m}: every root of f_j f^M'
+        # must come no earlier than m, which holds when each bracket
+        # [f_a, f_b] lies on a root later than both.
+        for (a, b), terms in st.bracket_table.items():
+            if a < st.nroots and b < st.nroots:
+                if any(not max(a, b) < idx < st.nroots for idx, _ in terms):
+                    raise ExactnessError("root order does not put [f_a, f_b] after f_a and f_b")
 
     # -- small helpers ----------------------------------------------------
     @staticmethod
     def _bump(exps: tuple[int, ...], k: int, by: int = 1) -> tuple[int, ...]:
         return exps[:k] + (exps[k] + by,) + exps[k + 1 :]
 
-    def _weight_pairings(self, exps: tuple[int, ...]) -> tuple[int, ...]:
-        """<sum_k exps[k] beta_k, alpha_i^vee> for every simple root i."""
-        rf = self.st.root_fund
-        return tuple(
-            sum(exps[k] * rf[k][i] for k in range(self.st.nroots) if exps[k])
-            for i in range(self.st.rank)
-        )
+    @staticmethod
+    def _first(exps: tuple[int, ...]) -> int | None:
+        """The first root with a nonzero exponent, or None."""
+        for t, a in enumerate(exps):
+            if a:
+                return t
+        return None
+
+    @staticmethod
+    def _fill(memo: dict, key, step):
+        """memo[key] by a depth-first walk on an explicit stack, so no Python
+        recursion grows with the input.  ``step(*key)`` returns the keys it
+        reads that are not in the memo yet, or else the entry itself, as
+        (missing, entry)."""
+        stack = [key]
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            missing, entry = step(*top)
+            if missing:
+                stack += missing
+            else:
+                memo[top] = entry
+                stack.pop()
+        return memo[key]
 
     # -- contravariant form ---------------------------------------------------
     def _left_f(self, j: int, m_exps: tuple[int, ...], guard: SizeGuard):
         """f_j f^M in PBW order.  With m the first root of M = m + M', it is
-        f^{M + e_j} when j <= m, else f_m (f_j f^M') + [f_j, f_m] f^M'.
-        Ordered products are memoised too, so _e_on_f shares their keys."""
-        key = (j, m_exps)
-        hit = self._memo_left_f.get(key)
+        f^{M + e_j} when j <= m, else f_m (f_j f^M') + [f_j, f_m] f^M', where
+        f_m (f_j f^M') only raises the exponent of m."""
+        hit = self._memo_left_f.get((j, m_exps))
         if hit is not None:
             return hit
-        m = next((t for t, a in enumerate(m_exps) if a), j)
-        if j <= m:
-            result = {self._bump(m_exps, j): 1}
-        else:
-            rest = self._bump(m_exps, m, -1)
+        memo, table = self._memo_left_f, self.st.bracket_table
+
+        def step(y, word):
+            m = self._first(word)
+            if m is None or y <= m:
+                return None, {self._bump(word, y): 1}
+            rest = self._bump(word, m, -1)
+            reads = [(y, rest)] + [(idx, rest) for idx, _ in table[y, m]]
+            missing = [key for key in reads if key not in memo]
+            if missing:
+                return missing, None
             out: dict[tuple[int, ...], int] = {}
-            for f2, c in self._left_f(j, rest, guard).items():
-                for f3, c3 in self._left_f(m, f2, guard).items():
-                    out[f3] = out.get(f3, 0) + c * c3
-            for idx, cb in self.st.bracket_table[(self.st.f_index(j), self.st.f_index(m))]:
-                for f3, c3 in self._left_f(self.st.classify(idx)[1], rest, guard).items():
+            for f2, c in memo[y, rest].items():
+                f3 = self._bump(f2, m)
+                out[f3] = out.get(f3, 0) + c
+            for idx, cb in table[y, m]:
+                for f3, c3 in memo[idx, rest].items():
                     out[f3] = out.get(f3, 0) + cb * c3
             result = {f: c for f, c in out.items() if c}
             if len(result) > guard.max_terms:
                 raise SizeGuardError(f"U^- commutation exceeded {guard.max_terms} terms")
-        self._memo_left_f[key] = result
-        return result
+            return None, result
+
+        return self._fill(memo, (j, m_exps), step)
 
     def _e_on_f(self, k: int, j_exps: tuple[int, ...], guard: SizeGuard):
-        """e_k f^J v_lam as {f-exponents: h-polynomial in lam}.
+        """e_k f^J v_lam as {f-exponents: (c_0, c_1, ...)}, each coefficient
+        c_0 + sum_i c_i lam_i affine in lam: only one e letter is commuted,
+        so at most one h is met.
 
         With j the first root of J = j + J', commute one letter:
         e_k f^J v = f_j (e_k f^J' v) + [e_k, f_j] f^J' v.  An h_i in the
-        bracket acts on f^J' v as h_i - <wt f^J', alpha_i^vee>, an e_beta
-        recurses on (beta, J'), an f_gamma reorders f_gamma f^J' in U^-.
+        bracket acts on f^J' v as lam_i - <wt f^J', alpha_i^vee>, an e_beta
+        reads (beta, J'), an f_gamma reorders f_gamma f^J' in U^-.
         """
-        key = (k, j_exps)
-        hit = self._memo_e_on_f.get(key)
+        hit = self._memo_e_on_f.get((k, j_exps))
         if hit is not None:
             return hit
-        terms = []  # (f-exponents, h-polynomial, scale)
-        if any(j_exps):
-            j = next(t for t, a in enumerate(j_exps) if a)
-            rest = self._bump(j_exps, j, -1)
-            for f_exps, poly in self._e_on_f(k, rest, guard).items():
-                terms += [(f2, poly, c) for f2, c in self._left_f(j, f_exps, guard).items()]
-            for idx, cb in self.st.bracket_table[(self.st.e_index(k), self.st.f_index(j))]:
-                kind, pos = self.st.classify(idx)
+        memo, brackets = self._memo_e_on_f, self._e_brackets
+
+        def step(y, word):
+            j = self._first(word)
+            if j is None:
+                return None, {}
+            rest = self._bump(word, j, -1)
+            missing = [(z, rest) for z in self._e_reads[y, j] if (z, rest) not in memo]
+            if missing:
+                return missing, None
+            terms = []  # (f-exponents, affine coefficient, scale)
+            for f_exps, vec in memo[y, rest].items():
+                terms += [(f2, vec, c) for f2, c in self._left_f(j, f_exps, guard).items()]
+            for kind, pos, cb in brackets[y, j]:
                 if kind == "h":
-                    shift = self._weight_pairings(rest)[pos]
-                    terms.append((rest, {self._bump(self._zero_h, pos): 1, self._zero_h: -shift}, cb))
+                    shift = sum(a * self.st.root_fund[t][pos] for t, a in enumerate(rest) if a)
+                    terms.append((rest, (-shift,) + self._h_linear[pos], cb))
                 elif kind == "e":
-                    terms += [(f, poly, cb) for f, poly in self._e_on_f(pos, rest, guard).items()]
+                    terms += [(f, vec, cb) for f, vec in memo[pos, rest].items()]
                 else:
-                    terms += [(f2, {self._zero_h: c}, cb) for f2, c in self._left_f(pos, rest, guard).items()]
-        flat: dict[tuple, int] = {}
-        for f_exps, poly, scale in terms:
-            for h_exps, c in poly.items():
-                flat[f_exps, h_exps] = flat.get((f_exps, h_exps), 0) + scale * c
-        result: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for (f_exps, h_exps), c in flat.items():
-            if c:
-                result.setdefault(f_exps, {})[h_exps] = c
-        if sum(map(len, result.values())) > guard.max_terms:
-            raise SizeGuardError(f"U^- commutation exceeded {guard.max_terms} terms")
-        self._memo_e_on_f[key] = result
-        return result
+                    terms += [(f2, self._one, cb * c) for f2, c in self._left_f(pos, rest, guard).items()]
+            out: dict[tuple[int, ...], list[int]] = {}
+            for f_exps, vec, c in terms:
+                cur = out.get(f_exps)
+                out[f_exps] = [c * v for v in vec] if cur is None else [a + c * v for a, v in zip(cur, vec)]
+            result = {f: tuple(vec) for f, vec in out.items() if any(vec)}
+            vecs = result.values()
+            if sum(map(len, vecs)) - sum([vec.count(0) for vec in vecs]) > guard.max_terms:
+                raise SizeGuardError(f"U^- commutation exceeded {guard.max_terms} terms")
+            return None, result
 
-    def raw_gram(self, lam_coords: tuple[int, ...], nu_coeffs: tuple[int, ...], guard: SizeGuard):
-        """Ordinary-power Gram <f^I v, f^J v> on the (lam - nu) weight space.
+        return self._fill(memo, (k, j_exps), step)
 
-        With k the first root in f^I = f_k f^I', the contravariance
-        <f_k x, y> = <x, e_k y> gives row I as row I' of the Gram one root
-        higher, applied to e_k f^J v.  Returns the sorted basis and the rows
-        as {I: {J: value}}.  Only the Grams of the latest lam are kept.
-        """
-        if lam_coords != self._raw_lam:
-            self._raw_lam, self._raw_grams = lam_coords, {}
-        hit = self._raw_grams.get(nu_coeffs)
+    def _rows_by_root(self, nu_coeffs: tuple[int, ...]):
+        """The basis of weight -nu, and its rows f^I = f_k f^I' grouped by
+        first root k as (k, nu - beta_k, [(row index, f^I)])."""
+        basis = _f_exponents(self.rs, nu_coeffs)
+        by_root: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        if any(nu_coeffs):
+            for i, exps in enumerate(basis):
+                by_root.setdefault(self._first(exps), []).append((i, exps))
+        roots = self.rs.positive_roots
+        return basis, [
+            (k, tuple(a - b for a, b in zip(nu_coeffs, roots[k].coeffs)), members)
+            for k, members in by_root.items()
+        ]
+
+    def _plan(self, nu_coeffs: tuple[int, ...], guard: SizeGuard) -> _Plan:
+        """The memoised Gram plan of the (lam - nu) weight space.  With k the
+        first root in f^I = f_k f^I', the contravariance <f_k x, y> =
+        <x, e_k y> makes row I row I' of the Gram one root higher, applied
+        to the columns e_k f^J v."""
+        hit = self._plans.get(nu_coeffs)
         if hit is not None:
             return hit
-        basis = _f_exponents(self.rs, nu_coeffs)
-        if not any(nu_coeffs):
-            return basis, {basis[0]: {basis[0]: 1}}
-        rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        by_root: dict[int, tuple] = {}
-        for i_exps in basis:
-            k = next(t for t, a in enumerate(i_exps) if a)
-            if k not in by_root:
-                root = self.rs.positive_roots[k].coeffs
-                _, higher = self.raw_gram(
-                    lam_coords, tuple(a - b for a, b in zip(nu_coeffs, root)), guard
-                )
-                e_k_columns = {
-                    j: {f: _eval_poly(poly, lam_coords) for f, poly in self._e_on_f(k, j, guard).items()}
-                    for j in basis
-                }
-                by_root[k] = (higher, e_k_columns)
-            higher, e_k_columns = by_root[k]
-            row = higher[self._bump(i_exps, k, -1)]
-            rows[i_exps] = {
-                j: sum(c * row[f] for f, c in column.items())
-                for j, column in e_k_columns.items()
-            }
-        result = (basis, rows)
-        self._raw_grams[nu_coeffs] = result
-        return result
+        basis, by_root = self._rows_by_root(nu_coeffs)
+        groups = []
+        for k, higher, members in by_root:
+            index = {exps: x for x, exps in enumerate(_f_exponents(self.rs, higher))}
+            terms, spans = [], []
+            for j in basis:
+                start = len(terms)
+                terms += [(index[f], *vec) for f, vec in self._e_on_f(k, j, guard).items()]
+                spans.append((start, len(terms)))
+            idxs, *coeffs = zip(*terms) if terms else [()] * (self.st.rank + 2)
+            rows = tuple((i, index[self._bump(exps, k, -1)]) for i, exps in members)
+            groups.append(_Group(higher, rows, idxs, tuple(coeffs), tuple(spans)))
+        plan = _Plan(basis, tuple(map(_factorial_product, basis)), tuple(groups))
+        self._plans[nu_coeffs] = plan
+        return plan
 
 
 @lru_cache(maxsize=None)
@@ -488,23 +572,82 @@ def binomial_mod_p(a: int, n: int, p: int) -> int:
     return (num // den) % p
 
 
-def _eval_poly(poly: dict[tuple[int, ...], int], coords: tuple[int, ...]) -> int:
-    total = 0
-    for h_exps, c in poly.items():
-        term = c
-        for i, e in enumerate(h_exps):
-            if e:
-                term *= coords[i] ** e
-        total += term
-    return total
-
-
 def _factorial_product(exps: tuple[int, ...]) -> int:
     out = 1
     for a in exps:
         if a > 1:
             out *= math.factorial(a)
     return out
+
+
+def _divided_grams(
+    eng: PBWEngine, lam_coords: tuple[int, ...], nus: list[tuple[int, ...]], guard: SizeGuard
+):
+    """Yield (nu, plan, divided-power Gram rows) for every nu in ``nus``, in
+    ascending height.
+
+    Every nu is checked against the guard before any Gram is built.  The
+    sweep then walks the closure of ``nus`` under the plans' one-root-higher
+    weights in ascending height, keeping only the raw Grams of the last
+    ``max_root_height`` levels.  A raw entry is divided by the factorials of
+    its row and column exponents with a checked ``divmod``; entry (I, J) and
+    entry (J, I) come from different rows, so the symmetry check compares
+    two independent routes.
+    """
+    rs = eng.rs
+    for nu in nus:
+        if min(nu) < 0:
+            raise ValueError("nu must be a nonnegative root-lattice vector")
+        dim = kostant_partition(RootVector(rs, nu))
+        if dim > guard.max_gram_dim:
+            raise SizeGuardError(f"weight space dimension {dim} exceeds guard {guard.max_gram_dim}")
+    closure, todo = set(nus), list(nus)
+    while todo:
+        for _, higher, _ in eng._rows_by_root(todo.pop())[1]:
+            if higher not in closure:
+                closure.add(higher)
+                todo.append(higher)
+    wanted = set(nus)
+    window: dict[tuple[int, ...], list[list[int]]] = {}
+    height = -1
+    for nu in sorted(closure, key=lambda n: (sum(n), n)):
+        if sum(nu) > height:
+            height = sum(nu)
+            window = {n: g for n, g in window.items() if sum(n) >= height - eng.max_root_height}
+        plan = eng._plan(nu, guard)
+        raw = [[1]] if not plan.groups else [None] * len(plan.basis)
+        for group in plan.groups:
+            low, spans, idxs = window[group.higher], group.spans, group.idxs
+            values = list(group.coeffs[0])
+            for lam_i, coeffs in zip(lam_coords, group.coeffs[1:]):
+                if lam_i and any(coeffs):
+                    values = [v + lam_i * c for v, c in zip(values, coeffs)]
+            for i, x in group.rows:
+                terms = list(map(operator.mul, values, map(low[x].__getitem__, idxs)))
+                raw[i] = [sum(terms[a:b]) for a, b in spans]
+        window[nu] = raw
+        if nu in wanted:
+            yield nu, plan, _divide(plan, raw, lam_coords, nu)
+
+
+def _divide(plan: _Plan, raw: list[list[int]], lam_coords, nu) -> list[tuple[int, ...]]:
+    """The divided-power Gram from the raw one, every division checked,
+    and its symmetry check."""
+    entries = []
+    for i, (raw_row, fi) in enumerate(zip(raw, plan.facts)):
+        row, rems = zip(*map(divmod, raw_row, map(fi.__mul__, plan.facts)))
+        if any(rems):
+            j = next(j for j, r in enumerate(rems) if r)
+            raise ExactnessError(
+                f"divided-power value not integral at lam={lam_coords}, "
+                f"nu={nu}, pair=({plan.basis[i]},{plan.basis[j]})"
+            )
+        entries.append(row)
+    STATS["exact_divisions"] += len(entries) ** 2
+    if list(zip(*entries)) != entries:
+        raise ExactnessError("contravariant Gram matrix is not symmetric")
+    STATS["gram_matrices"] += 1
+    return entries
 
 
 def shapovalov_gram(
@@ -516,64 +659,30 @@ def shapovalov_gram(
 ) -> GramMatrix:
     """Exact integer Gram matrix of the divided-power contravariant form
     on the (lam - nu) weight space of the Verma with highest weight lam."""
-    guard = guard or DEFAULT_GUARD
     rs = lam.system
-    if not nu.is_nonnegative():
-        raise ValueError("nu must be a nonnegative root-lattice vector")
-    dim = kostant_partition(nu)
-    if dim > guard.max_gram_dim:
-        raise SizeGuardError(
-            f"weight space dimension {dim} exceeds guard {guard.max_gram_dim}"
-        )
     eng = engine or get_engine(rs.cartan_type)
-    exps_list, raw = eng.raw_gram(lam.coords, nu.coeffs, guard)
-    facts = [_factorial_product(exps) for exps in exps_list]
-    entries = []
-    for i_exps, fi in zip(exps_list, facts):
-        row = []
-        raw_row = raw[i_exps]
-        for j_exps, fj in zip(exps_list, facts):
-            value, rem = divmod(raw_row[j_exps], fi * fj)
-            if rem:
-                raise ExactnessError(
-                    f"divided-power value not integral at lam={lam.coords}, "
-                    f"nu={nu.coeffs}, pair=({i_exps},{j_exps})"
-                )
-            STATS["exact_divisions"] += 1
-            row.append(value)
-        entries.append(tuple(row))
-    entries = tuple(entries)
-    for i in range(dim):
-        for j in range(i):
-            if entries[i][j] != entries[j][i]:
-                raise ExactnessError("contravariant Gram matrix is not symmetric")
-    STATS["gram_matrices"] += 1
-    basis = [
-        PBWMonomial(exps, (0,) * rs.rank, (0,) * len(rs.positive_roots))
-        for exps in exps_list
-    ]
-    return GramMatrix(lam, nu, tuple(basis), entries)
+    ((_, plan, entries),) = _divided_grams(eng, lam.coords, [nu.coeffs], guard or DEFAULT_GUARD)
+    zero_h, zero_e = (0,) * rs.rank, (0,) * len(rs.positive_roots)
+    basis = tuple(PBWMonomial(exps, zero_h, zero_e) for exps in plan.basis)
+    return GramMatrix(lam, nu, basis, tuple(map(tuple, entries)))
 
 
 def rank_mod_p(rows: Iterable[Iterable[int]], p: int) -> int:
-    """Rank over F_p by exact Gaussian elimination, first nonzero pivot."""
+    """Rank over F_p by exact Gaussian elimination to row echelon form."""
     require_prime(p)
     mat = [[v % p for v in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
     rank = 0
-    for c in range(ncols):
+    for c in range(len(mat[0]) if mat else 0):
         piv = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][c], -1, p)
-        mat[rank] = [(v * inv) % p for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c]:
-                factor = mat[r][c]
-                mat[r] = [(a - factor * b) % p for a, b in zip(mat[r], mat[rank])]
+        top = mat[rank]
+        inv = pow(top[c], -1, p)
+        for r in range(rank + 1, len(mat)):
+            if mat[r][c]:
+                factor = mat[r][c] * inv
+                mat[r] = [(a - factor * b) % p for a, b in zip(mat[r], top)]
         rank += 1
         if rank == len(mat):
             break
@@ -585,13 +694,29 @@ def rank_rational(rows: Iterable[Iterable[int]]) -> int:
     return len(_bareiss(rows)[1])
 
 
+def simple_weight_dims(
+    lam: Weight,
+    nus: Iterable[tuple[int, ...]],
+    p: int,
+    *,
+    guard: SizeGuard | None = None,
+    engine: PBWEngine | None = None,
+) -> dict[tuple[int, ...], int]:
+    """dim L(lam)_{lam - nu} over F_p for every nu (simple-root coordinates)
+    in ``nus``: the mod-p ranks of their divided-power Gram matrices, from
+    one height-ordered sweep."""
+    require_prime(p)
+    eng = engine or get_engine(lam.system.cartan_type)
+    grams = _divided_grams(eng, lam.coords, list(nus), guard or DEFAULT_GUARD)
+    return {nu: rank_mod_p(entries, p) for nu, _, entries in grams}
+
+
 def simple_weight_dim(
     lam: Weight, nu: RootVector, p: int, *, guard: SizeGuard | None = None
 ) -> int:
     """dim of the (lam - nu) weight space of the simple head L(lam) over F_p:
     the mod-p rank of the divided-power Gram matrix."""
-    require_prime(p)
-    return rank_mod_p(shapovalov_gram(lam, nu, guard=guard).entries, p)
+    return simple_weight_dims(lam, [nu.coeffs], p, guard=guard)[nu.coeffs]
 
 
 def gram_rank_char0(

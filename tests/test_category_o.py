@@ -84,13 +84,13 @@ def test_simple_character_ranks_exactly_the_weight_spaces_below(typ, monkeypatch
     rng = random.Random(31 + rs.rank)
     ranked = []
 
-    def record(lam, nu, p, guard=None):
-        ranked.append(nu.coeffs)
-        return 0 if any(nu.coeffs) else 1
+    def record(lam, nus, p, guard=None):
+        ranked.extend(nus)
+        return {nu: 0 if any(nu) else 1 for nu in nus}
 
     monkeypatch.delenv("MODCATO_CACHE", raising=False)
     cache.configure(None)
-    monkeypatch.setattr(category_o, "simple_weight_dim", record)
+    monkeypatch.setattr(category_o, "simple_weight_dims", record)
     for _ in range(20):
         ceiling = [rs.weight(*[rng.randint(-3, 3) for _ in range(rs.rank)])
                    for _ in range(rng.randint(1, 3))]

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modcato
 from modcato import cache
 from modcato.cli import main
+
+from oracles import base_p_digits
 
 
 @pytest.fixture(autouse=True)
@@ -184,6 +192,43 @@ def test_argparse_usage_exit_2():
     assert exc.value.code == 2
 
 
+def _separate_process(*argv):
+    env = {k: v for k, v in os.environ.items() if k != "MODCATO_CACHE"}
+    env["PYTHONPATH"] = str(Path(modcato.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "modcato.cli", *argv],
+                          capture_output=True, env=env, check=False)
+
+
+def test_one_process_runs_many_commands_like_separate_processes(capsys):
+    # The parser is built once per process; reusing it must not leak state
+    # from one command into the next, including after a usage error.
+    commands = [
+        ["decomp", "--type", "A2", "--p", "3", "--mu=2,2", "--depth", "4", "--format", "json"],
+        ["char", "simple", "--type", "B2", "--p", "3", "--lambda=1,1", "--depth", "6"],
+    ]
+    in_process = [run(capsys, *argv) for argv in commands]
+    with pytest.raises(SystemExit) as exc:
+        main(["decomp", "--type", "A2", "--p", "3", "--mu=2,2", "--depth", "four"])
+    assert exc.value.code == 2
+    for argv, (code, out, _) in zip(commands, in_process):
+        alone = _separate_process(*argv)
+        assert code == alone.returncode == 0
+        assert out.encode() == alone.stdout
+
+
+def test_deep_a1_weight_needs_no_deep_recursion(capsys):
+    # L(990) at p=3 is a product of Frobenius twists of L(d_i), one per
+    # base-3 digit d_i of 990 (Steinberg's tensor product theorem), each
+    # with weights of multiplicity one: prod (d_i + 1) weights in all.
+    code, out, _ = run(capsys, "char", "simple", "--type", "A1", "--p", "3",
+                       "--lambda=990", "--depth", "990", "--format", "json")
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert base_p_digits(990, 3) == [0, 0, 2, 0, 0, 1, 1]
+    assert len(entries) == math.prod(d + 1 for d in base_p_digits(990, 3)) == 12
+    assert all(c == 1 for _, c in entries)
+
+
 def test_internal_assertion_exit_3(capsys, monkeypatch):
     import modcato.cli as cli_mod
     from modcato.errors import ExactnessError
@@ -202,13 +247,13 @@ def test_internal_assertion_exit_3(capsys, monkeypatch):
 def test_failed_highest_weight_check_exits_3(capsys, monkeypatch):
     import modcato.category_o as category_o
 
-    real = category_o.simple_weight_dim
+    real = category_o.simple_weight_dims
 
-    def no_top(lam, nu, p, guard=None):
-        return 0 if not any(nu.coeffs) else real(lam, nu, p, guard=guard)
+    def no_top(lam, nus, p, guard=None):
+        return {nu: 0 if not any(nu) else d for nu, d in real(lam, nus, p, guard=guard).items()}
 
     monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
-    monkeypatch.setattr(category_o, "simple_weight_dim", no_top)
+    monkeypatch.setattr(category_o, "simple_weight_dims", no_top)
     code, out, err = run(capsys, "char", "simple", "--type", "A2", "--p", "3",
                          "--lambda", "2,1", "--depth", "3")
     assert code == 3
@@ -275,7 +320,7 @@ def test_warm_cache_replays_answers_without_gram_work(capsys, tmp_path, monkeypa
     def no_gram_work(*args, **kwargs):
         raise AssertionError("warm run recomputed a weight space")
 
-    monkeypatch.setattr(category_o, "simple_weight_dim", no_gram_work)
+    monkeypatch.setattr(category_o, "simple_weight_dims", no_gram_work)
     warm = [run(capsys, *argv) for argv in commands]
     assert warm == cold
     assert sorted(p for p in tmp_path.iterdir() if p.suffix == ".rec") == records

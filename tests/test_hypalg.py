@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from modcato.charring import weyl_character
 from modcato.errors import ExactnessError, SizeGuardError
 from modcato.hypalg import (
+    STATS,
     PBWEngine,
     SizeGuard,
     _solve_in_basis,
@@ -23,6 +25,7 @@ from modcato.hypalg import (
     rank_rational,
     shapovalov_gram,
     simple_weight_dim,
+    simple_weight_dims,
 )
 from modcato.rootdata import build_root_system, kostant_partition
 
@@ -269,29 +272,47 @@ def test_sign_flip_leaves_ranks_invariant():
                 assert rank_mod_p(g1.entries, p) == rank_mod_p(g2.entries, p)
 
 
+def _straightened_grams(cartan_type, flip, max_height):
+    """Per nu, the divided-power Gram as U^0 polynomials with their
+    factorial denominators, from straightening transpose(f^I) f^J."""
+    rs = build_root_system(cartan_type)
+    m = len(rs.positive_roots)
+    out = {}
+    for rv in rs.root_vectors_up_to_height(max_height):
+        basis = [b.f_exps for b in enumerate_f_monomials(rs, rv)]
+        out[rv.coeffs] = [
+            [
+                (
+                    hc_project(straighten(
+                        cartan_type,
+                        [("e", k, bi[k]) for k in reversed(range(m)) if bi[k]]
+                        + [("f", k, bj[k]) for k in range(m) if bj[k]],
+                        flip,
+                    )),
+                    math.prod(math.factorial(a) for a in bi + bj),
+                )
+                for bj in basis
+            ]
+            for bi in basis
+        ]
+    return out
+
+
 def test_hc_pipeline_agrees_with_general_straightening():
-    # Differential check: the recursive Gram against straightening the whole
+    # Differential check: the Gram sweep against straightening the whole
     # word transpose(f^I) f^J and projecting to U^0, entry by entry.
     for rs in (A2, B2):
         eng = get_engine(rs.cartan_type)
-        m = len(rs.positive_roots)
-        for rv in rs.root_vectors_up_to_height(3):
+        for nu, cells in _straightened_grams(rs.cartan_type, (), 3).items():
+            rv = rs.root_vector(*nu)
             basis = enumerate_f_monomials(rs, rv)
-            u0 = {}
-            for bi in basis:
-                for bj in basis:
-                    word = [("e", k, bi.f_exps[k]) for k in reversed(range(m)) if bi.f_exps[k]]
-                    word += [("f", k, bj.f_exps[k]) for k in range(m) if bj.f_exps[k]]
-                    den = math.prod(math.factorial(a) for a in bi.f_exps + bj.f_exps)
-                    u0[bi, bj] = (hc_project(straighten(rs.cartan_type, word)), den)
             for a in range(-2, 4):
                 for b in range(-2, 4):
                     lam = rs.weight(a, b)
                     g = shapovalov_gram(lam, rv, engine=eng)
                     assert list(g.basis) == basis
-                    for i, bi in enumerate(basis):
-                        for j, bj in enumerate(basis):
-                            h, den = u0[bi, bj]
+                    for i, row in enumerate(cells):
+                        for j, (h, den) in enumerate(row):
                             raw = evaluate(h, lam.coords)
                             assert raw % den == 0
                             assert g.entries[i][j] == raw // den, (rs.cartan_type, lam, rv)
@@ -302,7 +323,8 @@ def test_hc_pipeline_agrees_with_general_straightening():
 )
 def test_e_on_f_recursion_matches_straightening(cartan_type, flip):
     # The one-letter commutation against straightening the word e_k f^J in
-    # full: the terms free of e are the ones that survive on v_lam.
+    # full: the terms free of e are the ones that survive on v_lam, and each
+    # has at most one h, so its coefficient c_0 + sum_i c_i h_i is affine.
     rs = build_root_system(cartan_type)
     eng = PBWEngine(get_structure(cartan_type, flip))
     guard = SizeGuard()
@@ -313,7 +335,10 @@ def test_e_on_f_recursion_matches_straightening(cartan_type, flip):
                 expect = {}
                 for (f_exps, h_exps, e_exps), c in straighten(cartan_type, [("e", k, 1)] + word, flip).items():
                     if not any(e_exps):
-                        expect.setdefault(f_exps, {})[h_exps] = c
+                        assert sum(h_exps) <= 1
+                        vec = expect.setdefault(f_exps, [0] * (1 + rs.rank))
+                        vec[1 + h_exps.index(1) if any(h_exps) else 0] = c
+                expect = {f: tuple(vec) for f, vec in expect.items()}
                 assert eng._e_on_f(k, mono.f_exps, guard) == expect, (k, mono.f_exps)
 
 
@@ -342,6 +367,111 @@ def test_left_f_checks_size_guard():
     assert len(PBWEngine(get_structure("B2"))._left_f(1, (2, 0, 0, 0), SizeGuard())) > 1
     with pytest.raises(SizeGuardError):
         PBWEngine(get_structure("B2"))._left_f(1, (2, 0, 0, 0), SizeGuard(max_terms=1))
+
+
+@pytest.mark.parametrize(
+    "cartan_type,flip", [("A1", ()), ("A2", ()), ("B2", ()), ("B2", (2, 3))],
+    ids=["A1", "A2", "B2", "B2-flipped"],
+)
+def test_sweep_ranks_match_straightened_grams(cartan_type, flip):
+    # The height-ordered sweep against Grams built entry by entry from
+    # whole-word straightening, which shares no code with the plans.
+    rs = build_root_system(cartan_type)
+    grams = _straightened_grams(cartan_type, flip, 4)
+    eng = get_engine(cartan_type, flip)
+    rng = random.Random(7 + len(flip) + rs.rank)
+    for _ in range(6):
+        lam = rs.weight(*[rng.randint(-3, 4) for _ in range(rs.rank)])
+        for p in (2, 3, 5):
+            expect = {}
+            for nu, cells in grams.items():
+                rows = []
+                for row in cells:
+                    rows.append([])
+                    for poly, den in row:
+                        value, rem = divmod(evaluate(poly, lam.coords), den)
+                        assert rem == 0
+                        rows[-1].append(value)
+                expect[nu] = rank_mod_p(rows, p)
+            assert simple_weight_dims(lam, list(grams), p, engine=eng) == expect, (lam, p)
+
+
+def _corrupted(eng, nu, k, column):
+    """eng._plan with c_0 of the first term of one e_k f^J v column raised by 1."""
+    real = eng._plan
+    higher = tuple(a - b for a, b in zip(nu, eng.rs.positive_roots[k].coeffs))
+
+    def plan(nu_coeffs, guard):
+        out = real(nu_coeffs, guard)
+        if nu_coeffs != nu:
+            return out
+        groups = []
+        for group in out.groups:
+            if group.higher == higher:
+                c0 = list(group.coeffs[0])
+                c0[group.spans[column][0]] += 1
+                group = group._replace(coeffs=(tuple(c0), *group.coeffs[1:]))
+            groups.append(group)
+        return out._replace(groups=tuple(groups))
+
+    return plan
+
+
+@pytest.mark.parametrize(
+    "cartan_type,lam,nu,k,column,message",
+    [
+        # Off-diagonal entry of the f_(1,1) row: its mirror comes from the
+        # f_(0,1) f_(1,0) row, so only the symmetry check can see it.
+        ("A2", (2, 1), (1, 1), 2, 1, "not symmetric"),
+        # <f^2 v, f^2 v> = lam (2 lam - 2) becomes lam (2 lam - 1), which 2!^2
+        # does not divide at lam = 1.
+        ("A1", (1,), (2,), 0, 0, "not integral"),
+    ],
+)
+def test_sweep_catches_a_corrupted_plan_column(monkeypatch, cartan_type, lam, nu, k, column, message):
+    rs = build_root_system(cartan_type)
+    eng = PBWEngine(get_structure(cartan_type))
+    monkeypatch.setattr(eng, "_plan", _corrupted(eng, nu, k, column))
+    with pytest.raises(ExactnessError, match=message):
+        simple_weight_dims(rs.weight(*lam), [nu], 3, engine=eng)
+    # The same sweep on a clean engine passes every check.
+    simple_weight_dims(rs.weight(*lam), [nu], 3, engine=PBWEngine(get_structure(cartan_type)))
+
+
+def test_sweep_checks_every_weight_space_against_the_guard_first():
+    # (2,2) has a 3-dim weight space; (1,0) is fine but comes first.  No
+    # plan and no Gram may be built before the guard trips.
+    eng = PBWEngine(get_structure("A2"))
+    before = STATS["gram_matrices"]
+    with pytest.raises(SizeGuardError, match="dimension 3 exceeds guard 2"):
+        simple_weight_dims(A2.weight(3, 3), [(1, 0), (2, 2)], 3,
+                           guard=SizeGuard(max_gram_dim=2), engine=eng)
+    assert STATS["gram_matrices"] == before
+    assert eng._plans == {} and eng._memo_e_on_f == {} and eng._memo_left_f == {}
+
+
+def _frames() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize(
+    "cartan_type,lam,nu", [("A1", (3,), (600,)), ("A2", (1, 2), (3, 60)), ("B2", (2, 1), (3, 60))]
+)
+def test_sweep_recursion_depth_does_not_grow_with_nu(cartan_type, lam, nu):
+    # A fresh engine builds every memo entry and plan below nu; 40 frames
+    # above this test's own must be enough however deep nu is.
+    rs = build_root_system(cartan_type)
+    eng = PBWEngine(get_structure(cartan_type))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 40)
+    try:
+        dims = simple_weight_dims(rs.weight(*lam), [nu], 2, engine=eng)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert dims[nu] == simple_weight_dims(rs.weight(*lam), [nu], 2, engine=get_engine(cartan_type))[nu]
 
 
 # Shapovalov 1972; Jantzen, Kontravariante Formen auf induzierten
