@@ -356,11 +356,6 @@ class PBWEngine:
             for y in range(st.nroots)
             for j in range(st.nroots)
         }
-        # The (y', J') entries that e_y f^J v reads, by (y, first root of J).
-        self._e_reads = {
-            key: (key[0],) + tuple(pos for kind, pos, _ in terms if kind == "e")
-            for key, terms in self._e_brackets.items()
-        }
         self._memo_e_on_f: dict = {}
         self._memo_left_f: dict = {}
         self._plans: dict = {}
@@ -459,7 +454,8 @@ class PBWEngine:
             if j is None:
                 return None, {}
             rest = self._bump(word, j, -1)
-            missing = [(z, rest) for z in self._e_reads[y, j] if (z, rest) not in memo]
+            reads = [(y, rest)] + [(pos, rest) for kind, pos, _ in brackets[y, j] if kind == "e"]
+            missing = [key for key in reads if key not in memo]
             if missing:
                 return missing, None
             terms = []  # (f-exponents, affine coefficient, scale)
@@ -700,13 +696,12 @@ def simple_weight_dims(
     p: int,
     *,
     guard: SizeGuard | None = None,
-    engine: PBWEngine | None = None,
 ) -> dict[tuple[int, ...], int]:
     """dim L(lam)_{lam - nu} over F_p for every nu (simple-root coordinates)
     in ``nus``: the mod-p ranks of their divided-power Gram matrices, from
     one height-ordered sweep."""
     require_prime(p)
-    eng = engine or get_engine(lam.system.cartan_type)
+    eng = get_engine(lam.system.cartan_type)
     grams = _divided_grams(eng, lam.coords, list(nus), guard or DEFAULT_GUARD)
     return {nu: rank_mod_p(entries, p) for nu, _, entries in grams}
 

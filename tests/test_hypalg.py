@@ -12,9 +12,11 @@ import pytest
 from modcato.charring import weyl_character
 from modcato.errors import ExactnessError, SizeGuardError
 from modcato.hypalg import (
+    DEFAULT_GUARD,
     STATS,
     PBWEngine,
     SizeGuard,
+    _divided_grams,
     _solve_in_basis,
     binomial_mod_p,
     enumerate_f_monomials,
@@ -393,7 +395,10 @@ def test_sweep_ranks_match_straightened_grams(cartan_type, flip):
                         assert rem == 0
                         rows[-1].append(value)
                 expect[nu] = rank_mod_p(rows, p)
-            assert simple_weight_dims(lam, list(grams), p, engine=eng) == expect, (lam, p)
+            sweep = _divided_grams(eng, lam.coords, list(grams), DEFAULT_GUARD)
+            assert {nu: rank_mod_p(entries, p) for nu, _, entries in sweep} == expect, (lam, p)
+            if not flip:
+                assert simple_weight_dims(lam, list(grams), p) == expect, (lam, p)
 
 
 def _corrupted(eng, nu, k, column):
@@ -433,9 +438,9 @@ def test_sweep_catches_a_corrupted_plan_column(monkeypatch, cartan_type, lam, nu
     eng = PBWEngine(get_structure(cartan_type))
     monkeypatch.setattr(eng, "_plan", _corrupted(eng, nu, k, column))
     with pytest.raises(ExactnessError, match=message):
-        simple_weight_dims(rs.weight(*lam), [nu], 3, engine=eng)
+        shapovalov_gram(rs.weight(*lam), rs.root_vector(*nu), engine=eng)
     # The same sweep on a clean engine passes every check.
-    simple_weight_dims(rs.weight(*lam), [nu], 3, engine=PBWEngine(get_structure(cartan_type)))
+    shapovalov_gram(rs.weight(*lam), rs.root_vector(*nu), engine=PBWEngine(get_structure(cartan_type)))
 
 
 def test_sweep_checks_every_weight_space_against_the_guard_first():
@@ -444,8 +449,7 @@ def test_sweep_checks_every_weight_space_against_the_guard_first():
     eng = PBWEngine(get_structure("A2"))
     before = STATS["gram_matrices"]
     with pytest.raises(SizeGuardError, match="dimension 3 exceeds guard 2"):
-        simple_weight_dims(A2.weight(3, 3), [(1, 0), (2, 2)], 3,
-                           guard=SizeGuard(max_gram_dim=2), engine=eng)
+        next(_divided_grams(eng, (3, 3), [(1, 0), (2, 2)], SizeGuard(max_gram_dim=2)))
     assert STATS["gram_matrices"] == before
     assert eng._plans == {} and eng._memo_e_on_f == {} and eng._memo_left_f == {}
 
@@ -468,10 +472,10 @@ def test_sweep_recursion_depth_does_not_grow_with_nu(cartan_type, lam, nu):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frames() + 40)
     try:
-        dims = simple_weight_dims(rs.weight(*lam), [nu], 2, engine=eng)
+        gram = shapovalov_gram(rs.weight(*lam), rs.root_vector(*nu), engine=eng)
     finally:
         sys.setrecursionlimit(limit)
-    assert dims[nu] == simple_weight_dims(rs.weight(*lam), [nu], 2, engine=get_engine(cartan_type))[nu]
+    assert rank_mod_p(gram.entries, 2) == simple_weight_dim(rs.weight(*lam), rs.root_vector(*nu), 2)
 
 
 # Shapovalov 1972; Jantzen, Kontravariante Formen auf induzierten
