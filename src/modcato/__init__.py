@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .category_o import (  # noqa: F401
     DecompositionTable,
     FlagVector,
-    SimpleCharacter,
     build_decomposition_table,
     decomposition_numbers,
     full_simple_character,
@@ -40,13 +39,8 @@ from .charring import (  # noqa: F401
 )
 from .hypalg import (  # noqa: F401
     GramMatrix,
-    PBWMonomial,
     SizeGuard,
-    binomial_mod_p,
-    enumerate_f_monomials,
-    gram_rank_char0,
     shapovalov_gram,
-    simple_weight_dim,
     simple_weight_dims,
 )
 from .periodicity import (  # noqa: F401

@@ -32,7 +32,6 @@ from .errors import (
     ExactnessError,
     InvalidCharacterError,
     ModcatoError,
-    RegionError,
     require_prime,
 )
 from .hypalg import SizeGuard, simple_weight_dims
@@ -50,15 +49,6 @@ from .topology import (
     validate_closed_predicate,
     validate_open_predicate,
 )
-
-
-@dataclass(frozen=True)
-class SimpleCharacter:
-    """Character of the simple head of a Verma, within a box."""
-
-    lam: Weight
-    p: int
-    char: FormalCharacter
 
 
 class FlagVector:
@@ -156,7 +146,7 @@ def _covers_full_support(lam: Weight, box: TruncationBox) -> bool:
 
 def simple_character(
     lam: Weight, p: int, box: TruncationBox, *, guard: SizeGuard | None = None
-) -> SimpleCharacter:
+) -> FormalCharacter:
     """Assemble ch L(lam) on a box from per-weight-space Gram ranks.
 
     The ranks are memoized per (lam, p) and weight space, so a character
@@ -184,7 +174,7 @@ def simple_character(
         cache_store.put_value(
             "simple_dim", rs.cartan_type, p, payload, json.dumps(chi.serialize())
         )
-    return SimpleCharacter(lam, p, chi)
+    return chi
 
 
 def _simple_char(
@@ -209,47 +199,27 @@ def _simple_char(
     return chi
 
 
-def full_simple_character(lam: Weight, p: int, *, guard: SizeGuard | None = None) -> SimpleCharacter:
+def full_simple_character(lam: Weight, p: int, *, guard: SizeGuard | None = None) -> FormalCharacter:
     """Complete character of the finite-dimensional simple at dominant lam."""
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     return simple_character(lam, p, full_support_box(lam), guard=guard)
 
 
-def _down_region(mu: Weight, depth: int) -> tuple[Weight, ...]:
-    return TruncationBox.make((mu,), depth).weights()
-
-
 def decomposition_numbers(
     mu: Weight,
     p: int,
-    region: Iterable[Weight],
+    depth: int,
     *,
     guard: SizeGuard | None = None,
 ) -> dict[Weight, int]:
-    """One row of composition multiplicities by peeling simple characters.
-
-    The region must be the full down-set below mu at some box depth; a
-    missing intermediate weight would silently drop composition factors,
-    so anything short of downward-complete is rejected.
-    """
+    """One row [Delta(mu) : L(lam)], for every lam in the down-set of mu to
+    ``depth``, by peeling simple characters on that box."""
     require_prime(p)
+    if not isinstance(depth, int) or depth < 0:
+        raise ModcatoError(f"depth={depth!r} must be a nonnegative int")
     rs = mu.system
-    region = list(region)
-    if mu not in region:
-        raise RegionError("region must contain the highest weight itself")
-    depths = []
-    for w in region:
-        rv = rs.to_root_vector(mu - w)
-        if rv is None or not rv.is_nonnegative():
-            raise RegionError(f"region weight {w} is not below {mu}")
-        depths.append(rv.height())
-    depth = max(depths)
     box = TruncationBox.make((mu,), depth)
-    if set(region) != set(box.weights()):
-        raise RegionError(
-            "region is not downward-complete below the highest weight"
-        )
     payload = f"mu={_csv(mu.coords)};depth={depth}"
     cached = cache_store.get_value("decomp_row", rs.cartan_type, p, payload)
     if cached is not None:
@@ -258,7 +228,7 @@ def decomposition_numbers(
         }
     chi = verma_character(mu, box)
 
-    row = peel_decompose(chi, lambda w: _simple_char(w, p, box, guard), region)
+    row = peel_decompose(chi, lambda w: _simple_char(w, p, box, guard), box.weights())
     for w, a in row.items():
         if a < 0:
             raise ExactnessError(
@@ -302,7 +272,7 @@ def build_decomposition_table(
         row_depth = max(gaps)
         if depth is not None:
             row_depth = max(row_depth, depth)
-        row = decomposition_numbers(mu, p, _down_region(mu, row_depth), guard=guard)
+        row = decomposition_numbers(mu, p, row_depth, guard=guard)
         for lam in weights:
             if leq(lam, mu) and row.get(lam, 0):
                 entries[(mu, lam)] = row[lam]
@@ -328,7 +298,7 @@ def validate_table_consistency(
             for lam in table.region:
                 coeff = table.entry(mu, lam)
                 if coeff and leq(nu, lam):
-                    rhs += coeff * simple_character(lam, table.p, box, guard=guard).char.coefficient(nu)
+                    rhs += coeff * simple_character(lam, table.p, box, guard=guard).coefficient(nu)
             report.record(
                 f"dim Delta({mu.coords})_{nu.coords}", lhs, rhs
             )
@@ -359,7 +329,7 @@ def tensor_flag(
         box = full_support_box(gamma)
     elif not _covers_full_support(gamma, box):
         raise BoxMarginError("box does not cover the full support of L(gamma)")
-    chi = simple_character(gamma, p, box, guard=guard).char
+    chi = simple_character(gamma, p, box, guard=guard)
     out = _flag_tensor_char(V, chi)
     if out.total() != V.total() * sum(c for _, c in chi.items()):
         raise ExactnessError(f"flag total is not multiplied by dim L({gamma})")
@@ -402,7 +372,6 @@ def projective_verma_mult(
     lam: Weight,
     J: OpenSet,
     p: int,
-    region: Iterable[Weight] | None = None,
     *,
     guard: SizeGuard | None = None,
 ) -> FlagVector:
@@ -411,15 +380,10 @@ def projective_verma_mult(
     if not J.contains(lam):
         raise ValueError(f"{lam} does not lie in the open set")
     rs = lam.system
-    ups = J.up_set(lam)
-    if region is not None:
-        missing = set(ups) - set(region)
-        if missing:
-            raise RegionError(f"region misses up-set weights {sorted(w.coords for w in missing)}")
     out = {}
-    for mu in ups:
+    for mu in J.up_set(lam):
         gap = rs.to_root_vector(mu - lam).height()
-        row = decomposition_numbers(mu, p, _down_region(mu, gap), guard=guard)
+        row = decomposition_numbers(mu, p, gap, guard=guard)
         val = row.get(lam, 0)
         if val:
             out[mu] = val
@@ -480,13 +444,13 @@ def steinberg_check(
 
     Returns (equal on box, difference character on box).
     """
-    lhs = simple_character(lam, p, box, guard=guard).char
+    lhs = simple_character(lam, p, box, guard=guard)
     digits = steinberg_digits(lam, p)
     rs = lam.system
     zero = rs.zero_weight()
     prod = char_single(zero, TruncationBox.make((zero,), 0), complete=True)
     for i, digit in enumerate(digits):
-        factor = full_simple_character(digit, p, guard=guard).char
+        factor = full_simple_character(digit, p, guard=guard)
         if i:
             factor = frobenius_twist_char(factor, i, p)
         new_box = TruncationBox.make(

@@ -115,7 +115,7 @@ def cmd_char(args) -> int:
         meta = {"kind": "verma", "system": rs.cartan_type,
                 "lambda": list(lam.coords), "depth": args.depth}
     else:
-        chi = simple_character(lam, args.p, box).char
+        chi = simple_character(lam, args.p, box)
         meta = {"kind": "simple", "system": rs.cartan_type, "p": args.p,
                 "lambda": list(lam.coords), "depth": args.depth}
     _character_output(args, chi, meta)
@@ -125,8 +125,7 @@ def cmd_char(args) -> int:
 def cmd_decomp(args) -> int:
     rs = build_root_system(args.type)
     mu = parse_weight(rs, args.mu)
-    box = TruncationBox.make((mu,), args.depth)
-    row = decomposition_numbers(mu, args.p, box.weights())
+    row = decomposition_numbers(mu, args.p, args.depth)
     triples = sorted(
         [list(mu.coords), list(lam.coords), v] for lam, v in row.items()
     )

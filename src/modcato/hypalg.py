@@ -59,21 +59,12 @@ DEFAULT_GUARD = SizeGuard()
 STATS = {"exact_divisions": 0, "gram_matrices": 0}
 
 
-class PBWMonomial(NamedTuple):
-    """Ordinary-power PBW monomial f^F h^H e^E in the global root order."""
-
-    f_exps: tuple[int, ...]
-    h_exps: tuple[int, ...]
-    e_exps: tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class GramMatrix:
-    """Divided-power contravariant form on one Verma weight space."""
+    """Divided-power contravariant form on one Verma weight space, on the
+    sorted f-exponents of its PBW basis."""
 
-    lam: Weight
-    nu: RootVector
-    basis: tuple[PBWMonomial, ...]
+    basis: tuple[tuple[int, ...], ...]
     entries: tuple[tuple[int, ...], ...]
 
 
@@ -274,12 +265,9 @@ class ChevalleyStructure:
         for k in range(self.nroots):
             for i in range(self.rank):
                 expect = self.root_fund[k][i]
-                assert self.bracket_table[(self.h_index(i), self.e_index(k))] == (
-                    ((self.e_index(k), expect),) if expect else ()
-                )
-                assert self.bracket_table[(self.h_index(i), self.f_index(k))] == (
-                    ((self.f_index(k), -expect),) if expect else ()
-                )
+                for idx, c in ((self.e_index(k), expect), (self.f_index(k), -expect)):
+                    if self.bracket_table[(self.h_index(i), idx)] != (((idx, c),) if c else ()):
+                        raise ExactnessError(f"weight rule of root {k} fails against h_{i}")
             ef = dict(self.bracket_table[(self.e_index(k), self.f_index(k))])
             expected = {
                 self.h_index(i): rs.coroots[k][i]
@@ -299,15 +287,14 @@ class ChevalleyStructure:
                 s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
                 table = self.bracket_table[(self.e_index(i), self.e_index(j))]
                 if s not in root_set:
-                    assert table == ()
-                    continue
-                p = 0
-                while tuple(x - (p + 1) * y for x, y in zip(b.coeffs, a.coeffs)) in root_set:
-                    p += 1
-                assert len(table) == 1
-                idx, n = table[0]
-                assert idx == self.e_index(index_of[s])
-                assert abs(n) == p + 1
+                    ok = table == ()
+                else:
+                    p = 0
+                    while tuple(x - (p + 1) * y for x, y in zip(b.coeffs, a.coeffs)) in root_set:
+                        p += 1
+                    ok = len(table) == 1 and table[0][0] == self.e_index(index_of[s]) and abs(table[0][1]) == p + 1
+                if not ok:
+                    raise ExactnessError(f"Chevalley sign condition fails for [e_{i}, e_{j}]")
 
 
 @lru_cache(maxsize=None)
@@ -481,20 +468,6 @@ class PBWEngine:
 
         return self._fill(memo, (k, j_exps), step)
 
-    def _rows_by_root(self, nu_coeffs: tuple[int, ...]):
-        """The basis of weight -nu, and its rows f^I = f_k f^I' grouped by
-        first root k as (k, nu - beta_k, [(row index, f^I)])."""
-        basis = _f_exponents(self.rs, nu_coeffs)
-        by_root: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        if any(nu_coeffs):
-            for i, exps in enumerate(basis):
-                by_root.setdefault(self._first(exps), []).append((i, exps))
-        roots = self.rs.positive_roots
-        return basis, [
-            (k, tuple(a - b for a, b in zip(nu_coeffs, roots[k].coeffs)), members)
-            for k, members in by_root.items()
-        ]
-
     def _plan(self, nu_coeffs: tuple[int, ...], guard: SizeGuard) -> _Plan:
         """The memoised Gram plan of the (lam - nu) weight space.  With k the
         first root in f^I = f_k f^I', the contravariance <f_k x, y> =
@@ -503,9 +476,14 @@ class PBWEngine:
         hit = self._plans.get(nu_coeffs)
         if hit is not None:
             return hit
-        basis, by_root = self._rows_by_root(nu_coeffs)
+        basis = _f_exponents(self.rs, nu_coeffs)
+        by_root: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        if any(nu_coeffs):
+            for i, exps in enumerate(basis):
+                by_root.setdefault(self._first(exps), []).append((i, exps))
         groups = []
-        for k, higher, members in by_root:
+        for k, members in by_root.items():
+            higher = tuple(a - b for a, b in zip(nu_coeffs, self.rs.positive_roots[k].coeffs))
             index = {exps: x for x, exps in enumerate(_f_exponents(self.rs, higher))}
             terms, spans = [], []
             for j in basis:
@@ -544,30 +522,6 @@ def _f_exponents(rs: RootSystem, nu_coeffs: tuple[int, ...]) -> tuple[tuple[int,
     return tuple(sorted(out))
 
 
-def enumerate_f_monomials(rs: RootSystem, nu: RootVector) -> list[PBWMonomial]:
-    """All f-only PBW monomials of weight -nu, in lexicographic order."""
-    if not nu.is_nonnegative():
-        raise ValueError("nu must be a nonnegative root-lattice vector")
-    m = len(rs.positive_roots)
-    zero_h = (0,) * rs.rank
-    zero_e = (0,) * m
-    return [
-        PBWMonomial(exps, zero_h, zero_e) for exps in _f_exponents(rs, nu.coeffs)
-    ]
-
-
-def binomial_mod_p(a: int, n: int, p: int) -> int:
-    """Binomial polynomial a(a-1)...(a-n+1)/n! at any integer a, mod p."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    num = 1
-    for k in range(n):
-        num *= a - k
-    den = math.factorial(n)
-    assert num % den == 0
-    return (num // den) % p
-
-
 def _factorial_product(exps: tuple[int, ...]) -> int:
     out = 1
     for a in exps:
@@ -582,9 +536,9 @@ def _divided_grams(
     """Yield (nu, plan, divided-power Gram rows) for every nu in ``nus``, in
     ascending height.
 
-    Every nu is checked against the guard before any Gram is built.  The
-    sweep then walks the closure of ``nus`` under the plans' one-root-higher
-    weights in ascending height, keeping only the raw Grams of the last
+    Every nu is checked against the guard before any plan is built.  The
+    closure of ``nus`` under the plans' one-root-higher weights is then
+    swept in ascending height, keeping only the raw Grams of the last
     ``max_root_height`` levels.  A raw entry is divided by the factorials of
     its row and column exponents with a checked ``divmod``; entry (I, J) and
     entry (J, I) come from different rows, so the symmetry check compares
@@ -599,10 +553,10 @@ def _divided_grams(
             raise SizeGuardError(f"weight space dimension {dim} exceeds guard {guard.max_gram_dim}")
     closure, todo = set(nus), list(nus)
     while todo:
-        for _, higher, _ in eng._rows_by_root(todo.pop())[1]:
-            if higher not in closure:
-                closure.add(higher)
-                todo.append(higher)
+        for group in eng._plan(todo.pop(), guard).groups:
+            if group.higher not in closure:
+                closure.add(group.higher)
+                todo.append(group.higher)
     wanted = set(nus)
     window: dict[tuple[int, ...], list[list[int]]] = {}
     height = -1
@@ -655,12 +609,9 @@ def shapovalov_gram(
 ) -> GramMatrix:
     """Exact integer Gram matrix of the divided-power contravariant form
     on the (lam - nu) weight space of the Verma with highest weight lam."""
-    rs = lam.system
-    eng = engine or get_engine(rs.cartan_type)
+    eng = engine or get_engine(lam.system.cartan_type)
     ((_, plan, entries),) = _divided_grams(eng, lam.coords, [nu.coeffs], guard or DEFAULT_GUARD)
-    zero_h, zero_e = (0,) * rs.rank, (0,) * len(rs.positive_roots)
-    basis = tuple(PBWMonomial(exps, zero_h, zero_e) for exps in plan.basis)
-    return GramMatrix(lam, nu, basis, tuple(map(tuple, entries)))
+    return GramMatrix(plan.basis, tuple(map(tuple, entries)))
 
 
 def rank_mod_p(rows: Iterable[Iterable[int]], p: int) -> int:
@@ -704,18 +655,3 @@ def simple_weight_dims(
     eng = get_engine(lam.system.cartan_type)
     grams = _divided_grams(eng, lam.coords, list(nus), guard or DEFAULT_GUARD)
     return {nu: rank_mod_p(entries, p) for nu, _, entries in grams}
-
-
-def simple_weight_dim(
-    lam: Weight, nu: RootVector, p: int, *, guard: SizeGuard | None = None
-) -> int:
-    """dim of the (lam - nu) weight space of the simple head L(lam) over F_p:
-    the mod-p rank of the divided-power Gram matrix."""
-    return simple_weight_dims(lam, [nu.coeffs], p, guard=guard)[nu.coeffs]
-
-
-def gram_rank_char0(
-    lam: Weight, nu: RootVector, *, guard: SizeGuard | None = None
-) -> int:
-    """Rank of the Gram matrix over the rationals."""
-    return rank_rational(shapovalov_gram(lam, nu, guard=guard).entries)

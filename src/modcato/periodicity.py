@@ -96,7 +96,7 @@ def shift_down_flag(
     for w in W.support():
         if w not in Kt:
             raise ModcatoError(f"flag support {w.coords} is not inside K + gamma")
-    dual = negate_weights(full_simple_character(ctx.gamma, ctx.p, guard=guard).char)
+    dual = negate_weights(full_simple_character(ctx.gamma, ctx.p, guard=guard))
     tensored = _flag_tensor_char(W, dual)
     return truncate_flag(tensored, ctx.J.contains, "open")
 

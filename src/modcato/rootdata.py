@@ -15,6 +15,8 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterator
 
+from .errors import ExactnessError
+
 SUPPORTED_TYPES = ("A1", "A2", "B2")
 
 # cartan[i][j] = <alpha_j, alpha_i^vee>, rows indexed by coroots.
@@ -179,13 +181,13 @@ class RootSystem:
             for j in range(self.rank)
         )
         if twice_norm % 2 != 0:
-            raise AssertionError("root norm must be an even multiple of 1/2")
+            raise ExactnessError("root norm must be an even multiple of 1/2")
         d_root = twice_norm // 2
         vec = []
         for i in range(self.rank):
             num = c[i] * d[i]
             if num % d_root != 0:
-                raise AssertionError("coroot coefficients must be integral")
+                raise ExactnessError("coroot coefficients must be integral")
             vec.append(num // d_root)
         return tuple(vec)
 
@@ -216,15 +218,22 @@ class RootSystem:
         return elements
 
     def _validate(self) -> None:
-        a = self.cartan_matrix
-        assert all(a[i][i] == 2 for i in range(self.rank))
-        assert all(a[i][j] <= 0 for i in range(self.rank) for j in range(self.rank) if i != j)
-        assert len(self.weyl_group) == _WEYL_SIZE[self.cartan_type]
-        assert self.cartan_det > 0
-        for i in range(self.rank):
-            assert self.rho.coords[i] == 1
-        for w in self.weyl_group:
-            assert _det(w.matrix) == w.sign
+        a, n = self.cartan_matrix, self.rank
+        checks = {
+            "Cartan diagonal is not 2": all(a[i][i] == 2 for i in range(n)),
+            "Cartan off-diagonal entry is positive": all(
+                a[i][j] <= 0 for i in range(n) for j in range(n) if i != j
+            ),
+            "Weyl group has the wrong order": len(self.weyl_group) == _WEYL_SIZE[self.cartan_type],
+            "Cartan determinant is not positive": self.cartan_det > 0,
+            "rho is not (1, ..., 1)": all(c == 1 for c in self.rho.coords),
+            "Weyl element sign is not its determinant": all(
+                _det(w.matrix) == w.sign for w in self.weyl_group
+            ),
+        }
+        for message, ok in checks.items():
+            if not ok:
+                raise ExactnessError(f"{self.cartan_type} root data: {message}")
 
     # -- basic constructors ---------------------------------------------
 
@@ -388,6 +397,6 @@ def height_drop(lam: Weight) -> int:
     for w in rs.weyl_group:
         rv = rs.to_root_vector(lam - w.apply(lam))
         if rv is None:
-            raise AssertionError("Weyl images differ by root-lattice vectors")
+            raise ExactnessError("Weyl images differ by root-lattice vectors")
         best = max(best, rv.height())
     return best

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import PredicateError, require_prime
+from .errors import ExactnessError, PredicateError, require_prime
 from .rootdata import Weight, leq
 
 
@@ -39,16 +39,9 @@ class OpenSet:
         return any(leq(w, c) for c in self.ceiling)
 
     def up_set(self, lam: Weight) -> tuple[Weight, ...]:
-        """The finite set of members above lam (quasi-boundedness)."""
-        rs = self.system
-        found = {}
-        for c in self.ceiling:
-            gap = rs.to_root_vector(c - lam)
-            if gap is None or not gap.is_nonnegative():
-                continue
-            for rv in rs.root_vectors_up_to_height(gap.height(), below=gap):
-                w = lam + rs.weight_of(rv)
-                found[w.coords] = w
+        """The finite set of members above lam (quasi-boundedness): the
+        union of the intervals [lam, c] over the ceiling."""
+        found = {w.coords: w for c in self.ceiling for w in interval(lam, c)}
         return tuple(found[c] for c in sorted(found))
 
     def translate(self, gamma: Weight) -> "OpenSet":
@@ -151,7 +144,7 @@ def _assert_open_on_sample(Jprime: CarvedOpen, K: LocallyClosedSet) -> None:
             continue
         for lo in sample:
             if leq(lo, hi) and Jprime.inside.contains(lo) and not Jprime.contains(lo):
-                raise AssertionError("carved complement failed openness sample")
+                raise ExactnessError("carved complement failed openness sample")
 
 
 def periodicity_condition(K: LocallyClosedSet, p: int, l: int) -> bool:

@@ -116,6 +116,13 @@ def binomial_int(a: int, n: int) -> int:
     return num // d
 
 
+def binomial_mod_p(a: int, n: int, p: int) -> int:
+    """Binomial polynomial a(a-1)...(a-n+1)/n! at any integer a, mod p."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return binomial_int(a, n) % p
+
+
 # Symmetric form (alpha_i, alpha_j) on the simple roots.  B2's alpha_1 is the
 # long simple root.
 SIMPLE_ROOT_FORM = {

@@ -89,9 +89,25 @@ def test_warm_cache_matches_cold_results(isolate):
     from modcato.rootdata import build_root_system
 
     A1 = build_root_system("A1")
-    region = [A1.weight(c) for c in (1, -1, -3)]
-    cold = decomposition_numbers(A1.weight(1), 2, region)
+    cold = decomposition_numbers(A1.weight(1), 2, 2)
     files = [p for p in isolate.iterdir() if p.suffix == ".rec"]
     assert files, "expected persisted records"
-    warm = decomposition_numbers(A1.weight(1), 2, region)
+    warm = decomposition_numbers(A1.weight(1), 2, 2)
     assert cold == warm
+
+
+def test_existing_decomp_row_record_answers_without_ranking(isolate, monkeypatch):
+    # A record written under the decomp_row payload format "mu=…;depth=…"
+    # answers the row alone: no weight space may be ranked.
+    import modcato.category_o as category_o
+    from modcato.rootdata import build_root_system
+
+    def no_rank(*args, **kwargs):
+        raise RuntimeError("a weight space was ranked")
+
+    A1 = build_root_system("A1")
+    cache.put_value("decomp_row", "A1", 2, "mu=1;depth=2", "[[[-3], 1], [[1], 1]]")
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    monkeypatch.setattr(category_o, "simple_weight_dims", no_rank)
+    row = category_o.decomposition_numbers(A1.weight(1), 2, 2)
+    assert row == {A1.weight(1): 1, A1.weight(-3): 1}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -29,10 +30,9 @@ from modcato.errors import (
     InvalidCharacterError,
     ModcatoError,
     PredicateError,
-    RegionError,
     require_prime,
 )
-from modcato.hypalg import rank_mod_p, simple_weight_dim
+from modcato.hypalg import rank_mod_p, simple_weight_dims
 from modcato.periodicity import ShiftContext
 from modcato.rootdata import build_root_system
 from modcato.topology import LocallyClosedSet, OpenSet, min_l
@@ -52,27 +52,27 @@ def chardict(chi):
 
 
 def test_simple_character_trivial_weight():
-    chi = simple_character(A1.weight(0), 5, box1(0, 6)).char
+    chi = simple_character(A1.weight(0), 5, box1(0, 6))
     assert chardict(chi) == {0: 1}
 
 
 def test_simple_character_frozen_examples():
-    chi = simple_character(A1.weight(3), 3, box1(3, 6)).char
+    chi = simple_character(A1.weight(3), 3, box1(3, 6))
     assert chardict(chi) == {3: 1, -3: 1}
-    chi2 = simple_character(A1.weight(1), 2, box1(1, 4)).char
+    chi2 = simple_character(A1.weight(1), 2, box1(1, 4))
     assert chardict(chi2) == {1: 1, -1: 1}
 
 
 def test_simple_character_completeness_flag():
-    full = full_simple_character(A1.weight(3), 3).char
+    full = full_simple_character(A1.weight(3), 3)
     assert full.complete
-    shallow = simple_character(A1.weight(3), 3, box1(3, 1)).char
+    shallow = simple_character(A1.weight(3), 3, box1(3, 1))
     assert not shallow.complete
 
 
 def test_simple_character_nondominant_is_infinite():
     # L(-3) at p=2 keeps picking up weights; box only windows it.
-    chi = simple_character(A1.weight(-3), 2, box1(-3, 3)).char
+    chi = simple_character(A1.weight(-3), 2, box1(-3, 3))
     assert chardict(chi) == {-3: 1, -5: 1}
 
 
@@ -98,7 +98,7 @@ def test_simple_character_ranks_exactly_the_weight_spaces_below(typ, monkeypatch
         lam = rng.choice(box.weights())
         monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
         ranked.clear()
-        chi = simple_character(lam, 2, box).char
+        chi = simple_character(lam, 2, box)
         expected = oracles.below_set(lam, box.weights())
         assert sorted(ranked) == sorted(expected.values())
         assert chi.coeffs == {lam: 1}
@@ -116,29 +116,18 @@ def test_box_margin_error_precedes_disk_access(monkeypatch):
 
 
 def test_decomposition_row_triangular_singleton():
-    row = decomposition_numbers(A1.weight(4), 5, [A1.weight(4)])
+    row = decomposition_numbers(A1.weight(4), 5, 0)
     assert row == {A1.weight(4): 1}
 
 
 def test_decomposition_row_a1_p2_frozen():
-    region = [A1.weight(c) for c in (1, -1, -3)]
-    row = decomposition_numbers(A1.weight(1), 2, region)
+    row = decomposition_numbers(A1.weight(1), 2, 2)
     assert row == {A1.weight(1): 1, A1.weight(-3): 1}
 
 
 def test_decomposition_row_a1_p3_exhausted():
-    region = [A1.weight(c) for c in (2, 0, -2)]
-    row = decomposition_numbers(A1.weight(2), 3, region)
+    row = decomposition_numbers(A1.weight(2), 3, 2)
     assert row == {A1.weight(2): 1}
-
-
-def test_decomposition_region_validation():
-    with pytest.raises(RegionError):
-        decomposition_numbers(A1.weight(1), 2, [A1.weight(1), A1.weight(-3)])
-    with pytest.raises(RegionError):
-        decomposition_numbers(A1.weight(1), 2, [A1.weight(-1)])
-    with pytest.raises(RegionError):
-        decomposition_numbers(A1.weight(1), 2, [A1.weight(1), A1.weight(2)])
 
 
 @pytest.mark.parametrize("p", [-3, 0, 1, 4, 6])
@@ -148,18 +137,21 @@ def test_non_prime_p_is_rejected(p):
     calls = [
         lambda: simple_character(lam, p, box1(3, 3)),
         lambda: full_simple_character(lam, p),
-        lambda: decomposition_numbers(lam, p, [lam]),
+        lambda: decomposition_numbers(lam, p, 0),
         lambda: hom_dim_projective(lam, OpenSet.down_closure([lam]),
                                    verma_character(lam, box1(3, 3)), p),
         lambda: steinberg_digits(lam, p),
         lambda: min_l(K, p),
         lambda: ShiftContext.build(K, A1.weight(4), p, 1),
-        lambda: simple_weight_dim(lam, A1.root_vector(1), p),
+        lambda: simple_weight_dims(lam, [(1,)], p),
         lambda: rank_mod_p([[3]], p),
     ]
     for call in calls:
         with pytest.raises(ModcatoError, match=f"p={p} is not a prime"):
             call()
+    for depth in (-1, 1.5, "2"):
+        with pytest.raises(ModcatoError, match=re.escape(f"depth={depth!r} must be")):
+            decomposition_numbers(lam, 2, depth)
 
 
 def test_require_prime_agrees_with_trial_division():
@@ -227,7 +219,7 @@ def test_tensor_flag_linearity_and_mass():
     single = tensor_flag(FlagVector({A1.weight(0): 1}), A1.weight(2), 3)
     double = tensor_flag(FlagVector({A1.weight(0): 2}), A1.weight(2), 3)
     assert {w: 2 * m for w, m in single.mult.items()} == double.mult
-    dim = sum(c for _, c in full_simple_character(A1.weight(2), 3).char.items())
+    dim = sum(c for _, c in full_simple_character(A1.weight(2), 3).items())
     assert double.total() == 2 * dim
 
 
@@ -273,20 +265,14 @@ def test_projective_verma_mult_examples():
         assert J.contains(w)
 
 
-def test_projective_verma_mult_region_check():
-    J = OpenSet.down_closure([A1.weight(1)])
-    with pytest.raises(RegionError):
-        projective_verma_mult(A1.weight(-3), J, 2, region=[A1.weight(-3)])
-
-
 def test_hom_dim_projective_examples():
     box = box1(3, 6)
     J = OpenSet.down_closure([A1.weight(3)])
-    chl = simple_character(A1.weight(3), 2, box).char
+    chl = simple_character(A1.weight(3), 2, box)
     assert hom_dim_projective(A1.weight(3), J, chl, 2) == 1
     delta = verma_character(A1.weight(3), box)
     assert hom_dim_projective(A1.weight(3), J, delta, 2) == 1
-    other = simple_character(A1.weight(1), 2, box).char
+    other = simple_character(A1.weight(1), 2, box)
     combo = char_add(char_scale(chl, 2), other)
     assert hom_dim_projective(A1.weight(3), J, combo, 2) == 2
     with pytest.raises(InvalidCharacterError):
@@ -322,7 +308,7 @@ def test_simple_dimensions_match_literature():
     B2 = build_root_system("B2")
 
     def dim(rs, coords, p):
-        chi = full_simple_character(rs.weight(*coords), p).char
+        chi = full_simple_character(rs.weight(*coords), p)
         return sum(c for _, c in chi.items())
 
     assert dim(A2, (1, 0), 2) == 3
@@ -343,7 +329,7 @@ def test_steinberg_module_is_the_weyl_module_a2(p):
     # Steinberg 1963; Jantzen, Representations of Algebraic Groups, II.3.18:
     # L((p-1) rho) is the Weyl module, of dimension p^{|Phi^+|}.
     lam = A2.weight(p - 1, p - 1)
-    chi = full_simple_character(lam, p).char
+    chi = full_simple_character(lam, p)
     assert chi.coeffs == weyl_character(lam).coeffs
     assert sum(c for _, c in chi.items()) == p**3
 
@@ -358,6 +344,6 @@ def test_steinberg_and_frobenius_b2():
     box = TruncationBox.make((lam,), 4)
     from modcato.charring import frobenius_twist_char
 
-    twisted = frobenius_twist_char(simple_character(lam, 2, box).char, 1, 2)
-    direct = simple_character(lam * 2, 2, box.scale(2)).char
+    twisted = frobenius_twist_char(simple_character(lam, 2, box), 1, 2)
+    direct = simple_character(lam * 2, 2, box.scale(2))
     assert twisted.same_on(direct, box.scale(2))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -242,6 +243,17 @@ def test_internal_assertion_exit_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""  # verification output is atomic: nothing partial printed
     assert "internal assertion" in err
+
+
+def test_internal_checks_are_exactness_errors():
+    # An assert vanishes under python -O, and an AssertionError escapes
+    # main() as a traceback: internal checks raise ExactnessError (exit 3).
+    found = []
+    for path in sorted(Path(modcato.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Assert) or getattr(node, "id", None) == "AssertionError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
 
 
 def test_failed_highest_weight_check_exits_3(capsys, monkeypatch):
