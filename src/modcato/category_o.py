@@ -216,7 +216,7 @@ def decomposition_numbers(
     """One row [Delta(mu) : L(lam)], for every lam in the down-set of mu to
     ``depth``, by peeling simple characters on that box."""
     require_prime(p)
-    if not isinstance(depth, int) or depth < 0:
+    if type(depth) is not int or depth < 0:
         raise ModcatoError(f"depth={depth!r} must be a nonnegative int")
     rs = mu.system
     box = TruncationBox.make((mu,), depth)

@@ -149,7 +149,7 @@ def test_non_prime_p_is_rejected(p):
     for call in calls:
         with pytest.raises(ModcatoError, match=f"p={p} is not a prime"):
             call()
-    for depth in (-1, 1.5, "2"):
+    for depth in (-1, 1.5, "2", True):
         with pytest.raises(ModcatoError, match=re.escape(f"depth={depth!r} must be")):
             decomposition_numbers(lam, 2, depth)
 
