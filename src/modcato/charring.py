@@ -349,6 +349,8 @@ def peel_decompose(
         if mu not in box_weights:
             raise RegionError(f"region weight {mu} lies outside the character's box")
     order = sorted(region, key=lambda w: (-weight_height(w), w.coords))
+    rs = chi.box.system
+    d = rs.cartan_det
     residual = dict(chi.coeffs)
     out: dict[Weight, int] = {}
     for mu in order:
@@ -368,8 +370,9 @@ def peel_decompose(
                         f"basis character at {mu} does not cover box weight {w}"
                     )
         out[mu] = a
+        top = rs.scaled_root_coords(mu)
         for w, c in b.items():
-            if w != mu and not leq(w, mu):
+            if any(t < x or (t - x) % d for t, x in zip(top, rs.scaled_root_coords(w))):
                 raise ValueError(f"basis character at {mu} has support at {w} not below it")
             if w not in box_weights:
                 continue

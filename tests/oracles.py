@@ -2,7 +2,10 @@
 
 Nothing here may import the straightening or character pipelines it checks;
 each oracle goes through a different route (generating functions, explicit
-sl2 matrices, digitwise arithmetic).
+sl2 matrices, digitwise arithmetic).  The one exception is
+:func:`sweep_simple_coeffs`: simple characters are computed digit by digit
+(Steinberg's tensor product theorem), and its reference is the Gram sweep
+run directly on every weight space below lam, which never factorizes.
 """
 
 from __future__ import annotations
@@ -254,3 +257,13 @@ def below_set(lam, members) -> dict:
         if rv is not None and rv.is_nonnegative():
             out[w] = rv.coeffs
     return out
+
+
+def sweep_simple_coeffs(lam, p: int, box) -> dict:
+    """Nonzero dim L(lam)_w for the box weights w <= lam, each from the
+    mod-p rank of the Gram matrix at lam, all in one sweep."""
+    from modcato.hypalg import simple_weight_dims
+
+    below = below_set(lam, box.weights())
+    dims = simple_weight_dims(lam, list(below.values()), p)
+    return {w: dims[nu] for w, nu in below.items() if dims[nu]}

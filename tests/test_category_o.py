@@ -78,6 +78,8 @@ def test_simple_character_nondominant_is_infinite():
 
 @pytest.mark.parametrize("typ", ["A1", "A2", "B2"])
 def test_simple_character_ranks_exactly_the_weight_spaces_below(typ, monkeypatch):
+    # Characters come digit by digit: only restricted highest weights are
+    # ranked, and the shared memo ranks no weight space twice in a process.
     import modcato.category_o as category_o
 
     rs = build_root_system(typ)
@@ -85,23 +87,45 @@ def test_simple_character_ranks_exactly_the_weight_spaces_below(typ, monkeypatch
     ranked = []
 
     def record(lam, nus, p, guard=None):
-        ranked.extend(nus)
+        ranked.extend((lam, p, nu) for nu in nus)
         return {nu: 0 if any(nu) else 1 for nu in nus}
 
     monkeypatch.delenv("MODCATO_CACHE", raising=False)
     cache.configure(None)
     monkeypatch.setattr(category_o, "simple_weight_dims", record)
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     for _ in range(20):
         ceiling = [rs.weight(*[rng.randint(-3, 3) for _ in range(rs.rank)])
                    for _ in range(rng.randint(1, 3))]
         box = TruncationBox.make(ceiling, rng.randint(0, 4))
         lam = rng.choice(box.weights())
-        monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
-        ranked.clear()
-        chi = simple_character(lam, 2, box)
-        expected = oracles.below_set(lam, box.weights())
-        assert sorted(ranked) == sorted(expected.values())
+        chi = simple_character(lam, rng.choice((2, 3)), box)
         assert chi.coeffs == {lam: 1}
+    assert ranked
+    assert all(0 <= c < p for lam, p, _ in ranked for c in lam.coords)
+    assert len(ranked) == len(set(ranked))
+
+
+def test_simple_character_matches_the_gram_sweep(monkeypatch):
+    # Differential test of the digit recursion against one Gram sweep on
+    # every weight space below lam, for random (mostly non-dominant) lam.
+    import modcato.category_o as category_o
+
+    monkeypatch.delenv("MODCATO_CACHE", raising=False)
+    cache.configure(None)
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    rng = random.Random(20261019)
+    cases = []
+    for typ in ("A1", "A2", "B2"):
+        rs = build_root_system(typ)
+        for _ in range(40):
+            lam = rs.weight(*[rng.randint(-12, 14) for _ in range(rs.rank)])
+            cases.append((lam, rng.choice((2, 3, 5)), rng.randint(3, 12)))
+    cases.append((build_root_system("B2").weight(-7, 5), 2, 20))
+    for lam, p, depth in cases:
+        box = TruncationBox.make((lam,), depth)
+        expect = oracles.sweep_simple_coeffs(lam, p, box)
+        assert simple_character(lam, p, box).coeffs == expect, (lam, p, depth)
 
 
 def test_box_margin_error_precedes_disk_access(monkeypatch):

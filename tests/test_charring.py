@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from modcato.charring import (
+    FormalCharacter,
     TruncationBox,
     char_add,
     char_multiply,
@@ -325,6 +327,20 @@ def test_peel_rejects_basis_on_shallower_box():
     basis = {w: verma_character(w, TruncationBox.make((w,), 2)) for w in box.weights()}
     with pytest.raises(BoxMarginError):
         peel_decompose(chi, basis, box.weights())
+
+
+@pytest.mark.parametrize("typ, ceiling, label, stray", [
+    ("A1", [(2,)], (0,), (2,)),               # above the label
+    ("A2", [(0, 0), (-1, 0)], (0, 0), (-1, 0)),  # below in height, off the root lattice
+])
+def test_peel_rejects_basis_support_not_below_its_label(typ, ceiling, label, stray):
+    rs = build_root_system(typ)
+    box = TruncationBox.make([rs.weight(*c) for c in ceiling], 2)
+    mu, w = rs.weight(*label), rs.weight(*stray)
+    basis = {mu: FormalCharacter({mu: 1, w: 1}, box)}
+    with pytest.raises(ValueError, match=f"basis character at {re.escape(str(mu))} has support at "
+                                         f"{re.escape(str(w))} not below it"):
+        peel_decompose(char_single(mu, box), basis, [mu])
 
 
 def test_height_spread():

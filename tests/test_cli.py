@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import math
 import os
@@ -272,6 +273,59 @@ def test_failed_highest_weight_check_exits_3(capsys, monkeypatch):
     assert out == ""
     assert "internal assertion failed" in err
     assert "(2, 1)" in err
+
+
+def test_failed_digit_highest_weight_check_exits_3(capsys, monkeypatch):
+    # (5,4) = (2,1) + 3*(1,1) at p=3 is not restricted: its character comes
+    # from the restricted (2,1) and (1,1), and a restricted weight whose top
+    # weight space ranks 0 must still fail the highest-weight check.
+    import modcato.category_o as category_o
+
+    real = category_o.simple_weight_dims
+
+    def no_top(lam, nus, p, guard=None):
+        return {nu: 0 if not any(nu) else d for nu, d in real(lam, nus, p, guard=guard).items()}
+
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    monkeypatch.setattr(category_o, "simple_weight_dims", no_top)
+    code, out, err = run(capsys, "char", "simple", "--type", "A2", "--p", "3",
+                         "--lambda", "5,4", "--depth", "3")
+    assert code == 3
+    assert out == ""
+    assert "internal assertion failed" in err
+    assert "multiplicity 0 at its highest weight" in err
+
+
+def test_digit_ranks_stay_under_the_guard(capsys, monkeypatch):
+    # L(21,21) = L(10,10) (x) L(1,1)^[1] at p=11.  Ranking the restricted
+    # digit on its whole support would build Grams of dimension 210 and exit
+    # 2 at the default guard; only the weight spaces the box reaches are
+    # ranked, none larger than the box's own.
+    import modcato.category_o as category_o
+    from modcato.charring import TruncationBox
+    from modcato.rootdata import RootVector, build_root_system, kostant_partition
+
+    real = category_o.simple_weight_dims
+    ranked = []
+
+    def record(lam, nus, p, guard=None):
+        nus = list(nus)
+        ranked.extend((lam, nu) for nu in nus)
+        return real(lam, nus, p, guard=guard)
+
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    monkeypatch.setattr(category_o, "simple_weight_dims", record)
+    code, out, _ = run(capsys, "char", "simple", "--type", "B2", "--p", "11",
+                       "--lambda=21,21", "--depth", "8")
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == "b3b4b3b5e6c9a11504bb5f9df9ca164ac5ea2adc"
+    rs = build_root_system("B2")
+    lam = rs.weight(21, 21)
+    deepest = max(kostant_partition(RootVector(rs, nu))
+                  for _, nu in TruncationBox.make((lam,), 8).below(lam))
+    assert ranked
+    assert all(0 <= c < 11 for w, _ in ranked for c in w.coords)
+    assert all(kostant_partition(RootVector(rs, nu)) <= deepest for _, nu in ranked)
 
 
 def _record_kinds(directory):
