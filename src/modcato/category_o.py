@@ -5,14 +5,13 @@ triangular peeling, Verma-flag vectors under tensor and truncation
 functors, projective multiplicities through reciprocity, and the base-p
 tensor factorization check for finite-dimensional simples.
 
-Simple characters rest on Steinberg's tensor product theorem: for
-lambda = lambda0 + p*lambda1 with lambda0's coordinates in [0, p),
-L(lambda) = L(lambda0) (x) L(lambda1)^[1] (Steinberg, Nagoya Math. J. 22
-(1963); Jantzen, *Representations of Algebraic Groups*, II.3.17, for
-dominant lambda; Haboush, LNM 795 (1980), over the hyperalgebra for any
-lambda).  So dim L(lambda)_{lambda-nu} is the sum, over nu = nu0 + p*mu
-with nu0, mu >= 0, of dim L(lambda0)_{lambda0-nu0} * dim L(lambda1)_{lambda1-mu},
-and only restricted weights are ranked.  In A1 this is Lucas's theorem.
+Simple characters rest on Steinberg's tensor product theorem: if lambda =
+lambda0 + p*lambda1 with lambda0's coordinates in [0, p), then L(lambda) =
+L(lambda0) (x) L(lambda1)^[1] (Steinberg, Nagoya Math. J. 22 (1963); Jantzen,
+*Representations of Algebraic Groups*, II.3.17, for dominant lambda; Haboush,
+LNM 795 (1980), over the hyperalgebra for any lambda).  So dim L(lambda)_{lambda-nu}
+is the sum over nu = nu0 + p*mu (nu0, mu >= 0) of dim L(lambda0)_{lambda0-nu0}
+* dim L(lambda1)_{lambda1-mu}; only restricted weights are ranked (in A1: Lucas).
 
 Dual Vermas never appear as objects: their characters equal the Verma
 characters, and every statement made here factors through characters.
@@ -223,8 +222,10 @@ def _simple_dims(lam: Weight, p: int, nus, guard: SizeGuard | None) -> dict:
             raise ExactnessError(f"L({lam}) has multiplicity {dims[zero]} at its highest weight")
     elif missing:
         dims[zero] = 1
-        splits = {nu: [(tuple(n - p * m for n, m in zip(nu, mu)), mu)
-                       for mu in itertools.product(*(range(n // p + 1) for n in nu))]
+        # In root coordinates every nu0 of L(lam0) is <= lam0 - w0(lam0) <= (p-1)*2rho.
+        top = [(p - 1) * sum(c) for c in zip(*(r.coeffs for r in lam.system.positive_roots))]
+        splits = {nu: [(nu0, tuple((n - a) // p for n, a in zip(nu, nu0))) for nu0 in
+                       itertools.product(*(range(n % p, min(n, t) + 1, p) for n, t in zip(nu, top)))]
                   for nu in missing if any(nu)}
         d1 = _simple_dims(lam1, p, {mu for pairs in splits.values() for _, mu in pairs}, guard)
         splits = {nu: [(nu0, d1[mu]) for nu0, mu in pairs if d1[mu]] for nu, pairs in splits.items()}
