@@ -5,13 +5,11 @@ triangular peeling, Verma-flag vectors under tensor and truncation
 functors, projective multiplicities through reciprocity, and the base-p
 tensor factorization check for finite-dimensional simples.
 
-Simple characters rest on Steinberg's tensor product theorem: if lambda =
-lambda0 + p*lambda1 with lambda0's coordinates in [0, p), then L(lambda) =
-L(lambda0) (x) L(lambda1)^[1] (Steinberg, Nagoya Math. J. 22 (1963); Jantzen,
-*Representations of Algebraic Groups*, II.3.17, for dominant lambda; Haboush,
-LNM 795 (1980), over the hyperalgebra for any lambda).  So dim L(lambda)_{lambda-nu}
-is the sum over nu = nu0 + p*mu (nu0, mu >= 0) of dim L(lambda0)_{lambda0-nu0}
-* dim L(lambda1)_{lambda1-mu}; only restricted weights are ranked (in A1: Lucas).
+Simple characters use Steinberg's tensor product theorem: if every coordinate
+of lambda0 lies in [0, p), then L(lambda0 + p*lambda1) = L(lambda0) (x)
+L(lambda1)^[1] (Steinberg, Nagoya Math. J. 22 (1963), and Jantzen, *Representations
+of Algebraic Groups*, II.3.17, for dominant weights; Haboush, LNM 795 (1980), for
+any weight over the hyperalgebra).  So only restricted weights are ranked.
 
 Dual Vermas never appear as objects: their characters equal the Verma
 characters, and every statement made here factors through characters.
@@ -146,7 +144,11 @@ def full_support_box(lam: Weight) -> TruncationBox:
 
 
 def _covers_full_support(lam: Weight, box: TruncationBox) -> bool:
-    return all(map(box.contains, full_support_box(lam).weights()))
+    rs = lam.system
+    for rv in rs.root_vectors_up_to_height(height_drop(lam)):
+        if not box.contains(lam - rs.weight_of(rv)):
+            return False
+    return True
 
 
 def simple_character(
@@ -205,10 +207,9 @@ def _digits(lam: Weight, p: int) -> tuple[Weight, Weight]:
 def _simple_dims(lam: Weight, p: int, nus, guard: SizeGuard | None) -> dict:
     """``_SIMPLE_CACHE[(lam, p)]`` completed on ``nus`` by the theorem above.
 
-    A restricted lam ranks its top, which is checked, and the asked nu no
-    deeper than ``height_drop``; deeper ones leave its Weyl hull and are 0.
-    Each ranked nu0 lies below an asked nu, so no Gram outgrows the asked
-    ones.  Any other lam has top 1, which ends the recursion at lam1 = lam.
+    A restricted lam ranks its top (checked) and the asked nu within its
+    ``height_drop``, so no Gram outgrows an asked one; deeper nu leave its Weyl
+    hull and are 0.  Any other lam has top 1, ending the recursion at lam1 = lam.
     """
     dims = _SIMPLE_CACHE.setdefault((lam, p), {})
     missing = [nu for nu in nus if nu not in dims]

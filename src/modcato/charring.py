@@ -350,7 +350,6 @@ def peel_decompose(
             raise RegionError(f"region weight {mu} lies outside the character's box")
     order = sorted(region, key=lambda w: (-weight_height(w), w.coords))
     rs = chi.box.system
-    d = rs.cartan_det
     residual = dict(chi.coeffs)
     out: dict[Weight, int] = {}
     for mu in order:
@@ -372,7 +371,7 @@ def peel_decompose(
         out[mu] = a
         top = rs.scaled_root_coords(mu)
         for w, c in b.items():
-            if any(t < x or (t - x) % d for t, x in zip(top, rs.scaled_root_coords(w))):
+            if any(t < x or (t - x) % rs.cartan_det for t, x in zip(top, rs.scaled_root_coords(w))):
                 raise ValueError(f"basis character at {mu} has support at {w} not below it")
             if w not in box_weights:
                 continue
