@@ -162,10 +162,10 @@ def simple_character(
     fills the memo without a Gram build, and the highest-weight check still
     runs on it.  ``char simple``, :func:`tensor_flag` and
     :func:`full_simple_character` come here.  The peel bases of
-    :func:`decomposition_numbers` and :func:`hom_dim_projective` use the
-    memo-only core and write no record: their box is the row's own, so only
-    a rerun of that row could read one, and the row's ``decomp_row`` record
-    answers the rerun first.
+    :func:`decomposition_numbers` and :func:`hom_dim_projective` read the
+    memo through :func:`_simple_dims` and write no record: their box is the
+    row's own, so only a rerun of that row could read one, and the row's
+    ``decomp_row`` record answers the rerun first.
     """
     require_prime(p)
     if not box.contains(lam):
@@ -174,27 +174,21 @@ def simple_character(
     ceiling = "|".join(_csv(c) for c in sorted(w.coords for w in box.ceiling))
     payload = f"lam={_csv(lam.coords)};box={ceiling};depth={box.depth}"
     cached = cache_store.get_value("simple_dim", rs.cartan_type, p, payload)
+    below = box.below(lam)
     if cached is not None:
         # A record lists the nonzero dimensions of every weight space in its box.
         on_disk = {tuple(c): d for c, d in json.loads(cached)}
         dims = _SIMPLE_CACHE.setdefault((lam, p), {})
-        dims.update((nu, on_disk.get(w.coords, 0)) for w, nu in box.below(lam) if nu not in dims)
-    chi = _simple_char(lam, p, box, guard)
-    if cached is None:
-        cache_store.put_value(
-            "simple_dim", rs.cartan_type, p, payload, json.dumps(chi.serialize())
-        )
-    return chi
-
-
-def _simple_char(lam: Weight, p: int, box: TruncationBox, guard: SizeGuard | None) -> FormalCharacter:
-    """Memo-only core of :func:`simple_character`, for a lam in the box."""
-    below = box.below(lam)
+        dims.update((nu, on_disk.get(w.coords, 0)) for w, nu in below if nu not in dims)
     dims = _simple_dims(lam, p, [nu for _, nu in below], guard)
     complete = is_dominant(lam) and _covers_full_support(lam, box)
     chi = FormalCharacter({w: dims[nu] for w, nu in below}, box, complete)
     if chi.coefficient(lam) != 1:
         raise ExactnessError(f"L({lam}) has multiplicity {chi.coefficient(lam)} at its highest weight")
+    if cached is None:
+        cache_store.put_value(
+            "simple_dim", rs.cartan_type, p, payload, json.dumps(chi.serialize())
+        )
     return chi
 
 
@@ -229,7 +223,8 @@ def _simple_dims(lam: Weight, p: int, nus, guard: SizeGuard | None) -> dict:
                        itertools.product(*(range(n % p, min(n, t) + 1, p) for n, t in zip(nu, top)))]
                   for nu in missing if any(nu)}
         d1 = _simple_dims(lam1, p, {mu for pairs in splits.values() for _, mu in pairs}, guard)
-        splits = {nu: [(nu0, d1[mu]) for nu0, mu in pairs if d1[mu]] for nu, pairs in splits.items()}
+        splits = {nu: [(nu0, d1[mu]) for nu0, mu in pairs if d1[mu]]
+                  for nu, pairs in splits.items() if nu not in dims}
         d0 = _simple_dims(lam0, p, {nu0 for pairs in splits.values() for nu0, _ in pairs}, guard)
         dims.update((nu, sum(d0[nu0] * c for nu0, c in pairs)) for nu, pairs in splits.items())
     return dims
@@ -264,7 +259,7 @@ def decomposition_numbers(
         }
     chi = verma_character(mu, box)
 
-    row = peel_decompose(chi, lambda w: _simple_char(w, p, box, guard), box.weights())
+    row = peel_decompose(chi, lambda w, nus: _simple_dims(w, p, nus, guard), box.weights())
     for w, a in row.items():
         if a < 0:
             raise ExactnessError(
@@ -443,7 +438,7 @@ def hom_dim_projective(
     if not J.contains(lam):
         raise ValueError(f"{lam} does not lie in the open set")
     box = chi_M.box
-    coeffs = peel_decompose(chi_M, lambda w: _simple_char(w, p, box, guard), box.weights())
+    coeffs = peel_decompose(chi_M, lambda w, nus: _simple_dims(w, p, nus, guard), box.weights())
     negative = {w: a for w, a in coeffs.items() if a < 0}
     if negative:
         raise InvalidCharacterError(

@@ -6,6 +6,10 @@ records where the stored coefficients are guaranteed correct.  Characters
 whose true support fits entirely inside their box carry ``complete=True``,
 which lets products skip the pessimistic margin check.
 
+:func:`peel_decompose` reads its triangular basis as a table on the
+character's own box: ``basis(mu, nus)`` gives ``{nu: coefficient}`` for the
+simple-root coordinates nu of ``box.below(mu)`` and nothing else.
+
 All values are immutable; every operation returns a fresh character.
 """
 
@@ -325,57 +329,44 @@ def negate_weights(chi: FormalCharacter) -> FormalCharacter:
     return FormalCharacter(out, box, complete=True)
 
 
-BasisLike = Callable[[Weight], FormalCharacter] | Mapping[Weight, FormalCharacter]
-
-
 def peel_decompose(
     chi: FormalCharacter,
-    basis: BasisLike,
+    basis: Callable[[Weight, list[tuple[int, ...]]], Mapping[tuple[int, ...], int]],
     region: Iterable[Weight],
 ) -> dict[Weight, int]:
     """Expand ``chi`` in a triangular basis over ``region``.
 
-    The basis characters must have leading coefficient 1 at their label and
-    support otherwise strictly below it.  Weights are processed by
+    ``basis(mu, nus)`` gives the basis character labelled mu as
+    ``{nu: coefficient of e^(mu - nu)}``.  It is asked only for the
+    simple-root coordinates nu of ``chi.box.below(mu)``, must answer every
+    one of them, and must give 1 at nu = 0.  Weights are processed by
     non-increasing height with a lexicographic tie-break; triangularity
     makes the answer order-independent.  Raises RegionError when nonzero
     residual mass is left anywhere in chi's box after all region weights
     are peeled: the expansion would need a weight outside the region.
     """
-    lookup = basis.__getitem__ if isinstance(basis, Mapping) else basis
     region = list(region)
-    box_weights = set(chi.box.weights())
+    box = chi.box
+    box_weights = set(box.weights())
     for mu in region:
         if mu not in box_weights:
             raise RegionError(f"region weight {mu} lies outside the character's box")
-    order = sorted(region, key=lambda w: (-weight_height(w), w.coords))
-    rs = chi.box.system
+    rs = box.system
+    order = sorted(region, key=lambda w: (-sum(rs.scaled_root_coords(w)), w.coords))
+    zero = (0,) * rs.rank
     residual = dict(chi.coeffs)
     out: dict[Weight, int] = {}
     for mu in order:
         a = residual.get(mu, 0)
         if a == 0:
             continue
-        b = lookup(mu)
-        if b.coefficient(mu) != 1:
+        below = box.below(mu)
+        dims = basis(mu, [nu for _, nu in below])
+        if dims[zero] != 1:
             raise ValueError(f"basis character at {mu} does not have leading coefficient 1")
-        if not b.complete and b.box != chi.box:
-            # b must be authoritative on the part of chi's box below mu,
-            # otherwise the subtraction would silently miss coefficients.
-            # On chi's own box it is: every box weight lies in its box.
-            for w in box_weights:
-                if leq(w, mu) and not b.box.contains(w):
-                    raise BoxMarginError(
-                        f"basis character at {mu} does not cover box weight {w}"
-                    )
         out[mu] = a
-        top = rs.scaled_root_coords(mu)
-        for w, c in b.items():
-            if any(t < x or (t - x) % rs.cartan_det for t, x in zip(top, rs.scaled_root_coords(w))):
-                raise ValueError(f"basis character at {mu} has support at {w} not below it")
-            if w not in box_weights:
-                continue
-            new = residual.get(w, 0) - a * c
+        for w, nu in below:
+            new = residual.get(w, 0) - a * dims[nu]
             if new:
                 residual[w] = new
             else:

@@ -8,7 +8,6 @@ import re
 import pytest
 
 from modcato.charring import (
-    FormalCharacter,
     TruncationBox,
     char_add,
     char_multiply,
@@ -23,7 +22,7 @@ from modcato.charring import (
     weyl_dimension,
 )
 from modcato.errors import BoxMarginError, RegionError
-from modcato.rootdata import build_root_system, is_dominant
+from modcato.rootdata import RootVector, build_root_system, is_dominant, kostant_partition
 
 import oracles
 
@@ -265,10 +264,15 @@ def test_negate_weights():
     assert neg.complete
 
 
+def verma_basis(rs):
+    """Peel basis of Verma characters: dim Delta(mu)_{mu - nu} = P(nu)."""
+    return lambda mu, nus: {nu: kostant_partition(RootVector(rs, nu)) for nu in nus}
+
+
 def test_peel_single_basis_element():
     box = a1box(3, 5)
-    basis = {A1.weight(3): verma_character(A1.weight(3), box)}
-    out = peel_decompose(basis[A1.weight(3)], basis, [A1.weight(3)])
+    chi = verma_character(A1.weight(3), box)
+    out = peel_decompose(chi, verma_basis(A1), [A1.weight(3)])
     assert out == {A1.weight(3): 1}
 
 
@@ -277,8 +281,7 @@ def test_peel_two_vermas():
     chi = char_add(
         verma_character(A1.weight(0), box), verma_character(A1.weight(-2), box)
     )
-    basis = {w: verma_character(w, box) for w in box.weights()}
-    out = peel_decompose(chi, basis, box.weights())
+    out = peel_decompose(chi, verma_basis(A1), box.weights())
     assert out == {A1.weight(0): 1, A1.weight(-2): 1}
 
 
@@ -286,25 +289,23 @@ def test_peel_weyl_against_verma_basis():
     # ch V(3) = ch Delta(3) - ch Delta(-5) in rank 1.
     box = a1box(3, 6)
     chi = weyl_character(A1.weight(3)).restrict(box)
-    basis = {w: verma_character(w, box) for w in box.weights()}
     region = [A1.weight(c) for c in (3, 1, -1, -3, -5)]
-    out = peel_decompose(chi, basis, region)
+    out = peel_decompose(chi, verma_basis(A1), region)
     assert out == {A1.weight(3): 1, A1.weight(-5): -1}
 
 
 def test_peel_reassembly_roundtrip():
     rng = random.Random(21)
     box = TruncationBox.make((A2.weight(2, 2),), 5)
-    basis = {w: verma_character(w, box) for w in box.weights()}
     weights = list(box.weights())
     for _ in range(10):
         picks = rng.sample(weights, k=min(10, len(weights)))
         coeffs = {w: rng.randint(-4, 4) for w in picks}
         chi = None
         for w, c in coeffs.items():
-            term = char_scale(basis[w], c)
+            term = char_scale(verma_character(w, box), c)
             chi = term if chi is None else char_add(chi, term)
-        out = peel_decompose(chi, basis, weights)
+        out = peel_decompose(chi, verma_basis(A2), weights)
         assert out == {w: c for w, c in coeffs.items() if c != 0}
 
 
@@ -313,34 +314,48 @@ def test_peel_reports_missing_region():
     chi = char_add(
         verma_character(A1.weight(0), box), verma_character(A1.weight(-2), box)
     )
-    basis = {w: verma_character(w, box) for w in box.weights()}
     with pytest.raises(RegionError):
-        peel_decompose(chi, basis, [A1.weight(0)])
+        peel_decompose(chi, verma_basis(A1), [A1.weight(0)])
 
 
-def test_peel_rejects_basis_on_shallower_box():
-    # A basis character that is not complete is authoritative only on its
-    # own box; on a shallower box than chi's it would leave deep weights
-    # unsubtracted, so peeling must refuse it.
-    box = a1box(0, 6)
-    chi = verma_character(A1.weight(0), box)
-    basis = {w: verma_character(w, TruncationBox.make((w,), 2)) for w in box.weights()}
-    with pytest.raises(BoxMarginError):
-        peel_decompose(chi, basis, box.weights())
+def test_peel_rejects_basis_without_leading_coefficient_1():
+    box = a1box(0, 4)
+    mu = A1.weight(0)
+    twice = lambda w, nus: {nu: 2 * d for nu, d in verma_basis(A1)(w, nus).items()}
+    with pytest.raises(ValueError, match=f"basis character at {re.escape(str(mu))} "
+                                         "does not have leading coefficient 1"):
+        peel_decompose(verma_character(mu, box), twice, box.weights())
 
 
-@pytest.mark.parametrize("typ, ceiling, label, stray", [
-    ("A1", [(2,)], (0,), (2,)),               # above the label
-    ("A2", [(0, 0), (-1, 0)], (0, 0), (-1, 0)),  # below in height, off the root lattice
-])
-def test_peel_rejects_basis_support_not_below_its_label(typ, ceiling, label, stray):
-    rs = build_root_system(typ)
-    box = TruncationBox.make([rs.weight(*c) for c in ceiling], 2)
-    mu, w = rs.weight(*label), rs.weight(*stray)
-    basis = {mu: FormalCharacter({mu: 1, w: 1}, box)}
-    with pytest.raises(ValueError, match=f"basis character at {re.escape(str(mu))} has support at "
-                                         f"{re.escape(str(w))} not below it"):
-        peel_decompose(char_single(mu, box), basis, [mu])
+def test_peel_asks_the_basis_for_the_box_below_each_peeled_weight():
+    # (1,1) = (3,0) - alpha_1, so the second ceiling reaches height 4 below
+    # (3,0), one deeper than the box depth: the basis is asked for exactly
+    # the box weights below each peeled mu, whichever ceiling they come from.
+    box = TruncationBox.make((A2.weight(3, 0), A2.weight(1, 1)), 3)
+    rng = random.Random(5)
+    coeffs = {w: rng.randint(1, 3) for w in box.weights()}
+    chi = None
+    for w, c in coeffs.items():
+        term = char_scale(verma_character(w, box), c)
+        chi = term if chi is None else char_add(chi, term)
+    asked = []
+
+    def recording(mu, nus):
+        asked.append((mu, nus))
+        return verma_basis(A2)(mu, nus)
+
+    assert peel_decompose(chi, recording, box.weights()) == coeffs
+    assert sorted(mu.coords for mu, _ in asked) == sorted(w.coords for w in coeffs)
+    for mu, nus in asked:
+        assert nus == [nu for _, nu in chi.box.below(mu)]
+    assert max(sum(nu) for nu in dict(asked)[A2.weight(3, 0)]) == 4
+
+
+def test_peel_reads_every_asked_nu_from_the_basis():
+    box = a1box(0, 4)
+    top_only = lambda w, nus: {(0,): 1}
+    with pytest.raises(KeyError):
+        peel_decompose(verma_character(A1.weight(0), box), top_only, box.weights())
 
 
 def test_height_spread():
