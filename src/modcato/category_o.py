@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -138,19 +139,6 @@ def _csv(coords: Iterable[int]) -> str:
     return ",".join(map(str, coords))
 
 
-def full_support_box(lam: Weight) -> TruncationBox:
-    """Box holding the entire hull of the Weyl orbit of a dominant weight."""
-    return TruncationBox.make((lam,), height_drop(lam))
-
-
-def _covers_full_support(lam: Weight, box: TruncationBox) -> bool:
-    rs = lam.system
-    for rv in rs.root_vectors_up_to_height(height_drop(lam)):
-        if not box.contains(lam - rs.weight_of(rv)):
-            return False
-    return True
-
-
 def simple_character(
     lam: Weight, p: int, box: TruncationBox, *, guard: SizeGuard | None = None
 ) -> FormalCharacter:
@@ -181,7 +169,12 @@ def simple_character(
         dims = _SIMPLE_CACHE.setdefault((lam, p), {})
         dims.update((nu, on_disk.get(w.coords, 0)) for w, nu in below if nu not in dims)
     dims = _simple_dims(lam, p, [nu for _, nu in below], guard)
-    complete = is_dominant(lam) and _covers_full_support(lam, box)
+    complete = False
+    if is_dominant(lam):
+        # Complete iff the box holds lam's whole Weyl hull: all C(drop + rank,
+        # rank) nu of height <= drop, each listed once in below.
+        drop = height_drop(lam)
+        complete = sum(sum(nu) <= drop for _, nu in below) == math.comb(drop + rs.rank, rs.rank)
     chi = FormalCharacter({w: dims[nu] for w, nu in below}, box, complete)
     if chi.coefficient(lam) != 1:
         raise ExactnessError(f"L({lam}) has multiplicity {chi.coefficient(lam)} at its highest weight")
@@ -231,10 +224,11 @@ def _simple_dims(lam: Weight, p: int, nus, guard: SizeGuard | None) -> dict:
 
 
 def full_simple_character(lam: Weight, p: int, *, guard: SizeGuard | None = None) -> FormalCharacter:
-    """Complete character of the finite-dimensional simple at dominant lam."""
+    """Complete character of the finite-dimensional simple at dominant lam,
+    on the box of lam's Weyl-orbit hull."""
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    return simple_character(lam, p, full_support_box(lam), guard=guard)
+    return simple_character(lam, p, TruncationBox.make((lam,), height_drop(lam)), guard=guard)
 
 
 def decomposition_numbers(
@@ -259,7 +253,7 @@ def decomposition_numbers(
         }
     chi = verma_character(mu, box)
 
-    row = peel_decompose(chi, lambda w, nus: _simple_dims(w, p, nus, guard), box.weights())
+    row = peel_decompose(chi, lambda w, nus: _simple_dims(w, p, nus, guard))
     for w, a in row.items():
         if a < 0:
             raise ExactnessError(
@@ -323,13 +317,12 @@ def validate_table_consistency(
         depth = max(rs.to_root_vector(mu - nu).height() for nu in below)
         box = TruncationBox.make((mu,), depth)
         delta = verma_character(mu, box)
+        simples = {lam: simple_character(lam, table.p, box, guard=guard)
+                   for lam in table.region if table.entry(mu, lam)}
         for nu in below:
             lhs = delta.coefficient(nu)
-            rhs = 0
-            for lam in table.region:
-                coeff = table.entry(mu, lam)
-                if coeff and leq(nu, lam):
-                    rhs += coeff * simple_character(lam, table.p, box, guard=guard).coefficient(nu)
+            rhs = sum(table.entry(mu, lam) * chi.coefficient(nu)
+                      for lam, chi in simples.items() if leq(nu, lam))
             report.record(
                 f"dim Delta({mu.coords})_{nu.coords}", lhs, rhs
             )
@@ -346,21 +339,10 @@ def _flag_tensor_char(V: FlagVector, chi: FormalCharacter) -> FlagVector:
 
 
 def tensor_flag(
-    V: FlagVector,
-    gamma: Weight,
-    p: int,
-    box: TruncationBox | None = None,
-    *,
-    guard: SizeGuard | None = None,
+    V: FlagVector, gamma: Weight, p: int, *, guard: SizeGuard | None = None
 ) -> FlagVector:
     """Flag of M (x) L(gamma): convolve multiplicities with dim L(gamma)_*."""
-    if not is_dominant(gamma):
-        raise ValueError(f"{gamma} is not dominant")
-    if box is None:
-        box = full_support_box(gamma)
-    elif not _covers_full_support(gamma, box):
-        raise BoxMarginError("box does not cover the full support of L(gamma)")
-    chi = simple_character(gamma, p, box, guard=guard)
+    chi = full_simple_character(gamma, p, guard=guard)
     out = _flag_tensor_char(V, chi)
     if out.total() != V.total() * sum(c for _, c in chi.items()):
         raise ExactnessError(f"flag total is not multiplied by dim L({gamma})")
@@ -437,8 +419,7 @@ def hom_dim_projective(
     require_prime(p)
     if not J.contains(lam):
         raise ValueError(f"{lam} does not lie in the open set")
-    box = chi_M.box
-    coeffs = peel_decompose(chi_M, lambda w, nus: _simple_dims(w, p, nus, guard), box.weights())
+    coeffs = peel_decompose(chi_M, lambda w, nus: _simple_dims(w, p, nus, guard))
     negative = {w: a for w, a in coeffs.items() if a < 0}
     if negative:
         raise InvalidCharacterError(

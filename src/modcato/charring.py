@@ -6,6 +6,9 @@ records where the stored coefficients are guaranteed correct.  Characters
 whose true support fits entirely inside their box carry ``complete=True``,
 which lets products skip the pessimistic margin check.
 
+Every character walks the lattice through :meth:`TruncationBox.below`:
+Verma characters read Kostant partition counts off it, Weyl characters sum
+those counts with signs over the dot-action orbit, and
 :func:`peel_decompose` reads its triangular basis as a table on the
 character's own box: ``basis(mu, nus)`` gives ``{nu: coefficient}`` for the
 simple-root coordinates nu of ``box.below(mu)`` and nothing else.
@@ -21,11 +24,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
-from .errors import BoxMarginError, ExactnessError, RegionError
+from .errors import BoxMarginError, ExactnessError
 from .rootdata import (
     RootSystem,
     RootVector,
     Weight,
+    dot_action,
     height_drop,
     is_dominant,
     kostant_partition,
@@ -275,27 +279,17 @@ def weyl_dimension(lam: Weight) -> int:
 
 
 def weyl_character(lam: Weight) -> FormalCharacter:
-    """Alternating-sum character of the Weyl module with highest weight lam.
-
-    Finite support inside the hull of the Weyl orbit; complete by
-    construction.
-    """
+    """Character of the Weyl module with highest weight lam, as the
+    alternating Verma sum ch W(lam) = sum_w sign(w) ch M(w.lam) on the box
+    of lam's Weyl-orbit hull; complete by construction."""
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     rs = lam.system
-    depth = height_drop(lam)
-    box = TruncationBox.make((lam,), depth)
-    shifted = [(w.sign, w.apply(lam + rs.rho)) for w in rs.weyl_group]
-    out = {}
-    for w in box.weights():
-        target = w + rs.rho
-        total = 0
-        for sign, top in shifted:
-            rv = rs.to_root_vector(top - target)
-            if rv is not None and rv.is_nonnegative():
-                total += sign * kostant_partition(rv)
-        if total:
-            out[w] = total
+    box = TruncationBox.make((lam,), height_drop(lam))
+    out: dict[Weight, int] = {}
+    for w in rs.weyl_group:
+        for x, nu in box.below(dot_action(w, lam)):
+            out[x] = out.get(x, 0) + w.sign * kostant_partition(RootVector(rs, nu))
     chi = FormalCharacter(out, box, complete=True)
     if chi.coefficient(lam) != 1:
         raise ExactnessError(f"Weyl character of {lam} has top coefficient {chi.coefficient(lam)}")
@@ -332,27 +326,19 @@ def negate_weights(chi: FormalCharacter) -> FormalCharacter:
 def peel_decompose(
     chi: FormalCharacter,
     basis: Callable[[Weight, list[tuple[int, ...]]], Mapping[tuple[int, ...], int]],
-    region: Iterable[Weight],
 ) -> dict[Weight, int]:
-    """Expand ``chi`` in a triangular basis over ``region``.
+    """Expand ``chi`` in a triangular basis over every weight of its box.
 
     ``basis(mu, nus)`` gives the basis character labelled mu as
     ``{nu: coefficient of e^(mu - nu)}``.  It is asked only for the
     simple-root coordinates nu of ``chi.box.below(mu)``, must answer every
-    one of them, and must give 1 at nu = 0.  Weights are processed by
-    non-increasing height with a lexicographic tie-break; triangularity
-    makes the answer order-independent.  Raises RegionError when nonzero
-    residual mass is left anywhere in chi's box after all region weights
-    are peeled: the expansion would need a weight outside the region.
+    one of them, and must give 1 at nu = 0.  Box weights are peeled by
+    non-increasing height with a lexicographic tie-break, so each weight's
+    residual is final when its turn comes and none is left at the end.
     """
-    region = list(region)
     box = chi.box
-    box_weights = set(box.weights())
-    for mu in region:
-        if mu not in box_weights:
-            raise RegionError(f"region weight {mu} lies outside the character's box")
     rs = box.system
-    order = sorted(region, key=lambda w: (-sum(rs.scaled_root_coords(w)), w.coords))
+    order = sorted(box.weights(), key=lambda w: (-sum(rs.scaled_root_coords(w)), w.coords))
     zero = (0,) * rs.rank
     residual = dict(chi.coeffs)
     out: dict[Weight, int] = {}
@@ -366,15 +352,5 @@ def peel_decompose(
             raise ValueError(f"basis character at {mu} does not have leading coefficient 1")
         out[mu] = a
         for w, nu in below:
-            new = residual.get(w, 0) - a * dims[nu]
-            if new:
-                residual[w] = new
-            else:
-                residual.pop(w, None)
-    if residual:
-        leftover = sorted(residual, key=lambda w: w.coords)
-        raise RegionError(
-            "residual mass outside the region (box or region too small): "
-            + ", ".join(str(w) for w in leftover)
-        )
+            residual[w] = residual.get(w, 0) - a * dims[nu]
     return out

@@ -10,10 +10,6 @@ class BoxMarginError(ModcatoError):
     """A truncation box is too shallow or too narrow for the operation."""
 
 
-class RegionError(ModcatoError):
-    """A weight region misses entries the computation would need."""
-
-
 class PredicateError(ModcatoError):
     """A set predicate failed its open/closed validation."""
 

@@ -26,7 +26,7 @@ from .charring import negate_weights
 from .errors import ModcatoError, require_prime
 from .hypalg import SizeGuard
 from .reporting import Report
-from .rootdata import Weight, is_dominant
+from .rootdata import Weight, is_dominant, leq
 from .topology import (
     CarvedOpen,
     LocallyClosedSet,
@@ -139,8 +139,6 @@ def verify_periodicity(
     shifted = build_decomposition_table(ctx.Kt, ctx.p, depth=depth, guard=guard)
     report.payload["table"] = table.serialize()
     report.payload["shifted_table"] = shifted.serialize()
-    from .rootdata import leq
-
     for mu in ctx.K:
         for lam in ctx.K:
             if not leq(lam, mu):

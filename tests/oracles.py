@@ -259,6 +259,25 @@ def below_set(lam, members) -> dict:
     return out
 
 
+def weyl_alternating_sum(lam, members) -> dict:
+    """Nonzero coefficients of ch W(lam) at the members w, each as the sum
+    over the Weyl group of sign(x) P(x(lam + rho) - (w + rho)), with P read
+    off the generating function."""
+    rs = lam.system
+    shifted = [(x.sign, x.apply(lam + rs.rho)) for x in rs.weyl_group]
+    terms = []
+    for w in members:
+        for sign, top in shifted:
+            rv = rs.to_root_vector(top - (w + rs.rho))
+            if rv is not None and rv.is_nonnegative():
+                terms.append((w, sign, rv.coeffs))
+    counts = partition_counts_by_genfun(rs.cartan_type, max((sum(c) for *_, c in terms), default=0))
+    out = {}
+    for w, sign, coeffs in terms:
+        out[w] = out.get(w, 0) + sign * counts[coeffs]
+    return {w: c for w, c in out.items() if c}
+
+
 def sweep_simple_coeffs(lam, p: int, box) -> dict:
     """Nonzero dim L(lam)_w for the box weights w <= lam, each from the
     mod-p rank of the Gram matrix at lam, all in one sweep."""

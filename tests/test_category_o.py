@@ -68,6 +68,15 @@ def test_simple_character_completeness_flag():
     assert full.complete
     shallow = simple_character(A1.weight(3), 3, box1(3, 1))
     assert not shallow.complete
+    # The hull of L(2) is {2, 0, -2}: ceiling 2 at depth 1 holds 2 and 0, and
+    # only the second ceiling -2 adds -2.
+    two = TruncationBox.make((A1.weight(2), A1.weight(-2)), 1)
+    both = simple_character(A1.weight(2), 3, two)
+    assert both.complete and chardict(both) == {2: 1, 0: 1, -2: 1}
+    assert not simple_character(A1.weight(2), 3, box1(2, 1)).complete
+    # A non-dominant L(lam) is infinite, so no box completes it.
+    assert not simple_character(A1.weight(-1), 3, box1(-1, 8)).complete
+    assert not simple_character(A2.weight(-1, 2), 2, TruncationBox.make((A2.weight(-1, 2),), 8)).complete
 
 
 def test_simple_character_nondominant_is_infinite():

@@ -21,7 +21,7 @@ from modcato.charring import (
     weyl_character,
     weyl_dimension,
 )
-from modcato.errors import BoxMarginError, RegionError
+from modcato.errors import BoxMarginError
 from modcato.rootdata import RootVector, build_root_system, is_dominant, kostant_partition
 
 import oracles
@@ -208,9 +208,9 @@ def test_weyl_character_adjoint_zero_multiplicity():
 
 
 def test_weyl_dimension_sweep_small():
+    # Every coefficient against the all-weights alternating sum, and the
+    # total against the dimension formula.
     for rs in (A1, A2, B2):
-        for w in rs.root_vectors_up_to_height(0):
-            pass
         if rs.rank == 1:
             lams = [rs.weight(a) for a in range(7)]
         else:
@@ -218,6 +218,7 @@ def test_weyl_dimension_sweep_small():
         for lam in lams:
             assert is_dominant(lam)
             chi = weyl_character(lam)
+            assert chi.coeffs == oracles.weyl_alternating_sum(lam, chi.box.weights())
             assert sum(chi.coeffs.values()) == weyl_dimension(lam)
 
 
@@ -272,7 +273,7 @@ def verma_basis(rs):
 def test_peel_single_basis_element():
     box = a1box(3, 5)
     chi = verma_character(A1.weight(3), box)
-    out = peel_decompose(chi, verma_basis(A1), [A1.weight(3)])
+    out = peel_decompose(chi, verma_basis(A1))
     assert out == {A1.weight(3): 1}
 
 
@@ -281,7 +282,7 @@ def test_peel_two_vermas():
     chi = char_add(
         verma_character(A1.weight(0), box), verma_character(A1.weight(-2), box)
     )
-    out = peel_decompose(chi, verma_basis(A1), box.weights())
+    out = peel_decompose(chi, verma_basis(A1))
     assert out == {A1.weight(0): 1, A1.weight(-2): 1}
 
 
@@ -289,8 +290,7 @@ def test_peel_weyl_against_verma_basis():
     # ch V(3) = ch Delta(3) - ch Delta(-5) in rank 1.
     box = a1box(3, 6)
     chi = weyl_character(A1.weight(3)).restrict(box)
-    region = [A1.weight(c) for c in (3, 1, -1, -3, -5)]
-    out = peel_decompose(chi, verma_basis(A1), region)
+    out = peel_decompose(chi, verma_basis(A1))
     assert out == {A1.weight(3): 1, A1.weight(-5): -1}
 
 
@@ -305,17 +305,8 @@ def test_peel_reassembly_roundtrip():
         for w, c in coeffs.items():
             term = char_scale(verma_character(w, box), c)
             chi = term if chi is None else char_add(chi, term)
-        out = peel_decompose(chi, verma_basis(A2), weights)
+        out = peel_decompose(chi, verma_basis(A2))
         assert out == {w: c for w, c in coeffs.items() if c != 0}
-
-
-def test_peel_reports_missing_region():
-    box = a1box(0, 4)
-    chi = char_add(
-        verma_character(A1.weight(0), box), verma_character(A1.weight(-2), box)
-    )
-    with pytest.raises(RegionError):
-        peel_decompose(chi, verma_basis(A1), [A1.weight(0)])
 
 
 def test_peel_rejects_basis_without_leading_coefficient_1():
@@ -324,7 +315,7 @@ def test_peel_rejects_basis_without_leading_coefficient_1():
     twice = lambda w, nus: {nu: 2 * d for nu, d in verma_basis(A1)(w, nus).items()}
     with pytest.raises(ValueError, match=f"basis character at {re.escape(str(mu))} "
                                          "does not have leading coefficient 1"):
-        peel_decompose(verma_character(mu, box), twice, box.weights())
+        peel_decompose(verma_character(mu, box), twice)
 
 
 def test_peel_asks_the_basis_for_the_box_below_each_peeled_weight():
@@ -344,7 +335,7 @@ def test_peel_asks_the_basis_for_the_box_below_each_peeled_weight():
         asked.append((mu, nus))
         return verma_basis(A2)(mu, nus)
 
-    assert peel_decompose(chi, recording, box.weights()) == coeffs
+    assert peel_decompose(chi, recording) == coeffs
     assert sorted(mu.coords for mu, _ in asked) == sorted(w.coords for w in coeffs)
     for mu, nus in asked:
         assert nus == [nu for _, nu in chi.box.below(mu)]
@@ -355,7 +346,7 @@ def test_peel_reads_every_asked_nu_from_the_basis():
     box = a1box(0, 4)
     top_only = lambda w, nus: {(0,): 1}
     with pytest.raises(KeyError):
-        peel_decompose(verma_character(A1.weight(0), box), top_only, box.weights())
+        peel_decompose(verma_character(A1.weight(0), box), top_only)
 
 
 def test_height_spread():

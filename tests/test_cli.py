@@ -231,6 +231,25 @@ def test_deep_a1_weight_needs_no_deep_recursion(capsys):
     assert all(c == 1 for _, c in entries)
 
 
+def test_huge_highest_weight_reads_only_its_box(capsys):
+    # The answer is four weights, so nothing may walk the Weyl hull of lambda.
+    # N + 1 = 10^20 = 2^20 * 5^20, so the low twenty bits of N are 1 and, at
+    # p = 2, L(N) has N, N-2, N-4 and N-6 at heights 0..3, each once.
+    n = 10**20 - 1
+    assert base_p_digits(n, 2)[:20] == [1] * 20
+    code, out, _ = run(capsys, "char", "simple", "--type", "A1", "--p", "2",
+                       f"--lambda={n}", "--depth", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["entries"] == [[[n - k], 1] for k in (6, 4, 2, 0)]
+    # v_3(N) = 2: the two low base-3 digits of (N, 0) are 0, so every weight
+    # of L(N, 0) below its top lies at least 9 below it.
+    assert n % 9 == 0 and n % 27
+    code, out, _ = run(capsys, "char", "simple", "--type", "A2", "--p", "3",
+                       f"--lambda={n},0", "--depth", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["entries"] == [[[n, 0], 1]]
+
+
 def test_internal_assertion_exit_3(capsys, monkeypatch):
     import modcato.cli as cli_mod
     from modcato.errors import ExactnessError
