@@ -76,7 +76,8 @@ def test_simple_character_completeness_flag():
     assert not simple_character(A1.weight(2), 3, box1(2, 1)).complete
     # A non-dominant L(lam) is infinite, so no box completes it.
     assert not simple_character(A1.weight(-1), 3, box1(-1, 8)).complete
-    assert not simple_character(A2.weight(-1, 2), 2, TruncationBox.make((A2.weight(-1, 2),), 8)).complete
+    lam = A2.weight(-1, 2)
+    assert not simple_character(lam, 2, TruncationBox.make((lam,), 8)).complete
 
 
 def test_simple_character_nondominant_is_infinite():
