@@ -3,8 +3,8 @@
 Only finished answers persist: one ``decomp_row`` record per decomposition
 row, and one ``simple_dim`` record (its weight -> dimension list on a
 truncation box) per simple character asked for in its own right, by
-``char simple``, ``steinberg``, ``tensor_flag`` and
-``full_simple_character``.  The pieces behind an answer are rebuilt
+``char simple``, ``tensor_flag`` and ``full_simple_character``
+(``steinberg`` compares in memory).  The pieces behind an answer are rebuilt
 instead.  One kind of piece is the simple characters a row is peeled into:
 their box is the row's, so only a rerun of that row could read them, and
 the row's own record answers the rerun first (on the cache-a2 benchmark,

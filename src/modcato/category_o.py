@@ -10,6 +10,9 @@ of lambda0 lies in [0, p), then L(lambda0 + p*lambda1) = L(lambda0) (x)
 L(lambda1)^[1] (Steinberg, Nagoya Math. J. 22 (1963), and Jantzen, *Representations
 of Algebraic Groups*, II.3.17, for dominant weights; Haboush, LNM 795 (1980), for
 any weight over the hyperalgebra).  So only restricted weights are ranked.
+The digit recursion :func:`_simple_dims` is the one product of the theorem:
+the factorization check compares it with a Gram sweep of every weight space
+it is asked for, which never factorizes.
 
 Dual Vermas never appear as objects: their characters equal the Verma
 characters, and every statement made here factors through characters.
@@ -27,11 +30,6 @@ from . import cache as cache_store
 from .charring import (
     FormalCharacter,
     TruncationBox,
-    char_add,
-    char_multiply,
-    char_scale,
-    char_single,
-    frobenius_twist_char,
     peel_decompose,
     verma_character,
 )
@@ -447,31 +445,21 @@ def steinberg_check(
     *,
     guard: SizeGuard | None = None,
 ) -> tuple[bool, FormalCharacter]:
-    """Compare ch L(lam) with the product of twisted digit characters.
+    """Compare the Gram sweep of ch L(lam) with its digit product on the box.
 
-    ch L(lam) comes from one Gram sweep, not from the factorizing
-    :func:`simple_character`, with which the check would hold by design.
+    The left side is one Gram sweep over every weight space of the box
+    below lam, which never factorizes; the right side is the digit
+    recursion :func:`_simple_dims` that ``char simple`` prints, asked for
+    the same weight spaces.  Neither reads nor writes a disk record.
 
-    Returns (equal on box, difference character on box).
+    Returns (equal on box, difference character sweep - product on box).
     """
-    digits = steinberg_digits(lam, p)
+    steinberg_digits(lam, p)  # checks p and dominance before the box
     if not box.contains(lam):
         raise BoxMarginError(f"box does not contain the highest weight {lam}")
     below = box.below(lam)
-    dims = simple_weight_dims(lam, [nu for _, nu in below], p, guard=guard)
-    lhs = FormalCharacter({w: dims[nu] for w, nu in below}, box)
-    rs = lam.system
-    zero = rs.zero_weight()
-    prod = char_single(zero, TruncationBox.make((zero,), 0), complete=True)
-    for i, digit in enumerate(digits):
-        factor = full_simple_character(digit, p, guard=guard)
-        if i:
-            factor = frobenius_twist_char(factor, i, p)
-        new_box = TruncationBox.make(
-            (prod.box.ceiling[0] + factor.box.ceiling[0],),
-            prod.box.depth + factor.box.depth,
-        )
-        prod = char_multiply(prod, factor, new_box)
-    ok = lhs.same_on(prod, box)
-    diff = char_add(lhs.restrict(box), char_scale(prod.restrict(box), -1))
-    return ok, diff
+    nus = [nu for _, nu in below]
+    sweep = simple_weight_dims(lam, nus, p, guard=guard)
+    product = _simple_dims(lam, p, nus, guard)
+    diff = FormalCharacter({w: sweep[nu] - product[nu] for w, nu in below}, box)
+    return not diff.coeffs, diff

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Callable, Iterable, Mapping
 
 from .errors import BoxMarginError, ExactnessError
@@ -82,29 +83,28 @@ class TruncationBox:
         return False
 
     @cached_property
-    def _weights(self) -> tuple[Weight, ...]:
+    def _cosets(self) -> dict[tuple[int, ...], list[tuple[Weight, tuple[int, ...]]]]:
+        # Members with their images, sorted and grouped by the image modulo
+        # det(C): w and lam differ by a root-lattice vector iff their residues
+        # agree.  The member c - C·nu has image adj(C)·c - det(C)·nu.
         rs = self.system
+        d = rs.cartan_det
         seen = {}
-        for c in self.ceiling:
+        for c, top in zip(self.ceiling, self._scaled_ceiling):
             for rv in rs.root_vectors_up_to_height(self.depth):
-                w = c - rs.weight_of(rv)
-                seen[w.coords] = w
-        return tuple(seen[c] for c in sorted(seen))
+                nu = rv.coeffs
+                coords = tuple([a - sum(map(mul, row, nu)) for a, row in zip(c.coords, rs.cartan_matrix)])
+                if coords not in seen:
+                    seen[coords] = (Weight(rs, coords), tuple([t - d * n for t, n in zip(top, nu)]))
+        out: dict = {}
+        for coords in sorted(seen):
+            w, x = seen[coords]
+            out.setdefault(tuple([v % d for v in x]), []).append((w, x))
+        return out
 
     def weights(self) -> tuple[Weight, ...]:
         """All box members, sorted by coordinates."""
-        return self._weights
-
-    @cached_property
-    def _cosets(self) -> dict[tuple[int, ...], list[tuple[Weight, tuple[int, ...]]]]:
-        # Members with their images, grouped by the image modulo det(C):
-        # w and lam differ by a root-lattice vector iff their residues agree.
-        d = self.system.cartan_det
-        out: dict = {}
-        for w in self._weights:
-            x = self.system.scaled_root_coords(w)
-            out.setdefault(tuple([v % d for v in x]), []).append((w, x))
-        return out
+        return tuple(sorted((w for members in self._cosets.values() for w, _ in members), key=lambda w: w.coords))
 
     def below(self, lam: Weight) -> list[tuple[Weight, tuple[int, ...]]]:
         """Box members w <= lam, sorted, each with the simple-root

@@ -2,10 +2,12 @@
 
 Nothing here may import the straightening or character pipelines it checks;
 each oracle goes through a different route (generating functions, explicit
-sl2 matrices, digitwise arithmetic).  The one exception is
-:func:`sweep_simple_coeffs`: simple characters are computed digit by digit
-(Steinberg's tensor product theorem), and its reference is the Gram sweep
-run directly on every weight space below lam, which never factorizes.
+sl2 matrices, digitwise arithmetic).  The two exceptions check the
+digit-by-digit simple characters (Steinberg's tensor product theorem) from
+both sides: :func:`sweep_simple_coeffs` runs the Gram sweep directly on
+every weight space below lam, which never factorizes, and
+:func:`ring_digit_product` multiplies the full characters of the restricted
+digits, Frobenius-twisted, as characters in the ring.
 """
 
 from __future__ import annotations
@@ -286,3 +288,25 @@ def sweep_simple_coeffs(lam, p: int, box) -> dict:
     below = below_set(lam, box.weights())
     dims = simple_weight_dims(lam, list(below.values()), p)
     return {w: dims[nu] for w, nu in below.items() if dims[nu]}
+
+
+def ring_digit_product(lam, p: int):
+    """Complete ch L(lam) for dominant lam as the ring product of the full
+    characters of its base-p digits lam_i, each twisted by p^i and convolved
+    with ``char_multiply`` on the box of the product's hull."""
+    from modcato.category_o import full_simple_character
+    from modcato.charring import TruncationBox, char_multiply, char_single, frobenius_twist_char
+
+    rs = lam.system
+    zero = rs.zero_weight()
+    prod = char_single(zero, TruncationBox.make((zero,), 0), complete=True)
+    coords, i = lam.coords, 0
+    while True:
+        digit = rs.weight(*(c % p for c in coords))
+        factor = frobenius_twist_char(full_simple_character(digit, p), i, p)
+        box = TruncationBox.make((prod.box.ceiling[0] + factor.box.ceiling[0],),
+                                 prod.box.depth + factor.box.depth)
+        prod = char_multiply(prod, factor, box)
+        coords, i = tuple(c // p for c in coords), i + 1
+        if not any(coords):
+            return prod

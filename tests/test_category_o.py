@@ -336,6 +336,18 @@ def test_steinberg_check_a2():
     assert ok and not diff.coeffs
 
 
+def test_simple_character_matches_the_ring_digit_product():
+    # steinberg_check compares the Gram sweep with the digit recursion; this
+    # keeps an independent convolution of twisted digit characters checked.
+    B2 = build_root_system("B2")
+    cases = [(A1.weight(t), p) for t in range(21) for p in (2, 3)]
+    cases += [(A2.weight(a, b), p) for a in range(6) for b in range(6) for p in (2, 3)]
+    cases += [(B2.weight(2, 3), 2), (B2.weight(1, 2), 2), (B2.weight(3, 1), 3)]
+    for lam, p in cases:
+        chi = full_simple_character(lam, p)
+        assert chi.coeffs == oracles.ring_digit_product(lam, p).coeffs, (lam, p)
+
+
 def test_simple_dimensions_match_literature():
     # Frozen values from the standard small-rank tables of restricted
     # simple dimensions; fully independent of this code base.

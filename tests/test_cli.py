@@ -102,6 +102,62 @@ def test_steinberg_pass_and_exit_codes(capsys):
     assert "pass" in out
 
 
+def test_steinberg_fail_prints_the_difference(capsys, monkeypatch):
+    # A sweep one too large at weight 2 = 4 - alpha; the product side ranks
+    # only the restricted digit (1), which is left alone.
+    import modcato.category_o as category_o
+
+    real = category_o.simple_weight_dims
+
+    def perturbed(lam, nus, p, guard=None):
+        dims = real(lam, nus, p, guard=guard)
+        if lam.coords == (4,):
+            dims[(1,)] += 1
+        return dims
+
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    monkeypatch.setattr(category_o, "simple_weight_dims", perturbed)
+    argv = ("steinberg", "--type", "A1", "--p", "3", "--lambda", "4", "--depth", "8")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "factorization check: FAIL", "difference (ch L - product) on the box:", "  2  1",
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["difference"] == [[[2], 1]]
+
+
+@pytest.mark.parametrize("argv, n_digits", [
+    (("--type", "B2", "--p", "11", "--lambda=21,21", "--depth", "8"), 2),
+    (("--type", "A1", "--p", "2", "--lambda=99999999999999999999", "--depth", "3"), 67),
+], ids=["B2-p11", "A1-huge"])
+def test_steinberg_ranks_only_the_asked_box(capsys, monkeypatch, argv, n_digits):
+    # Neither side ranks a weight space deeper than the box: the digit (10,10)
+    # on its whole support would trip the size guard, and a product of 67
+    # full digit characters would not finish.
+    import modcato.category_o as category_o
+
+    real = category_o.simple_weight_dims
+    heights = []
+
+    def record(lam, nus, p, guard=None):
+        nus = list(nus)
+        heights.extend(sum(nu) for nu in nus)
+        return real(lam, nus, p, guard=guard)
+
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    monkeypatch.setattr(category_o, "simple_weight_dims", record)
+    code, out, _ = run(capsys, "steinberg", *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "factorization check: pass"
+    assert len(lines[0].split(": ", 1)[1].split("; ")) == n_digits
+    assert heights and max(heights) <= int(argv[-1])
+
+
 def test_topology_minl_example(capsys):
     code, out, _ = run(capsys, "topology", "minl", "--type", "A1", "--p", "2",
                        "--set", "0,2")
