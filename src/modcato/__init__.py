@@ -26,12 +26,6 @@ from .category_o import (  # noqa: F401
 from .charring import (  # noqa: F401
     FormalCharacter,
     TruncationBox,
-    char_add,
-    char_multiply,
-    char_scale,
-    char_single,
-    frobenius_twist_char,
-    negate_weights,
     peel_decompose,
     verma_character,
     weyl_character,

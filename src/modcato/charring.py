@@ -1,10 +1,10 @@
 """Truncated formal characters.
 
-Infinite-support characters (Verma characters and their relatives) only
-ever exist here relative to an explicit :class:`TruncationBox`; the box
-records where the stored coefficients are guaranteed correct.  Characters
-whose true support fits entirely inside their box carry ``complete=True``,
-which lets products skip the pessimistic margin check.
+A character is a table: a weight -> integer dict with the
+:class:`TruncationBox` that records where it is guaranteed correct, so
+infinite-support characters (Verma characters and their relatives) only
+exist relative to a box.  Nothing adds or multiplies characters; a sum or
+twist is dict arithmetic on ``coeffs``, wrapped in a new character.
 
 Every character walks the lattice through :meth:`TruncationBox.below`:
 Verma characters read Kostant partition counts off it, Weyl characters sum
@@ -13,14 +13,12 @@ those counts with signs over the dot-action orbit, and
 character's own box: ``basis(mu, nus)`` gives ``{nu: coefficient}`` for the
 simple-root coordinates nu of ``box.below(mu)`` and nothing else.
 
-All values are immutable; every operation returns a fresh character.
+Boxes and characters are immutable values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Callable, Iterable, Mapping
@@ -34,8 +32,6 @@ from .rootdata import (
     height_drop,
     is_dominant,
     kostant_partition,
-    leq,
-    weight_height,
 )
 
 
@@ -118,27 +114,19 @@ class TruncationBox:
                 out.append((w, tuple(nu)))
         return out
 
-    def combine(self, other: "TruncationBox") -> "TruncationBox":
-        """Result box of pointwise arithmetic: ceiling union, depth minimum."""
-        return TruncationBox.make(self.ceiling + other.ceiling, min(self.depth, other.depth))
-
-    def scale(self, factor: int) -> "TruncationBox":
-        return TruncationBox.make((c * factor for c in self.ceiling), self.depth * factor)
-
 
 class FormalCharacter:
     """Finite weight -> integer map together with its truncation box."""
 
-    __slots__ = ("coeffs", "box", "complete")
+    __slots__ = ("coeffs", "box")
 
-    def __init__(self, coeffs: Mapping[Weight, int], box: TruncationBox, complete: bool = False):
+    def __init__(self, coeffs: Mapping[Weight, int], box: TruncationBox):
         cleaned = {w: c for w, c in coeffs.items() if c != 0}
         for w in cleaned:
             if not box.contains(w):
                 raise ValueError(f"coefficient at {w} lies outside the truncation box")
         self.coeffs: dict[Weight, int] = cleaned
         self.box = box
-        self.complete = complete
 
     def coefficient(self, w: Weight) -> int:
         return self.coeffs.get(w, 0)
@@ -148,25 +136,6 @@ class FormalCharacter:
 
     def items(self):
         return self.coeffs.items()
-
-    def restrict(self, box: TruncationBox) -> "FormalCharacter":
-        kept = {w: c for w, c in self.coeffs.items() if box.contains(w)}
-        complete = self.complete and len(kept) == len(self.coeffs)
-        return FormalCharacter(kept, box, complete)
-
-    def same_on(self, other: "FormalCharacter", box: TruncationBox) -> bool:
-        """Coefficientwise equality at every weight of ``box``.
-
-        Both characters must be authoritative there: inside their own box,
-        or complete.
-        """
-        for w in box.weights():
-            for ch in (self, other):
-                if not ch.complete and not ch.box.contains(w):
-                    raise BoxMarginError(f"character box does not cover {w}")
-            if self.coefficient(w) != other.coefficient(w):
-                return False
-        return True
 
     def serialize(self) -> list[list]:
         return [[list(w.coords), c] for w, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].coords)]
@@ -186,70 +155,6 @@ class FormalCharacter:
         return f"FormalCharacter({parts or '0'})"
 
 
-def _truncated(coeffs: Mapping[Weight, int], box: TruncationBox, complete: bool) -> FormalCharacter:
-    kept = {w: c for w, c in coeffs.items() if c != 0 and box.contains(w)}
-    if complete and any(c != 0 and not box.contains(w) for w, c in coeffs.items()):
-        complete = False
-    return FormalCharacter(kept, box, complete)
-
-
-def char_single(w: Weight, box: TruncationBox, coeff: int = 1, complete: bool = True) -> FormalCharacter:
-    """The character coeff * e^w."""
-    if not box.contains(w):
-        raise BoxMarginError(f"{w} lies outside the requested box")
-    return FormalCharacter({w: coeff}, box, complete)
-
-
-def char_add(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
-    if a.box.system.cartan_type != b.box.system.cartan_type:
-        raise ValueError("cannot add characters over different root systems")
-    box = a.box.combine(b.box)
-    out = dict(a.coeffs)
-    for w, c in b.coeffs.items():
-        out[w] = out.get(w, 0) + c
-    return _truncated(out, box, a.complete and b.complete)
-
-
-def char_scale(a: FormalCharacter, c: int) -> FormalCharacter:
-    return FormalCharacter({w: c * v for w, v in a.coeffs.items()}, a.box, a.complete)
-
-
-def height_spread(chi: FormalCharacter) -> Fraction:
-    """Height difference between the highest and lowest support weights."""
-    if not chi.coeffs:
-        return Fraction(0)
-    heights = [weight_height(w) for w in chi.coeffs]
-    return max(heights) - min(heights)
-
-
-def char_multiply(a: FormalCharacter, b: FormalCharacter, box: TruncationBox) -> FormalCharacter:
-    """Convolution product truncated to ``box``.
-
-    ``b`` must have finite support (it does: it is stored).  The result is
-    correct on ``box`` when every contributing weight of ``a`` lies inside
-    a's box; a complete ``a`` always qualifies, otherwise a's depth must
-    exceed the result depth by the height spread of b's support.
-    """
-    if a.box.system.cartan_type != b.box.system.cartan_type:
-        raise ValueError("cannot multiply characters over different root systems")
-    if not a.complete and a.box.depth < box.depth + math.ceil(height_spread(b)):
-        raise BoxMarginError(
-            f"multiplier box depth {a.box.depth} is too shallow for result depth "
-            f"{box.depth} plus support spread {height_spread(b)}"
-        )
-    out: dict[Weight, int] = {}
-    for w1, c1 in a.coeffs.items():
-        for w2, c2 in b.coeffs.items():
-            w = w1 + w2
-            out[w] = out.get(w, 0) + c1 * c2
-    complete = (
-        a.complete
-        and b.complete
-        and all(box.contains(w) for w, c in out.items() if c != 0)
-    )
-    return _truncated(out, box, complete)
-
-
 def verma_character(lam: Weight, box: TruncationBox) -> FormalCharacter:
     """Character of the Verma with highest weight ``lam``: partition counts."""
     if not box.contains(lam):
@@ -260,7 +165,7 @@ def verma_character(lam: Weight, box: TruncationBox) -> FormalCharacter:
         p = kostant_partition(RootVector(rs, nu))
         if p:
             out[w] = p
-    return FormalCharacter(out, box, complete=False)
+    return FormalCharacter(out, box)
 
 
 def weyl_dimension(lam: Weight) -> int:
@@ -281,7 +186,7 @@ def weyl_dimension(lam: Weight) -> int:
 def weyl_character(lam: Weight) -> FormalCharacter:
     """Character of the Weyl module with highest weight lam, as the
     alternating Verma sum ch W(lam) = sum_w sign(w) ch M(w.lam) on the box
-    of lam's Weyl-orbit hull; complete by construction."""
+    of lam's Weyl-orbit hull, which holds its whole support."""
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     rs = lam.system
@@ -290,37 +195,12 @@ def weyl_character(lam: Weight) -> FormalCharacter:
     for w in rs.weyl_group:
         for x, nu in box.below(dot_action(w, lam)):
             out[x] = out.get(x, 0) + w.sign * kostant_partition(RootVector(rs, nu))
-    chi = FormalCharacter(out, box, complete=True)
+    chi = FormalCharacter(out, box)
     if chi.coefficient(lam) != 1:
         raise ExactnessError(f"Weyl character of {lam} has top coefficient {chi.coefficient(lam)}")
     if sum(chi.coeffs.values()) != weyl_dimension(lam):
         raise ExactnessError(f"Weyl character of {lam} disagrees with the dimension formula")
     return chi
-
-
-def frobenius_twist_char(chi: FormalCharacter, l: int, p: int) -> FormalCharacter:
-    """Scale every weight by p^l; boxes scale along."""
-    factor = p**l
-    out = {w * factor: c for w, c in chi.coeffs.items()}
-    return FormalCharacter(out, chi.box.scale(factor), chi.complete)
-
-
-def negate_weights(chi: FormalCharacter) -> FormalCharacter:
-    """Reflect a finite complete character through the origin.
-
-    Used for the character of the plain linear dual, whose weights are the
-    negatives of the original ones.
-    """
-    if not chi.complete:
-        raise BoxMarginError("weight negation needs a complete character")
-    out = {-w: c for w, c in chi.coeffs.items()}
-    if out:
-        tops = [w for w in out if not any(leq(w, v) and w != v for v in out)]
-        spread = math.ceil(height_spread(chi))
-        box = TruncationBox.make(tops, spread)
-    else:
-        box = chi.box
-    return FormalCharacter(out, box, complete=True)
 
 
 def peel_decompose(

@@ -55,10 +55,6 @@ class SizeGuard:
 
 DEFAULT_GUARD = SizeGuard()
 
-# Running counters for exactness bookkeeping (read by the acceptance suite).
-STATS = {"exact_divisions": 0, "gram_matrices": 0}
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     """Divided-power contravariant form on one Verma weight space, on the
@@ -593,10 +589,8 @@ def _divide(plan: _Plan, raw: list[list[int]], lam_coords, nu) -> list[tuple[int
                 f"nu={nu}, pair=({plan.basis[i]},{plan.basis[j]})"
             )
         entries.append(row)
-    STATS["exact_divisions"] += len(entries) ** 2
     if list(zip(*entries)) != entries:
         raise ExactnessError("contravariant Gram matrix is not symmetric")
-    STATS["gram_matrices"] += 1
     return entries
 
 

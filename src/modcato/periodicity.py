@@ -22,7 +22,6 @@ from .category_o import (
     tensor_flag,
     truncate_flag,
 )
-from .charring import negate_weights
 from .errors import ModcatoError, require_prime
 from .hypalg import SizeGuard
 from .reporting import Report
@@ -91,12 +90,13 @@ def shift_up_flag(
 def shift_down_flag(
     ctx: ShiftContext, W: FlagVector, *, guard: SizeGuard | None = None
 ) -> FlagVector:
-    """Tensor with the lowest-weight dual of L(gamma), then truncate to J."""
+    """Tensor with the lowest-weight dual of L(gamma), then truncate to J;
+    the dual's character is the full character of L(gamma), negated."""
     Kt = ctx.Kt
     for w in W.support():
         if w not in Kt:
             raise ModcatoError(f"flag support {w.coords} is not inside K + gamma")
-    dual = negate_weights(full_simple_character(ctx.gamma, ctx.p, guard=guard))
+    dual = {-w: c for w, c in full_simple_character(ctx.gamma, ctx.p, guard=guard).items()}
     tensored = _flag_tensor_char(W, dual)
     return truncate_flag(tensored, ctx.J.contains, "open")
 

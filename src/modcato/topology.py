@@ -131,7 +131,7 @@ def carve_J_Jprime(K: LocallyClosedSet) -> tuple[OpenSet, CarvedOpen]:
 
 def _assert_open_on_sample(Jprime: CarvedOpen, K: LocallyClosedSet) -> None:
     # Openness can only fail just below K, so a one-interval-deep sample
-    # around K is a complete witness set for the finite data we ever touch.
+    # around K is a sufficient witness set for the finite data we ever touch.
     rs = K.sorted[0].system
     sample = set(K.sorted)
     for a in K.sorted:

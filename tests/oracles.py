@@ -6,8 +6,8 @@ sl2 matrices, digitwise arithmetic).  The two exceptions check the
 digit-by-digit simple characters (Steinberg's tensor product theorem) from
 both sides: :func:`sweep_simple_coeffs` runs the Gram sweep directly on
 every weight space below lam, which never factorizes, and
-:func:`ring_digit_product` multiplies the full characters of the restricted
-digits, Frobenius-twisted, as characters in the ring.
+:func:`ring_digit_product` convolves the coefficient dicts of the full
+characters of the restricted digits, Frobenius-twisted by :func:`twisted`.
 """
 
 from __future__ import annotations
@@ -290,23 +290,35 @@ def sweep_simple_coeffs(lam, p: int, box) -> dict:
     return {w: dims[nu] for w, nu in below.items() if dims[nu]}
 
 
-def ring_digit_product(lam, p: int):
-    """Complete ch L(lam) for dominant lam as the ring product of the full
-    characters of its base-p digits lam_i, each twisted by p^i and convolved
-    with ``char_multiply`` on the box of the product's hull."""
+def scaled_box(box, f: int):
+    """The box with every ceiling weight and the depth multiplied by f."""
+    from modcato.charring import TruncationBox
+
+    return TruncationBox.make((c * f for c in box.ceiling), box.depth * f)
+
+
+def twisted(coeffs: dict, f: int) -> dict:
+    """The character {w: c} with every weight multiplied by f."""
+    return {w * f: c for w, c in coeffs.items()}
+
+
+def ring_digit_product(lam, p: int) -> dict:
+    """Complete ch L(lam) for dominant lam as the product of the full
+    characters of its base-p digits lam_i, each twisted by p^i, convolved
+    as weight -> coefficient dicts."""
     from modcato.category_o import full_simple_character
-    from modcato.charring import TruncationBox, char_multiply, char_single, frobenius_twist_char
 
     rs = lam.system
-    zero = rs.zero_weight()
-    prod = char_single(zero, TruncationBox.make((zero,), 0), complete=True)
+    prod = {rs.zero_weight(): 1}
     coords, i = lam.coords, 0
     while True:
         digit = rs.weight(*(c % p for c in coords))
-        factor = frobenius_twist_char(full_simple_character(digit, p), i, p)
-        box = TruncationBox.make((prod.box.ceiling[0] + factor.box.ceiling[0],),
-                                 prod.box.depth + factor.box.depth)
-        prod = char_multiply(prod, factor, box)
+        factor = twisted(full_simple_character(digit, p).coeffs, p**i)
+        out: dict = {}
+        for w1, c1 in prod.items():
+            for w2, c2 in factor.items():
+                out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+        prod = {w: c for w, c in out.items() if c}
         coords, i = tuple(c // p for c in coords), i + 1
         if not any(coords):
             return prod

@@ -22,9 +22,9 @@ from modcato.category_o import (
     truncate_flag,
     validate_table_consistency,
 )
-from modcato.charring import FormalCharacter, TruncationBox, frobenius_twist_char, weyl_character
+from modcato.charring import TruncationBox, weyl_character
 from modcato.errors import ExactnessError
-from modcato.hypalg import STATS, rank_rational, shapovalov_gram, simple_weight_dims
+from modcato.hypalg import rank_rational, shapovalov_gram, simple_weight_dims
 from modcato.periodicity import (
     ShiftContext,
     verify_periodicity,
@@ -32,9 +32,9 @@ from modcato.periodicity import (
     verify_updown,
 )
 from modcato.rootdata import build_root_system, leq
-from modcato.topology import LocallyClosedSet, OpenSet, is_locally_closed
+from modcato.topology import LocallyClosedSet, OpenSet, interval, is_locally_closed
 
-from oracles import binomial_mod_p, lucas_dominates, sweep_simple_coeffs
+from oracles import binomial_mod_p, lucas_dominates, scaled_box, sweep_simple_coeffs, twisted
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -124,17 +124,16 @@ def test_criterion_02_char0_cross_check():
 
 
 def test_criterion_03_factorial_divisibility():
-    # Its own sweep, counted as a delta, so the criterion holds in any order.
+    # Every entry of every Gram built here is one checked division.
     failures = []
-    before = STATS["exact_divisions"]
+    divisions = 0
     try:
         for a in range(-2, 6):
             for b in range(-2, 6):
                 for rv in A2.root_vectors_up_to_height(5):
-                    shapovalov_gram(A2.weight(a, b), rv)
+                    divisions += len(shapovalov_gram(A2.weight(a, b), rv).entries) ** 2
     except ExactnessError as exc:
         failures.append(("assertion fired", str(exc)))
-    divisions = STATS["exact_divisions"] - before
     if divisions < 1000:
         failures.append(("too few divisions exercised", divisions))
     report(3, "divided-power integrality assertion never fires", failures)
@@ -166,10 +165,11 @@ def test_criterion_05_steinberg_tensor_product():
     report(5, "base-p tensor factorization of simples", failures)
 
 
-def _sweep_character(lam, p, box):
+def _twist_matches_sweep(lam, p, box):
     # simple_character factorizes by the tensor product theorem, which makes
     # L(p lam) the twist of L(lam) by construction; the Gram sweep does not.
-    return FormalCharacter(sweep_simple_coeffs(lam, p, box), box)
+    twist = twisted(simple_character(lam, p, box).coeffs, p)
+    return twist == sweep_simple_coeffs(lam * p, p, scaled_box(box, p))
 
 
 def test_criterion_06_frobenius():
@@ -177,18 +177,12 @@ def test_criterion_06_frobenius():
     for p in (2, 3):
         for t in range(0, 21):
             lam = A1.weight(t)
-            box = TruncationBox.make((lam,), 8)
-            twisted = frobenius_twist_char(simple_character(lam, p, box), 1, p)
-            direct = _sweep_character(lam * p, p, box.scale(p))
-            if not twisted.same_on(direct, box.scale(p)):
+            if not _twist_matches_sweep(lam, p, TruncationBox.make((lam,), 8)):
                 failures.append(("A1", p, t))
     for a in range(4):
         for b in range(4):
             lam = A2.weight(a, b)
-            box = TruncationBox.make((lam,), 6)
-            twisted = frobenius_twist_char(simple_character(lam, 2, box), 1, 2)
-            direct = _sweep_character(lam * 2, 2, box.scale(2))
-            if not twisted.same_on(direct, box.scale(2)):
+            if not _twist_matches_sweep(lam, 2, TruncationBox.make((lam,), 6)):
                 failures.append(("A2", 2, (a, b)))
     report(6, "ch L(p lambda) equals the twist of ch L(lambda)", failures)
 
@@ -242,6 +236,12 @@ def test_criterion_08_updown_identities():
     else:
         k_a2 = LocallyClosedSet.make([A2.weight(0, 0)])
     cases.append(("A2 p2 l1 gamma (2,2)", ShiftContext.build(k_a2, A2.weight(2, 2), 2, 1)))
+    # gamma = (a, 0) is not self-dual in A2, so these see the sign of the dual.
+    k_00 = LocallyClosedSet.make([A2.weight(0, 0)])
+    k_box = LocallyClosedSet.make(interval(A2.weight(0, 0), A2.weight(1, 1)))
+    cases.append(("A2 p3 l1 gamma (3,0)", ShiftContext.build(k_00, A2.weight(3, 0), 3, 1)))
+    cases.append(("A2 p2 l1 gamma (2,0)", ShiftContext.build(k_00, A2.weight(2, 0), 2, 1)))
+    cases.append(("A2 p3 l1 gamma (3,0) on [(0,0),(1,1)]", ShiftContext.build(k_box, A2.weight(3, 0), 3, 1)))
     for name, ctx in cases:
         rep = verify_updown(ctx)
         if not rep.passed:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcato.charring import TruncationBox, char_add, char_scale, frobenius_twist_char
 from modcato.rootdata import build_root_system, kostant_partition, leq
 
 A2 = build_root_system("A2")
@@ -40,27 +39,3 @@ def test_kostant_partition_monotone_under_root_addition(a, b):
     for root in A2.positive_roots:
         assert kostant_partition(rv + root) >= kostant_partition(rv)
 
-
-_entry = st.tuples(st.integers(-4, 2), st.integers(-4, 2), st.integers(-5, 5))
-
-
-@given(st.lists(_entry, min_size=1, max_size=6), st.lists(_entry, min_size=1, max_size=6))
-@settings(max_examples=100, deadline=None)
-def test_char_add_commutes_and_twist_is_injective(entries1, entries2):
-    box = TruncationBox.make((A2.weight(2, 2),), 10)
-
-    def build(entries):
-        coeffs = {}
-        for a, b, c in entries:
-            w = A2.weight(a, b)
-            if box.contains(w):
-                coeffs[w] = coeffs.get(w, 0) + c
-        from modcato.charring import FormalCharacter
-
-        return FormalCharacter(coeffs, box)
-
-    x, y = build(entries1), build(entries2)
-    assert char_add(x, y) == char_add(y, x)
-    assert char_add(x, char_scale(x, -1)).coeffs == {}
-    tx, ty = frobenius_twist_char(x, 1, 3), frobenius_twist_char(y, 1, 3)
-    assert (tx == ty) == (x.coeffs == y.coeffs)
