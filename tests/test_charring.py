@@ -239,4 +239,3 @@ def test_peel_reads_every_asked_nu_from_the_basis():
     top_only = lambda w, nus: {(0,): 1}
     with pytest.raises(KeyError):
         peel_decompose(verma_character(A1.weight(0), box), top_only)
-

@@ -82,9 +82,9 @@ def test_verify_updown_cases():
     # L(gamma) for gamma = (a, 0) in A2 has lowest weight (0, -a), not -gamma,
     # so only the negated character of L(gamma) brings the down shift back.
     box = LocallyClosedSet.make(interval(A2.weight(0, 0), A2.weight(1, 1)))
-    for K, gamma, p in [(K, (3, 0), 3), (K, (2, 0), 2), (box, (3, 0), 3)]:
-        rep = verify_updown(ShiftContext.build(K, A2.weight(*gamma), p, 1))
-        assert rep.passed and len(rep.checks) == 2 * len(K.sorted), (K.sorted, gamma)
+    for region, gamma, p in [(K, (3, 0), 3), (K, (2, 0), 2), (box, (3, 0), 3)]:
+        rep = verify_updown(ShiftContext.build(region, A2.weight(*gamma), p, 1))
+        assert rep.passed and len(rep.checks) == 2 * len(region.sorted), (region.sorted, gamma)
 
 
 def test_verify_periodicity_a1_p2():

@@ -38,4 +38,3 @@ def test_kostant_partition_monotone_under_root_addition(a, b):
     rv = A2.root_vector(a, b)
     for root in A2.positive_roots:
         assert kostant_partition(rv + root) >= kostant_partition(rv)
-
