@@ -50,8 +50,8 @@ from .rootdata import (
     leq,
 )
 from .topology import (
+    LocallyClosedSet,
     OpenSet,
-    is_locally_closed,
     validate_closed_predicate,
     validate_open_predicate,
 )
@@ -264,36 +264,38 @@ def decomposition_numbers(
 
 
 def build_decomposition_table(
-    weights: Iterable[Weight],
+    weights: LocallyClosedSet | Iterable[Weight],
     p: int,
     *,
     depth: int | None = None,
     guard: SizeGuard | None = None,
 ) -> DecompositionTable:
-    """Region-bounded table [Delta(mu) : L(lam)] over a locally closed set."""
+    """Region-bounded table [Delta(mu) : L(lam)] over a locally closed set.
+
+    A :class:`LocallyClosedSet` is used as it is; any other iterable goes
+    through :meth:`LocallyClosedSet.make`, which raises ``ValueError`` on an
+    empty or leaking set."""
     if depth is not None and depth < 0:
         raise ModcatoError(f"depth={depth} must be nonnegative")
-    weights = sorted(set(weights), key=lambda w: w.coords)
-    if not weights:
-        raise ValueError("table region must be nonempty")
-    rs = weights[0].system
-    if not is_locally_closed(weights):
-        raise ValueError("table region must be locally closed")
+    if not isinstance(weights, LocallyClosedSet):
+        weights = LocallyClosedSet.make(weights)
+    region = weights.sorted
+    rs = region[0].system
     entries: dict[tuple[Weight, Weight], int] = {}
-    for mu in weights:
+    for mu in region:
         gaps = [
             rs.to_root_vector(mu - lam).height()
-            for lam in weights
+            for lam in region
             if leq(lam, mu)
         ]
         row_depth = max(gaps)
         if depth is not None:
             row_depth = max(row_depth, depth)
         row = decomposition_numbers(mu, p, row_depth, guard=guard)
-        for lam in weights:
+        for lam in region:
             if leq(lam, mu) and row.get(lam, 0):
                 entries[(mu, lam)] = row[lam]
-    return DecompositionTable(p, tuple(weights), entries)
+    return DecompositionTable(p, region, entries)
 
 
 def validate_table_consistency(
@@ -322,23 +324,24 @@ def validate_table_consistency(
 
 
 def _flag_tensor_char(V: FlagVector, coeffs: Mapping[Weight, int]) -> FlagVector:
+    """Flag of M (x) a module of character ``coeffs``: convolve multiplicities
+    with the character; the flag total must grow by its dimension."""
     out: dict[Weight, int] = {}
     for lam, m in V.mult.items():
         for s, c in coeffs.items():
             w = lam + s
             out[w] = out.get(w, 0) + m * c
-    return FlagVector(out)
+    flag = FlagVector(out)
+    if flag.total() != V.total() * sum(coeffs.values()):
+        raise ExactnessError("flag total is not multiplied by the character's dimension")
+    return flag
 
 
 def tensor_flag(
     V: FlagVector, gamma: Weight, p: int, *, guard: SizeGuard | None = None
 ) -> FlagVector:
     """Flag of M (x) L(gamma): convolve multiplicities with dim L(gamma)_*."""
-    chi = full_simple_character(gamma, p, guard=guard)
-    out = _flag_tensor_char(V, chi.coeffs)
-    if out.total() != V.total() * sum(c for _, c in chi.items()):
-        raise ExactnessError(f"flag total is not multiplied by dim L({gamma})")
-    return out
+    return _flag_tensor_char(V, full_simple_character(gamma, p, guard=guard).coeffs)
 
 
 def truncate_flag(

@@ -7,11 +7,16 @@ original open set.  Under the no-collision hypothesis on K these act on
 flag vectors as translation by gamma, and decomposition tables over K and
 K + gamma must agree entrywise; both facts are checked here numerically,
 each side computed independently through the full Gram pipeline.
+
+A :class:`ShiftContext` holds everything one verification reads, each part
+given or built once: (K, gamma, p, l), the size guard, the carved open sets,
+K + gamma and ch L(gamma).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .category_o import (
     FlagVector,
@@ -19,7 +24,6 @@ from .category_o import (
     build_decomposition_table,
     full_simple_character,
     projective_verma_mult,
-    tensor_flag,
     truncate_flag,
 )
 from .errors import ModcatoError, require_prime
@@ -38,19 +42,23 @@ from .topology import (
 
 @dataclass(frozen=True)
 class ShiftContext:
-    """Validated data (K, gamma, p, l) with the carved open sets."""
+    """Everything one verification reads.  :meth:`build` checks (K, gamma,
+    p, l) and carves J, J~ and J~'; ``guard`` bounds every Gram build the
+    verification makes, L(gamma)'s included; K + gamma and ch L(gamma) are
+    built on first use and kept."""
 
     K: LocallyClosedSet
     gamma: Weight
     p: int
     l: int
     J: OpenSet
-    Jprime: CarvedOpen
     Jt: OpenSet
     Jtprime: CarvedOpen
+    guard: SizeGuard | None = None
 
     @staticmethod
-    def build(K: LocallyClosedSet, gamma: Weight, p: int, l: int) -> "ShiftContext":
+    def build(K: LocallyClosedSet, gamma: Weight, p: int, l: int, *,
+              guard: SizeGuard | None = None) -> "ShiftContext":
         require_prime(p)
         if l < 1:
             raise ModcatoError("the twist exponent l must be positive")
@@ -68,53 +76,52 @@ class ShiftContext:
             )
         J, Jprime = carve_J_Jprime(K)
         return ShiftContext(
-            K, gamma, p, l, J, Jprime, J.translate(gamma), Jprime.translate(gamma)
+            K, gamma, p, l, J, J.translate(gamma), Jprime.translate(gamma), guard
         )
 
-    @property
+    @cached_property
     def Kt(self) -> LocallyClosedSet:
         return shift_set(self.K, self.gamma)
 
+    @cached_property
+    def gamma_char(self) -> dict[Weight, int]:
+        """dim L(gamma)_w at every weight w of L(gamma)."""
+        return full_simple_character(self.gamma, self.p, guard=self.guard).coeffs
 
-def shift_up_flag(
-    ctx: ShiftContext, V: FlagVector, *, guard: SizeGuard | None = None
-) -> FlagVector:
+
+def shift_up_flag(ctx: ShiftContext, V: FlagVector) -> FlagVector:
     """Tensor with L(gamma), then keep the closed complement of J~'."""
     for w in V.support():
         if w not in ctx.K:
             raise ModcatoError(f"flag support {w.coords} is not inside K")
-    tensored = tensor_flag(V, ctx.gamma, ctx.p, guard=guard)
+    tensored = _flag_tensor_char(V, ctx.gamma_char)
     return truncate_flag(tensored, lambda w: not ctx.Jtprime.contains(w), "closed")
 
 
-def shift_down_flag(
-    ctx: ShiftContext, W: FlagVector, *, guard: SizeGuard | None = None
-) -> FlagVector:
+def shift_down_flag(ctx: ShiftContext, W: FlagVector) -> FlagVector:
     """Tensor with the lowest-weight dual of L(gamma), then truncate to J;
     the dual's character is the full character of L(gamma), negated."""
-    Kt = ctx.Kt
     for w in W.support():
-        if w not in Kt:
+        if w not in ctx.Kt:
             raise ModcatoError(f"flag support {w.coords} is not inside K + gamma")
-    dual = {-w: c for w, c in full_simple_character(ctx.gamma, ctx.p, guard=guard).items()}
-    tensored = _flag_tensor_char(W, dual)
+    tensored = _flag_tensor_char(W, {-w: c for w, c in ctx.gamma_char.items()})
     return truncate_flag(tensored, ctx.J.contains, "open")
 
 
-def verify_updown(ctx: ShiftContext, *, guard: SizeGuard | None = None) -> Report:
+def verify_updown(ctx: ShiftContext) -> Report:
     """Both shift identities on every single-Verma flag over K."""
     report = Report(
         f"shift identities on K={sorted(w.coords for w in ctx.K)}, "
         f"gamma={ctx.gamma.coords}, p={ctx.p}, l={ctx.l}"
     )
     for lam in ctx.K:
-        up = shift_up_flag(ctx, FlagVector({lam: 1}), guard=guard)
+        up = shift_up_flag(ctx, FlagVector({lam: 1}))
         report.record(
             f"up shift of Delta({lam.coords})",
             up.serialize(),
             FlagVector({lam + ctx.gamma: 1}).serialize(),
         )
-        down = shift_down_flag(ctx, FlagVector({lam + ctx.gamma: 1}), guard=guard)
+        down = shift_down_flag(ctx, FlagVector({lam + ctx.gamma: 1}))
         report.record(
             f"down shift of Delta({(lam + ctx.gamma).coords})",
             down.serialize(),
@@ -123,9 +130,7 @@ def verify_updown(ctx: ShiftContext, *, guard: SizeGuard | None = None) -> Repor
     return report
 
 
-def verify_periodicity(
-    ctx: ShiftContext, *, depth: int | None = None, guard: SizeGuard | None = None
-) -> Report:
+def verify_periodicity(ctx: ShiftContext, *, depth: int | None = None) -> Report:
     """Entrywise equality of the K and K+gamma decomposition tables.
 
     Both tables go through the full Gram pipeline independently; nothing is
@@ -135,8 +140,8 @@ def verify_periodicity(
         f"decomposition periodicity on K={sorted(w.coords for w in ctx.K)}, "
         f"gamma={ctx.gamma.coords}, p={ctx.p}, l={ctx.l}"
     )
-    table = build_decomposition_table(ctx.K, ctx.p, depth=depth, guard=guard)
-    shifted = build_decomposition_table(ctx.Kt, ctx.p, depth=depth, guard=guard)
+    table = build_decomposition_table(ctx.K, ctx.p, depth=depth, guard=ctx.guard)
+    shifted = build_decomposition_table(ctx.Kt, ctx.p, depth=depth, guard=ctx.guard)
     report.payload["table"] = table.serialize()
     report.payload["shifted_table"] = shifted.serialize()
     for mu in ctx.K:
@@ -151,20 +156,17 @@ def verify_periodicity(
     return report
 
 
-def verify_projective_shift(
-    ctx: ShiftContext, *, guard: SizeGuard | None = None
-) -> Report:
+def verify_projective_shift(ctx: ShiftContext) -> Report:
     """Projective-cover Verma multiplicities restricted to K translate."""
     report = Report(
         f"projective multiplicities on K={sorted(w.coords for w in ctx.K)}, "
         f"gamma={ctx.gamma.coords}, p={ctx.p}, l={ctx.l}"
     )
-    Kt = ctx.Kt
     for lam in ctx.K:
-        left = projective_verma_mult(lam, ctx.J, ctx.p, guard=guard)
+        left = projective_verma_mult(lam, ctx.J, ctx.p, guard=ctx.guard)
         left_K = left.restrict(lambda w: w in ctx.K)
-        right = projective_verma_mult(lam + ctx.gamma, ctx.Jt, ctx.p, guard=guard)
-        right_Kt = right.restrict(lambda w: w in Kt)
+        right = projective_verma_mult(lam + ctx.gamma, ctx.Jt, ctx.p, guard=ctx.guard)
+        right_Kt = right.restrict(lambda w: w in ctx.Kt)
         report.record(
             f"P-mults of L({lam.coords}) on K vs shifted",
             left_K.translate(ctx.gamma).serialize(),

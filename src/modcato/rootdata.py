@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Iterator
@@ -376,12 +375,6 @@ def _kp(cartan_type: str, coeffs: tuple[int, ...], idx: int) -> int:
         k += 1
         rem = tuple(c - k * r for c, r in zip(coeffs, root))
     return total
-
-
-def weight_height(lam: Weight) -> Fraction:
-    """Height of ``lam`` in the rational span of the simple roots."""
-    rs = lam.system
-    return Fraction(sum(rs.scaled_root_coords(lam)), rs.cartan_det)
 
 
 def dot_action(w: WeylElement, lam: Weight) -> Weight:

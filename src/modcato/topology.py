@@ -67,7 +67,8 @@ class CarvedOpen:
 
 @dataclass(frozen=True)
 class LocallyClosedSet:
-    """Finite order-convex weight set."""
+    """Finite order-convex weight set.  :meth:`make` is the one place that
+    checks convexity; :func:`shift_set` translates a checked set."""
 
     elements: frozenset[Weight]
 
@@ -109,16 +110,15 @@ def interval(lam: Weight, nu: Weight) -> tuple[Weight, ...]:
 
 
 def is_locally_closed(weights) -> bool:
-    """Exhaustively check order convexity over all pairs."""
+    """Order convexity: no lam + alpha_i outside the set lies below a member.
+
+    Simple-root steps suffice: if lam < mu < nu with lam, nu inside and mu
+    outside, a chain of simple-root steps from lam through mu up to nu leaves
+    the set at some step lam' -> lam' + alpha_i, and lam' + alpha_i <= nu.
+    """
     weights = set(weights)
-    for lam in weights:
-        for nu in weights:
-            if lam == nu or not leq(lam, nu):
-                continue
-            for mu in interval(lam, nu):
-                if mu not in weights:
-                    return False
-    return True
+    steps = (lam + lam.system.weight_of(a) for lam in weights for a in lam.system.simple_roots)
+    return not any(w not in weights and any(leq(w, nu) for nu in weights) for w in steps)
 
 
 def carve_J_Jprime(K: LocallyClosedSet) -> tuple[OpenSet, CarvedOpen]:
@@ -130,15 +130,12 @@ def carve_J_Jprime(K: LocallyClosedSet) -> tuple[OpenSet, CarvedOpen]:
 
 
 def _assert_open_on_sample(Jprime: CarvedOpen, K: LocallyClosedSet) -> None:
-    # Openness can only fail just below K, so a one-interval-deep sample
-    # around K is a sufficient witness set for the finite data we ever touch.
+    # Openness can only fail just below K, so K and its one-root-deep
+    # neighbours are a sufficient witness set for the finite data we ever
+    # touch.  K is convex (make and shift_set keep it so): the intervals
+    # between its members lie in K.
     rs = K.sorted[0].system
-    sample = set(K.sorted)
-    for a in K.sorted:
-        for b in K.sorted:
-            sample.update(interval(b, a))
-        for root in rs.positive_roots:
-            sample.add(a - rs.weight_of(root))
+    sample = set(K.sorted) | {a - rs.weight_of(r) for a in K.sorted for r in rs.positive_roots}
     for hi in sample:
         if not Jprime.contains(hi):
             continue

@@ -168,14 +168,21 @@ def root_lattice_points(cartan_type: str, n: int) -> dict[tuple[int, ...], tuple
     return points
 
 
-def lattice_height(points: dict, w: tuple[int, ...], max_index: int = 6) -> Fraction:
-    """Rational height of w, read off the least multiple k w (k <= max_index)
-    that ``points`` holds: height(w) = height(k w) / k."""
-    for k in range(1, max_index + 1):
-        pre = points.get(tuple(k * x for x in w))
-        if pre is not None:
-            return Fraction(sum(pre), k)
-    raise AssertionError(f"no multiple of {w} up to {max_index} is in the sampled lattice")
+def convex_by_intervals(weights) -> bool:
+    """Order convexity checked exhaustively: for every pair lam <= nu of the
+    set, every lam + sum_i c_i alpha_i with 0 <= c <= the simple-root
+    coordinates of nu - lam is in the set."""
+    weights = set(weights)
+    for lam in weights:
+        rs = lam.system
+        for nu in weights:
+            gap = rs.to_root_vector(nu - lam)
+            if gap is None or not gap.is_nonnegative():
+                continue
+            for c in itertools.product(*(range(g + 1) for g in gap.coeffs)):
+                if lam + rs.weight_of(rs.root_vector(*c)) not in weights:
+                    return False
+    return True
 
 
 def shapovalov_product(cartan_type: str, lam: tuple[int, ...], nu: tuple[int, ...]) -> int:

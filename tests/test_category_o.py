@@ -216,6 +216,36 @@ def test_negative_table_depth_is_rejected():
     assert build_decomposition_table(weights, 2, depth=0).entries
 
 
+def test_table_region_must_be_nonempty_and_convex():
+    with pytest.raises(ValueError):
+        build_decomposition_table([], 2)
+    with pytest.raises(ValueError):
+        build_decomposition_table({A1.weight(0), A1.weight(4)}, 2)
+
+
+def test_table_checks_convexity_only_of_unchecked_regions(monkeypatch):
+    # A LocallyClosedSet was checked when it was made; any other iterable
+    # is checked once, through LocallyClosedSet.make.
+    import modcato.category_o as category_o
+    import modcato.topology as topology
+
+    real = topology.is_locally_closed
+    calls = []
+
+    def record(weights):
+        calls.append(weights)
+        return real(weights)
+
+    K = LocallyClosedSet.make([A2.weight(0, 0), A2.weight(2, -1), A2.weight(-1, 2)])
+    monkeypatch.setattr(topology, "is_locally_closed", record)
+    monkeypatch.setattr(category_o, "is_locally_closed", record, raising=False)
+    table = build_decomposition_table(K, 2)
+    assert calls == []
+    assert table.region == K.sorted
+    assert build_decomposition_table(list(K), 2) == table
+    assert len(calls) == 1
+
+
 def test_table_consistency_a1():
     table = build_decomposition_table([A1.weight(c) for c in (-3, -1, 1)], 2)
     report = validate_table_consistency(table)

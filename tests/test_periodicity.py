@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+import modcato.category_o as category_o
+import modcato.periodicity as periodicity
+import modcato.topology as topology
 from modcato.category_o import FlagVector, build_decomposition_table
 from modcato.errors import ModcatoError
+from modcato.hypalg import SizeGuard
 from modcato.periodicity import (
     ShiftContext,
     shift_down_flag,
@@ -15,7 +19,7 @@ from modcato.periodicity import (
     verify_updown,
 )
 from modcato.rootdata import build_root_system
-from modcato.topology import LocallyClosedSet, interval
+from modcato.topology import LocallyClosedSet, interval, shift_set
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -146,3 +150,55 @@ def test_projective_shift_agrees_with_table_reciprocity():
         for mu in K:
             if leq(lam, mu):
                 assert flag.get(mu) == table.entry(mu, lam)
+
+
+def test_context_builds_the_character_of_L_gamma_once(monkeypatch):
+    # Both shifts of every weight of K read one ch L(gamma), built with the
+    # context's guard, whichever module asks for it.
+    real = category_o.full_simple_character
+    calls = []
+
+    def record(lam, p, *, guard=None):
+        calls.append((lam, p, guard))
+        return real(lam, p, guard=guard)
+
+    monkeypatch.setattr(category_o, "full_simple_character", record)
+    monkeypatch.setattr(periodicity, "full_simple_character", record)
+    guard = SizeGuard(max_gram_dim=150)
+    K = LocallyClosedSet.make([A2.weight(0, 0), A2.weight(2, -1), A2.weight(-1, 2), A2.weight(1, 1)])
+    ctx = ShiftContext.build(K, A2.weight(3, 3), 3, 1, guard=guard)
+    rep = verify_updown(ctx)
+    assert rep.passed and len(rep.checks) == 8
+    assert calls == [(A2.weight(3, 3), 3, guard)]
+
+
+def test_context_shifted_region_is_built_once():
+    ctx = ctx_a1([0, 2], 3, 3, 1)
+    assert ctx.Kt is ctx.Kt
+    assert ctx.Kt == shift_set(ctx.K, ctx.gamma)
+
+
+def test_verify_periodicity_checks_no_region_again(monkeypatch):
+    # K and K + gamma are LocallyClosedSets, so neither table tests convexity
+    # again; every row is built under the context's guard.
+    real_rows = category_o.decomposition_numbers
+    guards = []
+    convexity = []
+
+    def rows(mu, p, depth, *, guard=None):
+        guards.append(guard)
+        return real_rows(mu, p, depth, guard=guard)
+
+    def convex(weights):
+        convexity.append(weights)
+        return True
+
+    guard = SizeGuard(max_gram_dim=150)
+    K = LocallyClosedSet.make([A2.weight(0, 0), A2.weight(2, -1)])
+    ctx = ShiftContext.build(K, A2.weight(2, 2), 2, 1, guard=guard)
+    monkeypatch.setattr(category_o, "decomposition_numbers", rows)
+    monkeypatch.setattr(topology, "is_locally_closed", convex)
+    monkeypatch.setattr(category_o, "is_locally_closed", convex, raising=False)
+    assert verify_periodicity(ctx).passed
+    assert convexity == []
+    assert guards == [guard] * 4

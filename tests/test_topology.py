@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from modcato.errors import ExactnessError
 from modcato.rootdata import build_root_system
 from modcato.topology import (
     CarvedOpen,
@@ -17,8 +20,11 @@ from modcato.topology import (
     shift_set,
 )
 
+from oracles import convex_by_intervals
+
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
+B2 = build_root_system("B2")
 
 
 def w1(c):
@@ -53,6 +59,27 @@ def test_a2_interval_and_convexity():
     # The naive two-element set leaks its interval.
     assert not is_locally_closed({z, top})
     assert is_locally_closed({z, A2.weight(2, -1)})
+
+
+def test_step_convexity_agrees_with_interval_oracle():
+    # Random sets of 1-7 weights in [-3, 3]^rank; half of them are first
+    # closed under an interval [lam, lam + sum_i c_i alpha_i], 0 <= c_i <= 2,
+    # from one of their weights and then punctured at a random member.
+    rng = random.Random(4000)
+    seen = {True: 0, False: 0}
+    for rs in (A1, A2, B2):
+        for _ in range(400):
+            weights = {rs.weight(*(rng.randint(-3, 3) for _ in range(rs.rank)))
+                       for _ in range(rng.randint(1, 7))}
+            if rng.random() < 0.5:
+                lam = rng.choice(sorted(weights, key=lambda w: w.coords))
+                gap = rs.root_vector(*(rng.randint(0, 2) for _ in range(rs.rank)))
+                weights |= set(interval(lam, lam + rs.weight_of(gap)))
+                weights.discard(rng.choice(sorted(weights, key=lambda w: w.coords)))
+            expected = convex_by_intervals(weights)
+            assert is_locally_closed(weights) == expected, sorted(w.coords for w in weights)
+            seen[expected] += 1
+    assert min(seen.values()) > 400, seen
 
 
 def test_locally_closed_constructor_validates():
@@ -136,3 +163,20 @@ def test_shift_commutes_with_carve():
     for w in window:
         assert Jt.contains(w) == J.translate(gamma).contains(w)
         assert Jtp.contains(w) == Jp.translate(gamma).contains(w)
+
+
+def test_openness_sample_catches_a_leak(monkeypatch):
+    # A 63-weight convex B2 region carves cleanly; a carved complement that
+    # misses (0,0) - (alpha_1 + alpha_2) = (-1,-1) in A2 while holding
+    # (-1,-1) + alpha_2 above it is caught by the sample.
+    box = LocallyClosedSet.make(interval(B2.weight(-2, -2), B2.weight(2, 2)))
+    assert len(box) == 63
+    J, Jp = carve_J_Jprime(box)
+    assert [c.coords for c in J.ceiling] == [(2, 2)]
+    assert not any(Jp.contains(w) for w in box)
+
+    hole = A2.weight(-1, -1)
+    real = CarvedOpen.contains
+    monkeypatch.setattr(CarvedOpen, "contains", lambda self, w: w != hole and real(self, w))
+    with pytest.raises(ExactnessError):
+        carve_J_Jprime(LocallyClosedSet.make([A2.weight(0, 0)]))
