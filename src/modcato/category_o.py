@@ -157,8 +157,7 @@ def simple_character(
     if not box.contains(lam):
         raise BoxMarginError(f"box does not contain the highest weight {lam}")
     rs = lam.system
-    ceiling = "|".join(_csv(c) for c in sorted(w.coords for w in box.ceiling))
-    payload = f"lam={_csv(lam.coords)};box={ceiling};depth={box.depth}"
+    payload = f"lam={_csv(lam.coords)};box={_csv(box.top.coords)};depth={box.depth}"
     cached = cache_store.get_value("simple_dim", rs.cartan_type, p, payload)
     below = box.below(lam)
     if cached is not None:
@@ -220,7 +219,7 @@ def full_simple_character(lam: Weight, p: int, *, guard: SizeGuard | None = None
     on the box of lam's Weyl-orbit hull."""
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    return simple_character(lam, p, TruncationBox.make((lam,), height_drop(lam)), guard=guard)
+    return simple_character(lam, p, TruncationBox.make(lam, height_drop(lam)), guard=guard)
 
 
 def decomposition_numbers(
@@ -236,7 +235,7 @@ def decomposition_numbers(
     if type(depth) is not int or depth < 0:
         raise ModcatoError(f"depth={depth!r} must be a nonnegative int")
     rs = mu.system
-    box = TruncationBox.make((mu,), depth)
+    box = TruncationBox.make(mu, depth)
     payload = f"mu={_csv(mu.coords)};depth={depth}"
     cached = cache_store.get_value("decomp_row", rs.cartan_type, p, payload)
     if cached is not None:
@@ -283,18 +282,13 @@ def build_decomposition_table(
     rs = region[0].system
     entries: dict[tuple[Weight, Weight], int] = {}
     for mu in region:
-        gaps = [
-            rs.to_root_vector(mu - lam).height()
-            for lam in region
-            if leq(lam, mu)
-        ]
-        row_depth = max(gaps)
+        gaps = [rs.to_root_vector(mu - lam) for lam in region]
+        row_depth = max(rv.height() for rv in gaps if rv is not None and rv.is_nonnegative())
         if depth is not None:
             row_depth = max(row_depth, depth)
+        # Every weight of the row lies below mu, in the box of that depth.
         row = decomposition_numbers(mu, p, row_depth, guard=guard)
-        for lam in region:
-            if leq(lam, mu) and row.get(lam, 0):
-                entries[(mu, lam)] = row[lam]
+        entries.update(((mu, lam), row[lam]) for lam in region if row.get(lam))
     return DecompositionTable(p, region, entries)
 
 
@@ -306,10 +300,8 @@ def validate_table_consistency(
     rs = table.region[0].system
     for mu in table.region:
         below = [nu for nu in table.region if leq(nu, mu)]
-        if not below:
-            continue
         depth = max(rs.to_root_vector(mu - nu).height() for nu in below)
-        box = TruncationBox.make((mu,), depth)
+        box = TruncationBox.make(mu, depth)
         delta = verma_character(mu, box)
         simples = {lam: simple_character(lam, table.p, box, guard=guard)
                    for lam in table.region if table.entry(mu, lam)}

@@ -3,8 +3,11 @@
 A character is a table: a weight -> integer dict with the
 :class:`TruncationBox` that records where it is guaranteed correct, so
 infinite-support characters (Verma characters and their relatives) only
-exist relative to a box.  Nothing adds or multiplies characters; a sum or
-twist is dict arithmetic on ``coeffs``, wrapped in a new character.
+exist relative to a box.  A box is one top weight and a depth; its members
+are top - nu for the nonnegative simple-root vectors nu of height at most
+the depth, in one table keyed by nu.  Nothing adds or multiplies
+characters; a sum or twist is dict arithmetic on ``coeffs``, wrapped in a
+new character.
 
 Every character walks the lattice through :meth:`TruncationBox.below`:
 Verma characters read Kostant partition counts off it, Weyl characters sum
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .errors import BoxMarginError, ExactnessError
 from .rootdata import (
@@ -37,81 +40,66 @@ from .rootdata import (
 
 @dataclass(frozen=True)
 class TruncationBox:
-    """Down-region below a finite ceiling, cut off at a fixed height depth.
+    """The weights w below one top weight whose offset nu = top - w, in
+    simple-root coordinates, is nonnegative of height at most depth."""
 
-    A weight mu belongs to the box when mu <= c for some ceiling weight c
-    with height(c - mu) <= depth.
-    """
-
-    ceiling: tuple[Weight, ...]
+    top: Weight
     depth: int
 
     @staticmethod
-    def make(ceiling: Iterable[Weight], depth: int) -> "TruncationBox":
-        ceiling = tuple(sorted(set(ceiling), key=lambda w: w.coords))
-        if not ceiling:
-            raise ValueError("box ceiling must be nonempty")
-        if depth < 0:
-            raise ValueError("box depth must be nonnegative")
-        return TruncationBox(ceiling, depth)
+    def make(top: Weight, depth: int) -> "TruncationBox":
+        if not isinstance(top, Weight):
+            raise ValueError(f"box top {top!r} is not a Weight")
+        if type(depth) is not int or depth < 0:
+            raise ValueError(f"box depth {depth!r} must be a nonnegative int")
+        return TruncationBox(top, depth)
 
     @property
     def system(self) -> RootSystem:
-        return self.ceiling[0].system
+        return self.top.system
 
-    # Membership works on the integer images adj(C)·w of weights: c - w is a
-    # nonnegative root vector of height <= depth iff every entry of
-    # adj(C)·(c - w) is a nonnegative multiple of det(C) summing to at most
-    # depth·det(C).  The map is linear, so images are computed once per box.
-
-    @cached_property
-    def _scaled_ceiling(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.system.scaled_root_coords(c) for c in self.ceiling)
-
-    def contains(self, w: Weight) -> bool:
-        x = self.system.scaled_root_coords(w)
-        d = self.system.cartan_det
-        top = self.depth * d
-        for c in self._scaled_ceiling:
-            diff = [a - b for a, b in zip(c, x)]
-            if min(diff) >= 0 and sum(diff) <= top and not any(v % d for v in diff):
-                return True
-        return False
-
-    @cached_property
-    def _cosets(self) -> dict[tuple[int, ...], list[tuple[Weight, tuple[int, ...]]]]:
-        # Members with their images, sorted and grouped by the image modulo
-        # det(C): w and lam differ by a root-lattice vector iff their residues
-        # agree.  The member c - C·nu has image adj(C)·c - det(C)·nu.
+    def _offset(self, w: Weight) -> tuple[int, ...] | None:
+        # Simple-root coordinates of top - w, as adj(C)·(top - w) / det(C);
+        # None off the top's root-lattice coset.
         rs = self.system
         d = rs.cartan_det
-        seen = {}
-        for c, top in zip(self.ceiling, self._scaled_ceiling):
-            for rv in rs.root_vectors_up_to_height(self.depth):
-                nu = rv.coeffs
-                coords = tuple([a - sum(map(mul, row, nu)) for a, row in zip(c.coords, rs.cartan_matrix)])
-                if coords not in seen:
-                    seen[coords] = (Weight(rs, coords), tuple([t - d * n for t, n in zip(top, nu)]))
-        out: dict = {}
-        for coords in sorted(seen):
-            w, x = seen[coords]
-            out.setdefault(tuple([v % d for v in x]), []).append((w, x))
-        return out
+        diff = (self.top - w).coords
+        scaled = [sum(map(mul, row, diff)) for row in rs._cartan_adj]
+        if any(v % d for v in scaled):
+            return None
+        return tuple([v // d for v in scaled])
+
+    def contains(self, w: Weight) -> bool:
+        nu = self._offset(w)
+        return nu is not None and min(nu) >= 0 and sum(nu) <= self.depth
+
+    @cached_property
+    def _members(self) -> dict[tuple[int, ...], Weight]:
+        # offset nu -> top - C·nu, in the coordinate order of the weights.
+        rs = self.system
+        members = {}
+        for rv in rs.root_vectors_up_to_height(self.depth):
+            nu = rv.coeffs
+            coords = tuple([a - sum(map(mul, row, nu)) for a, row in zip(self.top.coords, rs.cartan_matrix)])
+            members[nu] = Weight(rs, coords)
+        return dict(sorted(members.items(), key=lambda kv: kv[1].coords))
 
     def weights(self) -> tuple[Weight, ...]:
         """All box members, sorted by coordinates."""
-        return tuple(sorted((w for members in self._cosets.values() for w, _ in members), key=lambda w: w.coords))
+        return tuple(self._members.values())
 
     def below(self, lam: Weight) -> list[tuple[Weight, tuple[int, ...]]]:
         """Box members w <= lam, sorted, each with the simple-root
         coordinates of lam - w."""
-        top = self.system.scaled_root_coords(lam)
-        d = self.system.cartan_det
+        gap = self._offset(lam)
+        if gap is None:
+            return []
         out = []
-        for w, x in self._cosets.get(tuple([v % d for v in top]), ()):
-            nu = [(a - b) // d for a, b in zip(top, x)]
-            if min(nu) >= 0:
-                out.append((w, tuple(nu)))
+        for nu, w in self._members.items():
+            # lam - w = (top - w) - (top - lam)
+            diff = tuple([a - b for a, b in zip(nu, gap)])
+            if min(diff) >= 0:
+                out.append((w, diff))
         return out
 
 
@@ -158,7 +146,7 @@ class FormalCharacter:
 def verma_character(lam: Weight, box: TruncationBox) -> FormalCharacter:
     """Character of the Verma with highest weight ``lam``: partition counts."""
     if not box.contains(lam):
-        raise BoxMarginError(f"box ceiling region does not contain {lam}")
+        raise BoxMarginError(f"box does not contain {lam}")
     rs = lam.system
     out = {}
     for w, nu in box.below(lam):
@@ -190,7 +178,7 @@ def weyl_character(lam: Weight) -> FormalCharacter:
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     rs = lam.system
-    box = TruncationBox.make((lam,), height_drop(lam))
+    box = TruncationBox.make(lam, height_drop(lam))
     out: dict[Weight, int] = {}
     for w in rs.weyl_group:
         for x, nu in box.below(dot_action(w, lam)):
@@ -217,12 +205,11 @@ def peel_decompose(
     residual is final when its turn comes and none is left at the end.
     """
     box = chi.box
-    rs = box.system
-    order = sorted(box.weights(), key=lambda w: (-sum(rs.scaled_root_coords(w)), w.coords))
-    zero = (0,) * rs.rank
+    order = sorted(box._members.items(), key=lambda kv: (sum(kv[0]), kv[1].coords))
+    zero = (0,) * box.system.rank
     residual = dict(chi.coeffs)
     out: dict[Weight, int] = {}
-    for mu in order:
+    for _, mu in order:
         a = residual.get(mu, 0)
         if a == 0:
             continue

@@ -109,7 +109,7 @@ def cmd_char(args) -> int:
         _character_output(args, chi, {"kind": "weyl", "system": rs.cartan_type,
                                       "lambda": list(lam.coords)})
         return 0
-    box = TruncationBox.make((lam,), args.depth)
+    box = TruncationBox.make(lam, args.depth)
     if args.which == "verma":
         chi = verma_character(lam, box)
         meta = {"kind": "verma", "system": rs.cartan_type,
@@ -172,7 +172,7 @@ def cmd_projmult(args) -> int:
 def cmd_steinberg(args) -> int:
     rs = build_root_system(args.type)
     lam = parse_weight(rs, args.lam)
-    box = TruncationBox.make((lam,), args.depth)
+    box = TruncationBox.make(lam, args.depth)
     ok, diff = steinberg_check(lam, args.p, box)
     digits = [list(d.coords) for d in steinberg_digits(lam, args.p)]
     text = [f"digits: {'; '.join(_coords_str_from(d) for d in digits)}"]

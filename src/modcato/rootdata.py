@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
 from typing import Iterator
 
 from .errors import ExactnessError
@@ -264,15 +263,6 @@ class RootSystem:
             for i in range(self.rank)
         )
         return Weight(self, coords)
-
-    def scaled_root_coords(self, w: Weight) -> tuple[int, ...]:
-        """adj(C)·w, which is det(C) times the simple-root coordinates of ``w``.
-
-        The map is linear and integral on every weight; ``w`` lies in the
-        root lattice exactly when ``cartan_det`` divides every entry.
-        """
-        _check_same(self, w.system)
-        return tuple([sum(map(mul, row, w.coords)) for row in self._cartan_adj])
 
     def to_root_vector(self, w: Weight) -> RootVector | None:
         """Exact conversion; None when ``w`` is not in the root lattice."""

@@ -172,23 +172,23 @@ def shift_set(K: LocallyClosedSet, gamma: Weight) -> LocallyClosedSet:
     return LocallyClosedSet(frozenset(w + gamma for w in K.elements))
 
 
+def _check_downward(pred, support, message: str) -> None:
+    # A pair lo <= hi can break downward closure only with pred(hi) and not
+    # pred(lo), so pred is read once per weight and leq only on such pairs.
+    marked = [(w, bool(pred(w))) for w in support]
+    for hi, hi_in in marked:
+        for lo, lo_in in marked:
+            if hi_in and not lo_in and leq(lo, hi):
+                raise PredicateError(message.format(lo=lo, hi=hi))
+
+
 def validate_open_predicate(pred, support) -> None:
     """Check a membership predicate is downward closed on a finite sample."""
-    support = list(support)
-    for hi in support:
-        for lo in support:
-            if leq(lo, hi) and pred(hi) and not pred(lo):
-                raise PredicateError(
-                    f"predicate is not open: contains {hi} but not {lo} below it"
-                )
+    _check_downward(pred, support, "predicate is not open: contains {hi} but not {lo} below it")
 
 
 def validate_closed_predicate(pred, support) -> None:
-    """Check a membership predicate is upward closed on a finite sample."""
-    support = list(support)
-    for lo in support:
-        for hi in support:
-            if leq(lo, hi) and pred(lo) and not pred(hi):
-                raise PredicateError(
-                    f"predicate is not closed: contains {lo} but not {hi} above it"
-                )
+    """Check a membership predicate is upward closed on a finite sample: its
+    complement must be downward closed on the same pairs."""
+    _check_downward(lambda w: not pred(w), support,
+                    "predicate is not closed: contains {lo} but not {hi} above it")

@@ -246,15 +246,11 @@ def rank_by_fractions(rows) -> int:
     return rank
 
 
-def box_contains(ceiling, depth: int, w) -> bool:
-    """Box membership by weight subtraction: c - w converted with
-    ``to_root_vector`` is nonnegative of height at most ``depth`` for some
-    ceiling weight c."""
-    for c in ceiling:
-        rv = c.system.to_root_vector(c - w)
-        if rv is not None and rv.is_nonnegative() and rv.height() <= depth:
-            return True
-    return False
+def box_contains(top, depth: int, w) -> bool:
+    """Box membership by weight subtraction: top - w converted with
+    ``to_root_vector`` is nonnegative of height at most ``depth``."""
+    rv = top.system.to_root_vector(top - w)
+    return rv is not None and rv.is_nonnegative() and rv.height() <= depth
 
 
 def below_set(lam, members) -> dict:
@@ -298,10 +294,10 @@ def sweep_simple_coeffs(lam, p: int, box) -> dict:
 
 
 def scaled_box(box, f: int):
-    """The box with every ceiling weight and the depth multiplied by f."""
+    """The box with its top weight and its depth multiplied by f."""
     from modcato.charring import TruncationBox
 
-    return TruncationBox.make((c * f for c in box.ceiling), box.depth * f)
+    return TruncationBox.make(box.top * f, box.depth * f)
 
 
 def twisted(coeffs: dict, f: int) -> dict:

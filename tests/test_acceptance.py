@@ -82,7 +82,7 @@ def suite_tables():
     down_a1 = [A1.weight(5 - 2 * k) for k in range(5)]
     tables.append(("A1 p=2 down-set of 5", build_decomposition_table(down_a1, 2)))
     tables.append(("A1 p=3 down-set of 5", build_decomposition_table(down_a1, 3)))
-    box = TruncationBox.make((A2.weight(2, 1),), 3)
+    box = TruncationBox.make(A2.weight(2, 1), 3)
     tables.append(("A2 p=2 down-set of (2,1)", build_decomposition_table(box.weights(), 2)))
     return tuple(tables)
 
@@ -153,13 +153,13 @@ def test_criterion_05_steinberg_tensor_product():
     for p in (2, 3):
         for t in range(0, 21):
             lam = A1.weight(t)
-            ok, _ = steinberg_check(lam, p, TruncationBox.make((lam,), 8))
+            ok, _ = steinberg_check(lam, p, TruncationBox.make(lam, 8))
             if not ok:
                 failures.append(("A1", p, t))
     for a in range(4):
         for b in range(4):
             lam = A2.weight(a, b)
-            ok, _ = steinberg_check(lam, 2, TruncationBox.make((lam,), 6))
+            ok, _ = steinberg_check(lam, 2, TruncationBox.make(lam, 6))
             if not ok:
                 failures.append(("A2", 2, (a, b)))
     report(5, "base-p tensor factorization of simples", failures)
@@ -177,12 +177,12 @@ def test_criterion_06_frobenius():
     for p in (2, 3):
         for t in range(0, 21):
             lam = A1.weight(t)
-            if not _twist_matches_sweep(lam, p, TruncationBox.make((lam,), 8)):
+            if not _twist_matches_sweep(lam, p, TruncationBox.make(lam, 8)):
                 failures.append(("A1", p, t))
     for a in range(4):
         for b in range(4):
             lam = A2.weight(a, b)
-            if not _twist_matches_sweep(lam, 2, TruncationBox.make((lam,), 6)):
+            if not _twist_matches_sweep(lam, 2, TruncationBox.make(lam, 6)):
                 failures.append(("A2", 2, (a, b)))
     report(6, "ch L(p lambda) equals the twist of ch L(lambda)", failures)
 

@@ -26,7 +26,7 @@ B2 = build_root_system("B2")
 
 
 def a1box(top: int, depth: int) -> TruncationBox:
-    return TruncationBox.make((A1.weight(top),), depth)
+    return TruncationBox.make(A1.weight(top), depth)
 
 
 def test_box_membership_and_enumeration():
@@ -40,39 +40,29 @@ def test_box_membership_and_enumeration():
 
 
 def _random_box(rs, rng):
-    """1-3 ceilings; a second ceiling, when present, lies in another coset."""
-    ceiling = [rs.weight(*[rng.randint(-4, 4) for _ in range(rs.rank)])]
-    if rng.random() < 0.7:
-        ceiling.append(ceiling[0] + rs.weight(*([0] * (rs.rank - 1) + [1])))
-        if rng.random() < 0.5:
-            ceiling.append(rs.weight(*[rng.randint(-4, 4) for _ in range(rs.rank)]))
-    return TruncationBox.make(ceiling, rng.randint(0, 5))
+    return TruncationBox.make(rs.weight(*[rng.randint(-4, 4) for _ in range(rs.rank)]), rng.randint(0, 5))
 
 
 @pytest.mark.parametrize("rs", [A1, A2, B2], ids=lambda rs: rs.cartan_type)
 def test_box_membership_matches_brute_force(rs):
     rng = random.Random(8 + rs.rank)
-    shift = rs.weight(*([0] * (rs.rank - 1) + [1]))
-    assert rs.to_root_vector(shift) is None
-    seen = {"in": 0, "out of depth": 0, "out of coset": 0, "cosets": 0}
+    seen = {"in": 0, "out of depth": 0, "out of coset": 0}
     for _ in range(40):
         box = _random_box(rs, rng)
-        if any(rs.to_root_vector(a - b) is None for a in box.ceiling for b in box.ceiling):
-            seen["cosets"] += 1
         members = box.weights()
         probes = list(members) + [
             rs.weight(*[rng.randint(-12, 6) for _ in range(rs.rank)]) for _ in range(40)
         ]
         for w in probes:
-            expected = oracles.box_contains(box.ceiling, box.depth, w)
+            expected = oracles.box_contains(box.top, box.depth, w)
             assert box.contains(w) == expected, (box, w)
             if expected:
                 seen["in"] += 1
-            elif any(rs.to_root_vector(c - w) is not None for c in box.ceiling):
+            elif rs.to_root_vector(box.top - w) is not None:
                 seen["out of depth"] += 1
             else:
                 seen["out of coset"] += 1
-        assert all(oracles.box_contains(box.ceiling, box.depth, w) for w in members)
+        assert all(oracles.box_contains(box.top, box.depth, w) for w in members)
         for lam in probes[:: 3]:
             below = box.below(lam)
             assert dict(below) == oracles.below_set(lam, members), (box, lam)
@@ -86,11 +76,25 @@ def test_box_membership_matches_brute_force(rs):
         box.below(other.zero_weight())
 
 
+@pytest.mark.parametrize("top, depth", [
+    ((A2.weight(1, 0),), 2),   # the one-tuple form of a single top
+    ([A2.weight(1, 0)], 2),
+    ((1, 0), 2),
+    (A2.weight(1, 0), 2.5),
+    (A2.weight(1, 0), True),
+    (A2.weight(1, 0), -1),
+    (A2.weight(1, 0), "2"),
+], ids=["one-tuple", "list", "coords", "float-depth", "bool-depth", "negative-depth", "str-depth"])
+def test_box_make_rejects_a_non_weight_top_or_a_bad_depth(top, depth):
+    with pytest.raises(ValueError, match="box (top|depth)"):
+        TruncationBox.make(top, depth)
+
+
 def test_verma_character_values():
     chi = verma_character(A1.weight(0), a1box(0, 6))
     for n in range(4):
         assert chi.coefficient(A1.weight(-2 * n)) == 1
-    box2 = TruncationBox.make((A2.weight(0, 0),), 4)
+    box2 = TruncationBox.make(A2.weight(0, 0), 4)
     chi2 = verma_character(A2.weight(0, 0), box2)
     assert chi2.coefficient(A2.weight(-1, -1)) == 2
     assert chi2.coefficient(A2.weight(0, 0)) == 1
@@ -104,7 +108,7 @@ def test_verma_character_requires_lambda_in_box():
 def test_verma_shift_property():
     base = verma_character(A1.weight(0), a1box(0, 8))
     for lam in (A1.weight(2), A1.weight(6)):
-        box = TruncationBox.make((lam,), 8)
+        box = TruncationBox.make(lam, 8)
         moved = verma_character(lam, box)
         for w, c in base.items():
             assert moved.coefficient(w + lam) == c
@@ -195,7 +199,7 @@ def test_peel_weyl_against_verma_basis():
 
 def test_peel_reassembly_roundtrip():
     rng = random.Random(21)
-    box = TruncationBox.make((A2.weight(2, 2),), 5)
+    box = TruncationBox.make(A2.weight(2, 2), 5)
     weights = list(box.weights())
     for _ in range(10):
         picks = rng.sample(weights, k=min(10, len(weights)))
@@ -214,10 +218,11 @@ def test_peel_rejects_basis_without_leading_coefficient_1():
 
 
 def test_peel_asks_the_basis_for_the_box_below_each_peeled_weight():
-    # (1,1) = (3,0) - alpha_1, so the second ceiling reaches height 4 below
-    # (3,0), one deeper than the box depth: the basis is asked for exactly
-    # the box weights below each peeled mu, whichever ceiling they come from.
-    box = TruncationBox.make((A2.weight(3, 0), A2.weight(1, 1)), 3)
+    # The box cuts the down-set of each peeled mu at the box depth below the
+    # top, so the basis is asked for exactly the box weights below mu: down
+    # to height 3 at the top, and to height 2 at (1,1) = top - alpha_1.
+    top = A2.weight(3, 0)
+    box = TruncationBox.make(top, 3)
     rng = random.Random(5)
     coeffs = {w: rng.randint(1, 3) for w in box.weights()}
     chi = verma_sum(coeffs, box)
@@ -231,7 +236,8 @@ def test_peel_asks_the_basis_for_the_box_below_each_peeled_weight():
     assert sorted(mu.coords for mu, _ in asked) == sorted(w.coords for w in coeffs)
     for mu, nus in asked:
         assert nus == [nu for _, nu in chi.box.below(mu)]
-    assert max(sum(nu) for nu in dict(asked)[A2.weight(3, 0)]) == 4
+    assert max(sum(nu) for nu in dict(asked)[top]) == 3
+    assert max(sum(nu) for nu in dict(asked)[A2.weight(1, 1)]) == 2
 
 
 def test_peel_reads_every_asked_nu_from_the_basis():

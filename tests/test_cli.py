@@ -397,7 +397,7 @@ def test_digit_ranks_stay_under_the_guard(capsys, monkeypatch):
     rs = build_root_system("B2")
     lam = rs.weight(21, 21)
     deepest = max(kostant_partition(RootVector(rs, nu))
-                  for _, nu in TruncationBox.make((lam,), 8).below(lam))
+                  for _, nu in TruncationBox.make(lam, 8).below(lam))
     assert ranked
     assert all(0 <= c < 11 for w, _ in ranked for c in w.coords)
     assert all(kostant_partition(RootVector(rs, nu)) <= deepest for _, nu in ranked)

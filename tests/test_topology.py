@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from modcato.errors import ExactnessError
-from modcato.rootdata import build_root_system
+from modcato.errors import ExactnessError, PredicateError
+from modcato.rootdata import build_root_system, leq
 from modcato.topology import (
     CarvedOpen,
     LocallyClosedSet,
@@ -18,6 +18,8 @@ from modcato.topology import (
     min_l,
     periodicity_condition,
     shift_set,
+    validate_closed_predicate,
+    validate_open_predicate,
 )
 
 from oracles import convex_by_intervals
@@ -180,3 +182,30 @@ def test_openness_sample_catches_a_leak(monkeypatch):
     monkeypatch.setattr(CarvedOpen, "contains", lambda self, w: w != hole and real(self, w))
     with pytest.raises(ExactnessError):
         carve_J_Jprime(LocallyClosedSet.make([A2.weight(0, 0)]))
+
+
+@pytest.mark.parametrize("rs", [A1, A2, B2], ids=lambda rs: rs.cartan_type)
+def test_predicate_validators_match_every_pair(rs):
+    # Brute force over all ordered pairs of the support: open fails exactly
+    # when some lo <= hi has hi inside and lo outside, closed exactly when
+    # some lo <= hi has lo inside and hi outside.
+    rng = random.Random(40 + rs.rank)
+    seen = {"open": 0, "not open": 0, "closed": 0, "not closed": 0}
+    for _ in range(60):
+        support = list({rs.weight(*[rng.randint(-3, 3) for _ in range(rs.rank)])
+                        for _ in range(rng.randint(1, 8))})
+        inside = {w for w in support if rng.random() < 0.5}
+        pred = inside.__contains__
+        pairs = [(lo, hi) for lo in support for hi in support if leq(lo, hi)]
+        for kind, check, leak in (
+            ("open", validate_open_predicate, any(hi in inside and lo not in inside for lo, hi in pairs)),
+            ("closed", validate_closed_predicate, any(lo in inside and hi not in inside for lo, hi in pairs)),
+        ):
+            if leak:
+                seen["not " + kind] += 1
+                with pytest.raises(PredicateError, match=f"predicate is not {kind}"):
+                    check(pred, support)
+            else:
+                seen[kind] += 1
+                check(pred, support)
+    assert min(seen.values()) > 0, seen
