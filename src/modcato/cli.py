@@ -231,7 +231,7 @@ def _add_common(sub, *, p=False, lam=False, depth=None, ceiling=False,
     if depth is not None:
         sub.add_argument("--depth", type=int, required=depth == "required",
                          default=None if depth == "required" else depth,
-                         help="truncation depth below the ceiling")
+                         help="truncation depth below the top weight")
     if ceiling:
         sub.add_argument("--ceiling", required=True,
                          help="ceiling weights of the open set, ';'-separated")
