@@ -48,7 +48,6 @@ from .periodicity import (  # noqa: F401
 from .reporting import CheckRecord, Report  # noqa: F401
 from .rootdata import (  # noqa: F401
     RootSystem,
-    RootVector,
     Weight,
     build_root_system,
     is_dominant,

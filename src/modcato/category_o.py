@@ -202,7 +202,7 @@ def _simple_dims(lam: Weight, p: int, nus, guard: SizeGuard | None) -> dict:
     elif missing:
         dims[zero] = 1
         # In root coordinates every nu0 of L(lam0) is <= lam0 - w0(lam0) <= (p-1)*2rho.
-        top = [(p - 1) * sum(c) for c in zip(*(r.coeffs for r in lam.system.positive_roots))]
+        top = [(p - 1) * sum(c) for c in zip(*lam.system.positive_roots)]
         splits = {nu: [(nu0, tuple((n - a) // p for n, a in zip(nu, nu0))) for nu0 in
                        itertools.product(*(range(n % p, min(n, t) + 1, p) for n, t in zip(nu, top)))]
                   for nu in missing if any(nu)}
@@ -283,7 +283,7 @@ def build_decomposition_table(
     entries: dict[tuple[Weight, Weight], int] = {}
     for mu in region:
         gaps = [rs.to_root_vector(mu - lam) for lam in region]
-        row_depth = max(rv.height() for rv in gaps if rv is not None and rv.is_nonnegative())
+        row_depth = max(sum(nu) for nu in gaps if nu is not None and min(nu) >= 0)
         if depth is not None:
             row_depth = max(row_depth, depth)
         # Every weight of the row lies below mu, in the box of that depth.
@@ -300,7 +300,7 @@ def validate_table_consistency(
     rs = table.region[0].system
     for mu in table.region:
         below = [nu for nu in table.region if leq(nu, mu)]
-        depth = max(rs.to_root_vector(mu - nu).height() for nu in below)
+        depth = max(sum(rs.to_root_vector(mu - nu)) for nu in below)
         box = TruncationBox.make(mu, depth)
         delta = verma_character(mu, box)
         simples = {lam: simple_character(lam, table.p, box, guard=guard)
@@ -360,8 +360,7 @@ def q_module_mult(lam: Weight, J: OpenSet) -> FlagVector:
     rs = lam.system
     out = {}
     for mu in J.up_set(lam):
-        rv = rs.to_root_vector(mu - lam)
-        out[mu] = kostant_partition(rv)
+        out[mu] = kostant_partition(rs, rs.to_root_vector(mu - lam))
     flag = FlagVector(out)
     if flag.get(lam) != 1:
         raise ExactnessError(f"flag has multiplicity {flag.get(lam)} at its head {lam}")
@@ -382,7 +381,7 @@ def projective_verma_mult(
     rs = lam.system
     out = {}
     for mu in J.up_set(lam):
-        gap = rs.to_root_vector(mu - lam).height()
+        gap = sum(rs.to_root_vector(mu - lam))
         row = decomposition_numbers(mu, p, gap, guard=guard)
         val = row.get(lam, 0)
         if val:

@@ -23,13 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 from typing import Callable, Mapping
 
 from .errors import BoxMarginError, ExactnessError
 from .rootdata import (
     RootSystem,
-    RootVector,
     Weight,
     dot_action,
     height_drop,
@@ -58,30 +56,15 @@ class TruncationBox:
     def system(self) -> RootSystem:
         return self.top.system
 
-    def _offset(self, w: Weight) -> tuple[int, ...] | None:
-        # Simple-root coordinates of top - w, as adj(C)·(top - w) / det(C);
-        # None off the top's root-lattice coset.
-        rs = self.system
-        d = rs.cartan_det
-        diff = (self.top - w).coords
-        scaled = [sum(map(mul, row, diff)) for row in rs._cartan_adj]
-        if any(v % d for v in scaled):
-            return None
-        return tuple([v // d for v in scaled])
-
     def contains(self, w: Weight) -> bool:
-        nu = self._offset(w)
+        nu = self.system.to_root_vector(self.top - w)
         return nu is not None and min(nu) >= 0 and sum(nu) <= self.depth
 
     @cached_property
     def _members(self) -> dict[tuple[int, ...], Weight]:
         # offset nu -> top - C·nu, in the coordinate order of the weights.
         rs = self.system
-        members = {}
-        for rv in rs.root_vectors_up_to_height(self.depth):
-            nu = rv.coeffs
-            coords = tuple([a - sum(map(mul, row, nu)) for a, row in zip(self.top.coords, rs.cartan_matrix)])
-            members[nu] = Weight(rs, coords)
+        members = {nu: self.top - rs.weight_of(nu) for nu in rs.root_vectors_up_to_height(self.depth)}
         return dict(sorted(members.items(), key=lambda kv: kv[1].coords))
 
     def weights(self) -> tuple[Weight, ...]:
@@ -91,7 +74,7 @@ class TruncationBox:
     def below(self, lam: Weight) -> list[tuple[Weight, tuple[int, ...]]]:
         """Box members w <= lam, sorted, each with the simple-root
         coordinates of lam - w."""
-        gap = self._offset(lam)
+        gap = self.system.to_root_vector(self.top - lam)
         if gap is None:
             return []
         out = []
@@ -150,7 +133,7 @@ def verma_character(lam: Weight, box: TruncationBox) -> FormalCharacter:
     rs = lam.system
     out = {}
     for w, nu in box.below(lam):
-        p = kostant_partition(RootVector(rs, nu))
+        p = kostant_partition(rs, nu)
         if p:
             out[w] = p
     return FormalCharacter(out, box)
@@ -182,7 +165,7 @@ def weyl_character(lam: Weight) -> FormalCharacter:
     out: dict[Weight, int] = {}
     for w in rs.weyl_group:
         for x, nu in box.below(dot_action(w, lam)):
-            out[x] = out.get(x, 0) + w.sign * kostant_partition(RootVector(rs, nu))
+            out[x] = out.get(x, 0) + w.sign * kostant_partition(rs, nu)
     chi = FormalCharacter(out, box)
     if chi.coefficient(lam) != 1:
         raise ExactnessError(f"Weyl character of {lam} has top coefficient {chi.coefficient(lam)}")

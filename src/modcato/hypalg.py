@@ -42,7 +42,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import ExactnessError, SizeGuardError, require_prime
-from .rootdata import RootSystem, RootVector, Weight, _mat_mul, build_root_system, kostant_partition
+from .rootdata import RootSystem, Weight, _mat_mul, build_root_system, kostant_partition
 
 
 @dataclass(frozen=True)
@@ -273,20 +273,20 @@ class ChevalleyStructure:
             if ef != expected:
                 raise ExactnessError("coroot mismatch between table and root data")
         # Chevalley sign condition |N_{a,b}| = (string length p) + 1.
-        root_set = {r.coeffs for r in rs.positive_roots}
+        root_set = set(rs.positive_roots)
         root_set |= {tuple(-c for c in r) for r in root_set}
-        index_of = {r.coeffs: k for k, r in enumerate(rs.positive_roots)}
+        index_of = {r: k for k, r in enumerate(rs.positive_roots)}
         for i, a in enumerate(rs.positive_roots):
             for j, b in enumerate(rs.positive_roots):
                 if i == j:
                     continue
-                s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+                s = tuple(x + y for x, y in zip(a, b))
                 table = self.bracket_table[(self.e_index(i), self.e_index(j))]
                 if s not in root_set:
                     ok = table == ()
                 else:
                     p = 0
-                    while tuple(x - (p + 1) * y for x, y in zip(b.coeffs, a.coeffs)) in root_set:
+                    while tuple(x - (p + 1) * y for x, y in zip(b, a)) in root_set:
                         p += 1
                     ok = len(table) == 1 and table[0][0] == self.e_index(index_of[s]) and abs(table[0][1]) == p + 1
                 if not ok:
@@ -342,7 +342,7 @@ class PBWEngine:
         self._memo_e_on_f: dict = {}
         self._memo_left_f: dict = {}
         self._plans: dict = {}
-        self.max_root_height = max(sum(r.coeffs) for r in st.rs.positive_roots)
+        self.max_root_height = max(map(sum, st.rs.positive_roots))
         # _left_f writes f_m (f_j f^M') as f^{...+e_m}: every root of f_j f^M'
         # must come no earlier than m, which holds when each bracket
         # [f_a, f_b] lies on a root later than both.
@@ -479,7 +479,7 @@ class PBWEngine:
                 by_root.setdefault(self._first(exps), []).append((i, exps))
         groups = []
         for k, members in by_root.items():
-            higher = tuple(a - b for a, b in zip(nu_coeffs, self.rs.positive_roots[k].coeffs))
+            higher = tuple(a - b for a, b in zip(nu_coeffs, self.rs.positive_roots[k]))
             index = {exps: x for x, exps in enumerate(_f_exponents(self.rs, higher))}
             terms, spans = [], []
             for j in basis:
@@ -506,7 +506,7 @@ def get_engine(cartan_type: str, flip: tuple[int, ...] = ()) -> PBWEngine:
 def _f_exponents(rs: RootSystem, nu_coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Sorted f-exponents of weight -nu.  Only non-simple roots are looped
     over; the simple roots' exponents are the rest of nu, if nonnegative."""
-    roots = [r.coeffs for r in rs.positive_roots]
+    roots = rs.positive_roots
     others = [k for k, r in enumerate(roots) if sum(r) > 1]
     out: list[tuple[int, ...]] = []
     ranges = [range(min(n // c for n, c in zip(nu_coeffs, roots[k]) if c) + 1) for k in others]
@@ -542,9 +542,9 @@ def _divided_grams(
     """
     rs = eng.rs
     for nu in nus:
+        dim = kostant_partition(rs, nu)
         if min(nu) < 0:
             raise ValueError("nu must be a nonnegative root-lattice vector")
-        dim = kostant_partition(RootVector(rs, nu))
         if dim > guard.max_gram_dim:
             raise SizeGuardError(f"weight space dimension {dim} exceeds guard {guard.max_gram_dim}")
     closure, todo = set(nus), list(nus)
@@ -596,15 +596,16 @@ def _divide(plan: _Plan, raw: list[list[int]], lam_coords, nu) -> list[tuple[int
 
 def shapovalov_gram(
     lam: Weight,
-    nu: RootVector,
+    nu: tuple[int, ...],
     *,
     guard: SizeGuard | None = None,
     engine: PBWEngine | None = None,
 ) -> GramMatrix:
     """Exact integer Gram matrix of the divided-power contravariant form
-    on the (lam - nu) weight space of the Verma with highest weight lam."""
+    on the (lam - nu) weight space of the Verma with highest weight lam,
+    for ``nu`` in simple-root coordinates."""
     eng = engine or get_engine(lam.system.cartan_type)
-    ((_, plan, entries),) = _divided_grams(eng, lam.coords, [nu.coeffs], guard or DEFAULT_GUARD)
+    ((_, plan, entries),) = _divided_grams(eng, lam.coords, [nu], guard or DEFAULT_GUARD)
     return GramMatrix(plan.basis, tuple(map(tuple, entries)))
 
 

@@ -1,9 +1,10 @@
 """Root-system tables and exact weight arithmetic for the rank-1/2 types.
 
-Weights are stored in fundamental-weight coordinates and root-lattice
-vectors in simple-root coordinates; the Cartan matrix converts between
-the two.  All arithmetic is exact and never uses floats; lattice
-conversion is integer-only (adjugate of C and a divisibility test by det C).
+Weights are stored in fundamental-weight coordinates; a root-lattice
+vector is a plain tuple of simple-root coordinates.  The Cartan matrix
+converts between the two, here and nowhere else.  All arithmetic is exact
+and never uses floats; lattice conversion is integer-only (adjugate of C
+and a divisibility test by det C).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 from typing import Iterator
 
 from .errors import ExactnessError
@@ -76,46 +78,6 @@ class Weight:
         return f"Weight({self.system.cartan_type}, {self.coords})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class RootVector:
-    """Element of the root lattice in simple-root coordinates."""
-
-    system: "RootSystem" = field(repr=False)
-    coeffs: tuple[int, ...]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RootVector)
-            and self.system.cartan_type == other.system.cartan_type
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.system.cartan_type, self.coeffs))
-
-    def __add__(self, other: "RootVector") -> "RootVector":
-        _check_same(self.system, other.system)
-        return RootVector(self.system, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "RootVector") -> "RootVector":
-        _check_same(self.system, other.system)
-        return RootVector(self.system, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, n: int) -> "RootVector":
-        return RootVector(self.system, tuple(n * a for a in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def height(self) -> int:
-        return sum(self.coeffs)
-
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"RootVector({self.system.cartan_type}, {self.coeffs})"
-
-
 @dataclass(frozen=True)
 class WeylElement:
     """Lattice automorphism acting on fundamental coordinates, with sign."""
@@ -148,10 +110,9 @@ class RootSystem:
         # C^{-1} = adj(C) / det(C), with det(C) > 0 (checked in _validate).
         self.cartan_det = _det(self.cartan_matrix)
         self._cartan_adj = _adjugate(self.cartan_matrix)
-        self.positive_roots = tuple(RootVector(self, c) for c in _POSITIVE[cartan_type])
+        self.positive_roots: tuple[tuple[int, ...], ...] = _POSITIVE[cartan_type]
         self.simple_roots = tuple(
-            RootVector(self, tuple(1 if j == i else 0 for j in range(self.rank)))
-            for i in range(self.rank)
+            tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)
         )
         self.rho = Weight(self, (1,) * self.rank)
         # Fundamental coordinates of each positive root.
@@ -247,25 +208,22 @@ class RootSystem:
     def zero_weight(self) -> Weight:
         return Weight(self, (0,) * self.rank)
 
-    def root_vector(self, *coeffs: int) -> RootVector:
-        if len(coeffs) == 1 and isinstance(coeffs[0], (tuple, list)):
-            coeffs = tuple(coeffs[0])
-        if len(coeffs) != self.rank:
-            raise ValueError(f"expected {self.rank} coefficients, got {len(coeffs)}")
-        return RootVector(self, tuple(coeffs))
-
     # -- conversions ------------------------------------------------------
 
-    def weight_of(self, rv: RootVector) -> Weight:
-        """The weight with the same underlying lattice point as ``rv``."""
-        coords = tuple(
-            sum(self.cartan_matrix[i][j] * rv.coeffs[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
-        return Weight(self, coords)
+    def _check_nu(self, nu) -> tuple[int, ...]:
+        if len(nu) != self.rank or not all(isinstance(c, int) for c in nu):
+            raise ValueError(f"root-lattice vector {nu!r} is not {self.rank} simple-root coordinates")
+        return tuple(nu)
 
-    def to_root_vector(self, w: Weight) -> RootVector | None:
-        """Exact conversion; None when ``w`` is not in the root lattice."""
+    def weight_of(self, nu: tuple[int, ...]) -> Weight:
+        """The weight with the same lattice point as the simple-root
+        coordinates ``nu``, that is C·nu."""
+        nu = self._check_nu(nu)
+        return Weight(self, tuple([sum(map(mul, row, nu)) for row in self.cartan_matrix]))
+
+    def to_root_vector(self, w: Weight) -> tuple[int, ...] | None:
+        """Simple-root coordinates of ``w``, exactly; None when ``w`` is not
+        in the root lattice."""
         d = self.cartan_det
         coeffs = []
         for row in self._cartan_adj:
@@ -275,7 +233,7 @@ class RootSystem:
             if v % d:
                 return None
             coeffs.append(v // d)
-        return RootVector(self, tuple(coeffs))
+        return tuple(coeffs)
 
     def root_pairing(self, w: Weight, k: int) -> int:
         """Pairing of ``w`` with the coroot of the k-th positive root."""
@@ -284,14 +242,14 @@ class RootSystem:
     # -- enumeration ------------------------------------------------------
 
     def root_vectors_up_to_height(
-        self, h: int, below: RootVector | None = None
-    ) -> Iterator[RootVector]:
+        self, h: int, below: tuple[int, ...] | None = None
+    ) -> Iterator[tuple[int, ...]]:
         """All nonnegative root vectors of height at most ``h``, and at most
         ``below`` componentwise when given, in lexicographic order."""
-        tops = (h,) * self.rank if below is None else below.coeffs
+        tops = (h,) * self.rank if below is None else below
         for coeffs in itertools.product(*(range(t + 1) for t in tops)):
             if sum(coeffs) <= h:
-                yield RootVector(self, coeffs)
+                yield coeffs
 
 
 def _check_same(a: RootSystem, b: RootSystem) -> None:
@@ -333,20 +291,20 @@ def pairing(lam: Weight, i: int) -> int:
 
 def leq(mu: Weight, lam: Weight) -> bool:
     """Dominance order: lam - mu is a nonnegative root-lattice vector."""
-    _check_same(mu.system, lam.system)
-    rv = lam.system.to_root_vector(lam - mu)
-    return rv is not None and rv.is_nonnegative()
+    nu = lam.system.to_root_vector(lam - mu)
+    return nu is not None and min(nu) >= 0
 
 
 def is_dominant(lam: Weight) -> bool:
     return all(c >= 0 for c in lam.coords)
 
 
-def kostant_partition(nu: RootVector) -> int:
-    """Number of multisets of positive roots summing to ``nu``."""
-    if not nu.is_nonnegative():
+def kostant_partition(rs: RootSystem, nu: tuple[int, ...]) -> int:
+    """Number of multisets of positive roots of ``rs`` summing to ``nu``."""
+    nu = rs._check_nu(nu)
+    if min(nu) < 0:
         return 0
-    return _kp(nu.system.cartan_type, nu.coeffs, 0)
+    return _kp(rs.cartan_type, nu, 0)
 
 
 @lru_cache(maxsize=None)
@@ -378,8 +336,8 @@ def height_drop(lam: Weight) -> int:
     rs = lam.system
     best = 0
     for w in rs.weyl_group:
-        rv = rs.to_root_vector(lam - w.apply(lam))
-        if rv is None:
+        nu = rs.to_root_vector(lam - w.apply(lam))
+        if nu is None:
             raise ExactnessError("Weyl images differ by root-lattice vectors")
-        best = max(best, rv.height())
+        best = max(best, sum(nu))
     return best

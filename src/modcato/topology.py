@@ -102,10 +102,10 @@ def interval(lam: Weight, nu: Weight) -> tuple[Weight, ...]:
     """The finite order interval [lam, nu]; empty unless lam <= nu."""
     rs = lam.system
     gap = rs.to_root_vector(nu - lam)
-    if gap is None or not gap.is_nonnegative():
+    if gap is None or min(gap) < 0:
         return ()
-    vectors = rs.root_vectors_up_to_height(gap.height(), below=gap)
-    out = tuple(lam + rs.weight_of(rv) for rv in vectors)
+    vectors = rs.root_vectors_up_to_height(sum(gap), below=gap)
+    out = tuple(lam + rs.weight_of(v) for v in vectors)
     return tuple(sorted(out, key=lambda w: w.coords))
 
 
@@ -151,10 +151,10 @@ def periodicity_condition(K: LocallyClosedSet, p: int, l: int) -> bool:
     factor = p**l
     for k1 in K.sorted:
         for k2 in K.sorted:
-            rv = rs.to_root_vector(k1 - k2)
-            if rv is None or not rv.is_nonnegative() or rv.height() == 0:
+            nu = rs.to_root_vector(k1 - k2)
+            if nu is None or min(nu) < 0 or not any(nu):
                 continue
-            if all(c % factor == 0 for c in rv.coeffs):
+            if all(c % factor == 0 for c in nu):
                 return False
     return True
 

@@ -177,10 +177,10 @@ def convex_by_intervals(weights) -> bool:
         rs = lam.system
         for nu in weights:
             gap = rs.to_root_vector(nu - lam)
-            if gap is None or not gap.is_nonnegative():
+            if gap is None or min(gap) < 0:
                 continue
-            for c in itertools.product(*(range(g + 1) for g in gap.coeffs)):
-                if lam + rs.weight_of(rs.root_vector(*c)) not in weights:
+            for c in itertools.product(*(range(g + 1) for g in gap)):
+                if lam + rs.weight_of(c) not in weights:
                     return False
     return True
 
@@ -246,21 +246,29 @@ def rank_by_fractions(rows) -> int:
     return rank
 
 
-def box_contains(top, depth: int, w) -> bool:
-    """Box membership by weight subtraction: top - w converted with
-    ``to_root_vector`` is nonnegative of height at most ``depth``."""
-    rv = top.system.to_root_vector(top - w)
-    return rv is not None and rv.is_nonnegative() and rv.height() <= depth
+def _diff(a, b) -> tuple[int, ...]:
+    return tuple(x - y for x, y in zip(a.coords, b.coords))
 
 
-def below_set(lam, members) -> dict:
+def box_contains(top, depth: int, w, points) -> bool:
+    """Box membership by table lookup: top - w must be a point of
+    ``points``, a :func:`root_lattice_points` table with n >= depth, with
+    nonnegative coefficients of sum at most ``depth``.  Every offset of the
+    box lies in [0, depth]^rank, so a point missing from the table is
+    outside the box."""
+    c = points.get(_diff(top, w))
+    return c is not None and min(c) >= 0 and sum(c) <= depth
+
+
+def below_set(lam, members, points) -> dict:
     """The members w with lam - w a nonnegative root vector, each mapped to
-    the simple-root coordinates of lam - w."""
+    its simple-root coefficients, read off ``points``, a
+    :func:`root_lattice_points` table that must hold every such lam - w."""
     out = {}
     for w in members:
-        rv = lam.system.to_root_vector(lam - w)
-        if rv is not None and rv.is_nonnegative():
-            out[w] = rv.coeffs
+        c = points.get(_diff(lam, w))
+        if c is not None and min(c) >= 0:
+            out[w] = c
     return out
 
 
@@ -273,9 +281,9 @@ def weyl_alternating_sum(lam, members) -> dict:
     terms = []
     for w in members:
         for sign, top in shifted:
-            rv = rs.to_root_vector(top - (w + rs.rho))
-            if rv is not None and rv.is_nonnegative():
-                terms.append((w, sign, rv.coeffs))
+            nu = rs.to_root_vector(top - (w + rs.rho))
+            if nu is not None and min(nu) >= 0:
+                terms.append((w, sign, nu))
     counts = partition_counts_by_genfun(rs.cartan_type, max((sum(c) for *_, c in terms), default=0))
     out = {}
     for w, sign, coeffs in terms:
@@ -285,10 +293,12 @@ def weyl_alternating_sum(lam, members) -> dict:
 
 def sweep_simple_coeffs(lam, p: int, box) -> dict:
     """Nonzero dim L(lam)_w for the box weights w <= lam, each from the
-    mod-p rank of the Gram matrix at lam, all in one sweep."""
+    mod-p rank of the Gram matrix at lam, all in one sweep.  ``lam`` is the
+    box's top, so every lam - w has coefficients in [0, box.depth]."""
     from modcato.hypalg import simple_weight_dims
 
-    below = below_set(lam, box.weights())
+    assert lam == box.top
+    below = below_set(lam, box.weights(), root_lattice_points(lam.system.cartan_type, box.depth))
     dims = simple_weight_dims(lam, list(below.values()), p)
     return {w: dims[nu] for w, nu in below.items() if dims[nu]}
 

@@ -86,7 +86,7 @@ def multiply(cartan_type: str, u: dict, v: dict, flip: tuple[int, ...] = ()) -> 
 
 def weight(cartan_type: str, u: dict) -> tuple[int, ...]:
     """Common root-lattice weight of all terms; raises when inhomogeneous."""
-    roots = [r.coeffs for r in get_structure(cartan_type).rs.positive_roots]
+    roots = get_structure(cartan_type).rs.positive_roots
     weights = {
         tuple(sum((e[k] - f[k]) * root[i] for k, root in enumerate(roots)) for i in range(len(roots[0])))
         for f, _, e in u

@@ -110,16 +110,16 @@ def test_criterion_02_char0_cross_check():
         chi = weyl_character(lam)
         for n in range(0, t + 3):
             expect = chi.coefficient(A1.weight(t - 2 * n))
-            if rank_rational(shapovalov_gram(lam, A1.root_vector(n)).entries) != expect:
+            if rank_rational(shapovalov_gram(lam, (n,)).entries) != expect:
                 failures.append(("A1", t, n))
     for a in range(4):
         for b in range(4):
             lam = A2.weight(a, b)
             chi = weyl_character(lam)
-            for rv in A2.root_vectors_up_to_height(6):
-                expect = chi.coefficient(lam - A2.weight_of(rv))
-                if rank_rational(shapovalov_gram(lam, rv).entries) != expect:
-                    failures.append(("A2", (a, b), rv.coeffs))
+            for nu in A2.root_vectors_up_to_height(6):
+                expect = chi.coefficient(lam - A2.weight_of(nu))
+                if rank_rational(shapovalov_gram(lam, nu).entries) != expect:
+                    failures.append(("A2", (a, b), nu))
     report(2, "characteristic-0 Gram ranks match Weyl coefficients", failures)
 
 
@@ -130,8 +130,8 @@ def test_criterion_03_factorial_divisibility():
     try:
         for a in range(-2, 6):
             for b in range(-2, 6):
-                for rv in A2.root_vectors_up_to_height(5):
-                    divisions += len(shapovalov_gram(A2.weight(a, b), rv).entries) ** 2
+                for nu in A2.root_vectors_up_to_height(5):
+                    divisions += len(shapovalov_gram(A2.weight(a, b), nu).entries) ** 2
     except ExactnessError as exc:
         failures.append(("assertion fired", str(exc)))
     if divisions < 1000:

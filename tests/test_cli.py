@@ -378,7 +378,7 @@ def test_digit_ranks_stay_under_the_guard(capsys, monkeypatch):
     # ranked, none larger than the box's own.
     import modcato.category_o as category_o
     from modcato.charring import TruncationBox
-    from modcato.rootdata import RootVector, build_root_system, kostant_partition
+    from modcato.rootdata import build_root_system, kostant_partition
 
     real = category_o.simple_weight_dims
     ranked = []
@@ -396,11 +396,11 @@ def test_digit_ranks_stay_under_the_guard(capsys, monkeypatch):
     assert hashlib.sha1(out.encode()).hexdigest() == "b3b4b3b5e6c9a11504bb5f9df9ca164ac5ea2adc"
     rs = build_root_system("B2")
     lam = rs.weight(21, 21)
-    deepest = max(kostant_partition(RootVector(rs, nu))
+    deepest = max(kostant_partition(rs, nu)
                   for _, nu in TruncationBox.make(lam, 8).below(lam))
     assert ranked
     assert all(0 <= c < 11 for w, _ in ranked for c in w.coords)
-    assert all(kostant_partition(RootVector(rs, nu)) <= deepest for _, nu in ranked)
+    assert all(kostant_partition(rs, nu) <= deepest for _, nu in ranked)
 
 
 def _record_kinds(directory):

@@ -57,9 +57,9 @@ def test_structure_table_with_flipped_sign_builds():
 
 def test_f_exponents_counts_match_partition():
     for rs in (A1, A2, B2):
-        for rv in rs.root_vectors_up_to_height(8):
-            monos = list(_f_exponents(rs, rv.coeffs))
-            assert len(monos) == kostant_partition(rv)
+        for nu in rs.root_vectors_up_to_height(8):
+            monos = list(_f_exponents(rs, nu))
+            assert len(monos) == kostant_partition(rs, nu)
             assert monos == sorted(monos)
 
 
@@ -69,10 +69,10 @@ def test_f_exponents_matches_brute_force(cartan_type):
     # tuples in the same order, and as many as the generating function says.
     rs = build_root_system(cartan_type)
     counts = partition_counts_by_genfun(cartan_type, 14)
-    for rv in rs.root_vectors_up_to_height(14):
-        exps = list(_f_exponents(rs, rv.coeffs))
-        assert exps == list(f_exponents_brute_force(cartan_type, rv.coeffs)), rv.coeffs
-        assert len(exps) == counts[rv.coeffs], rv.coeffs
+    for nu in rs.root_vectors_up_to_height(14):
+        exps = list(_f_exponents(rs, nu))
+        assert exps == list(f_exponents_brute_force(cartan_type, nu)), nu
+        assert len(exps) == counts[nu], nu
 
 
 def test_f_exponents_examples():
@@ -134,7 +134,7 @@ def test_weight_homogeneity_random_words():
                     continue
                 sgn = 1 if kind == "e" else -1
                 for i in range(rs.rank):
-                    expected[i] += sgn * power * rs.positive_roots[pos].coeffs[i]
+                    expected[i] += sgn * power * rs.positive_roots[pos][i]
             assert weight(rs.cartan_type, u) == tuple(expected)
 
 
@@ -199,13 +199,13 @@ def test_binomial_mod_p_examples():
 
 
 def test_shapovalov_gram_rank1_values():
-    g = shapovalov_gram(A1.weight(3), A1.root_vector(1))
+    g = shapovalov_gram(A1.weight(3), (1,))
     assert g.entries == ((3,),)
-    g0 = shapovalov_gram(A1.weight(5), A1.root_vector(0))
+    g0 = shapovalov_gram(A1.weight(5), (0,))
     assert g0.entries == ((1,),)
     for t in range(0, 7):
         for n in range(0, 7):
-            g = shapovalov_gram(A1.weight(t), A1.root_vector(n))
+            g = shapovalov_gram(A1.weight(t), (n,))
             assert g.entries[0][0] == sl2_divided_gram(t, n) == math.comb(t, n)
 
 
@@ -214,7 +214,7 @@ def test_shapovalov_gram_a2_weight_alpha_plus_beta():
     # classical product t1 t2 (t1 + t2 + 1) up to basis ordering.
     for t1 in range(0, 4):
         for t2 in range(0, 4):
-            g = shapovalov_gram(A2.weight(t1, t2), A2.root_vector(1, 1))
+            g = shapovalov_gram(A2.weight(t1, t2), (1, 1))
             det = g.entries[0][0] * g.entries[1][1] - g.entries[0][1] * g.entries[1][0]
             assert det == t1 * t2 * (t1 + t2 + 1)
 
@@ -226,27 +226,27 @@ def test_simple_weight_dims_examples():
 
 
 def test_rank_rational_examples():
-    assert rank_rational(shapovalov_gram(A1.weight(3), A1.root_vector(2)).entries) == 1
-    assert rank_rational(shapovalov_gram(A1.weight(3), A1.root_vector(4)).entries) == 0
-    assert rank_rational(shapovalov_gram(A2.weight(0, 0), A2.root_vector(0, 0)).entries) == 1
+    assert rank_rational(shapovalov_gram(A1.weight(3), (2,)).entries) == 1
+    assert rank_rational(shapovalov_gram(A1.weight(3), (4,)).entries) == 0
+    assert rank_rational(shapovalov_gram(A2.weight(0, 0), (0, 0)).entries) == 1
 
 
 def test_char0_ranks_match_weyl_coefficients_small():
     for lam_coords in [(1, 0), (1, 1), (2, 1)]:
         lam = A2.weight(*lam_coords)
         chi = weyl_character(lam)
-        for rv in A2.root_vectors_up_to_height(4):
-            expect = chi.coefficient(lam - A2.weight_of(rv))
-            assert rank_rational(shapovalov_gram(lam, rv).entries) == expect
+        for nu in A2.root_vectors_up_to_height(4):
+            expect = chi.coefficient(lam - A2.weight_of(nu))
+            assert rank_rational(shapovalov_gram(lam, nu).entries) == expect
 
 
 def test_b2_char0_ranks_match_weyl_coefficients():
     for lam_coords in [(1, 0), (0, 1), (1, 1)]:
         lam = B2.weight(*lam_coords)
         chi = weyl_character(lam)
-        for rv in B2.root_vectors_up_to_height(4):
-            expect = chi.coefficient(lam - B2.weight_of(rv))
-            assert rank_rational(shapovalov_gram(lam, rv).entries) == expect
+        for nu in B2.root_vectors_up_to_height(4):
+            expect = chi.coefficient(lam - B2.weight_of(nu))
+            assert rank_rational(shapovalov_gram(lam, nu).entries) == expect
 
 
 def test_lucas_oracle_small():
@@ -263,9 +263,9 @@ def test_sign_flip_leaves_ranks_invariant():
     guard = SizeGuard()
     for lam_coords in [(1, 1), (2, 0), (2, 2)]:
         lam = A2.weight(*lam_coords)
-        for rv in A2.root_vectors_up_to_height(4):
-            g1 = shapovalov_gram(lam, rv, engine=plain)
-            g2 = shapovalov_gram(lam, rv, engine=flipped, guard=guard)
+        for nu in A2.root_vectors_up_to_height(4):
+            g1 = shapovalov_gram(lam, nu, engine=plain)
+            g2 = shapovalov_gram(lam, nu, engine=flipped, guard=guard)
             assert rank_rational(g1.entries) == rank_rational(g2.entries)
             for p in (2, 3):
                 assert rank_mod_p(g1.entries, p) == rank_mod_p(g2.entries, p)
@@ -277,9 +277,9 @@ def _straightened_grams(cartan_type, flip, max_height):
     rs = build_root_system(cartan_type)
     m = len(rs.positive_roots)
     out = {}
-    for rv in rs.root_vectors_up_to_height(max_height):
-        basis = list(_f_exponents(rs, rv.coeffs))
-        out[rv.coeffs] = [
+    for nu in rs.root_vectors_up_to_height(max_height):
+        basis = list(_f_exponents(rs, nu))
+        out[nu] = [
             [
                 (
                     hc_project(straighten(
@@ -303,18 +303,17 @@ def test_hc_pipeline_agrees_with_general_straightening():
     for rs in (A2, B2):
         eng = get_engine(rs.cartan_type)
         for nu, cells in _straightened_grams(rs.cartan_type, (), 3).items():
-            rv = rs.root_vector(*nu)
-            basis = list(_f_exponents(rs, rv.coeffs))
+            basis = list(_f_exponents(rs, nu))
             for a in range(-2, 4):
                 for b in range(-2, 4):
                     lam = rs.weight(a, b)
-                    g = shapovalov_gram(lam, rv, engine=eng)
+                    g = shapovalov_gram(lam, nu, engine=eng)
                     assert list(g.basis) == basis
                     for i, row in enumerate(cells):
                         for j, (h, den) in enumerate(row):
                             raw = evaluate(h, lam.coords)
                             assert raw % den == 0
-                            assert g.entries[i][j] == raw // den, (rs.cartan_type, lam, rv)
+                            assert g.entries[i][j] == raw // den, (rs.cartan_type, lam, nu)
 
 
 @pytest.mark.parametrize(
@@ -327,8 +326,8 @@ def test_e_on_f_recursion_matches_straightening(cartan_type, flip):
     rs = build_root_system(cartan_type)
     eng = PBWEngine(get_structure(cartan_type, flip))
     guard = SizeGuard()
-    for rv in rs.root_vectors_up_to_height(5):
-        for exps in _f_exponents(rs, rv.coeffs):
+    for nu in rs.root_vectors_up_to_height(5):
+        for exps in _f_exponents(rs, nu):
             word = [("f", j, a) for j, a in enumerate(exps) if a]
             for k in range(len(rs.positive_roots)):
                 expect = {}
@@ -350,8 +349,8 @@ def test_left_f_matches_straightening(cartan_type, flip):
     rs = build_root_system(cartan_type)
     structure = get_structure(cartan_type, flip)
     guard = SizeGuard()
-    for rv in rs.root_vectors_up_to_height(6):
-        for exps in _f_exponents(rs, rv.coeffs):
+    for nu in rs.root_vectors_up_to_height(6):
+        for exps in _f_exponents(rs, nu):
             word = [("f", t, a) for t, a in enumerate(exps) if a]
             for j in range(len(rs.positive_roots)):
                 u = straighten(cartan_type, [("f", j, 1)] + word, flip)
@@ -401,7 +400,7 @@ def test_sweep_ranks_match_straightened_grams(cartan_type, flip):
 def _corrupted(eng, nu, k, column):
     """eng._plan with c_0 of the first term of one e_k f^J v column raised by 1."""
     real = eng._plan
-    higher = tuple(a - b for a, b in zip(nu, eng.rs.positive_roots[k].coeffs))
+    higher = tuple(a - b for a, b in zip(nu, eng.rs.positive_roots[k]))
 
     def plan(nu_coeffs, guard):
         out = real(nu_coeffs, guard)
@@ -435,9 +434,9 @@ def test_sweep_catches_a_corrupted_plan_column(monkeypatch, cartan_type, lam, nu
     eng = PBWEngine(get_structure(cartan_type))
     monkeypatch.setattr(eng, "_plan", _corrupted(eng, nu, k, column))
     with pytest.raises(ExactnessError, match=message):
-        shapovalov_gram(rs.weight(*lam), rs.root_vector(*nu), engine=eng)
+        shapovalov_gram(rs.weight(*lam), nu, engine=eng)
     # The same sweep on a clean engine passes every check.
-    shapovalov_gram(rs.weight(*lam), rs.root_vector(*nu), engine=PBWEngine(get_structure(cartan_type)))
+    shapovalov_gram(rs.weight(*lam), nu, engine=PBWEngine(get_structure(cartan_type)))
 
 
 def test_sweep_checks_every_weight_space_against_the_guard_first():
@@ -467,7 +466,7 @@ def test_sweep_recursion_depth_does_not_grow_with_nu(cartan_type, lam, nu):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frames() + 40)
     try:
-        gram = shapovalov_gram(rs.weight(*lam), rs.root_vector(*nu), engine=eng)
+        gram = shapovalov_gram(rs.weight(*lam), nu, engine=eng)
     finally:
         sys.setrecursionlimit(limit)
     assert rank_mod_p(gram.entries, 2) == simple_weight_dims(rs.weight(*lam), [nu], 2)[nu]
@@ -500,7 +499,7 @@ def test_gram_determinant_matches_shapovalov_formula(cartan_type, nu):
     constant = SHAPOVALOV_CONSTANTS[cartan_type, nu]
     for a in range(-3, 6):
         for b in range(-3, 6):
-            g = shapovalov_gram(rs.weight(a, b), rs.root_vector(*nu), engine=eng)
+            g = shapovalov_gram(rs.weight(a, b), nu, engine=eng)
             det = determinant(g.entries)
             assert det == constant * shapovalov_product(cartan_type, (a, b), nu), (a, b)
             assert det.denominator == 1
@@ -509,15 +508,24 @@ def test_gram_determinant_matches_shapovalov_formula(cartan_type, nu):
                     assert rank_mod_p(g.entries, p) == len(g.entries), (a, b, p)
 
 
+def test_shapovalov_gram_rejects_wrong_length_nu():
+    # An A1 vector against an A2 weight once looped forever in the guard's
+    # partition count.
+    with pytest.raises(ValueError, match="2 simple-root coordinates"):
+        shapovalov_gram(A2.weight(1, 1), (1,))
+    with pytest.raises(ValueError, match="2 simple-root coordinates"):
+        simple_weight_dims(A2.weight(1, 1), [(1,)], 3)
+
+
 def test_size_guard_trips():
     tiny = SizeGuard(max_gram_dim=1, max_terms=10**6)
     with pytest.raises(SizeGuardError):
-        shapovalov_gram(A2.weight(3, 3), A2.root_vector(1, 1), guard=tiny)
+        shapovalov_gram(A2.weight(3, 3), (1, 1), guard=tiny)
     tiny2 = SizeGuard(max_gram_dim=200, max_terms=2)
     # A fresh engine has no memo to fall back on: the commutation recursion
     # behind the Gram must check the guard itself.
     with pytest.raises(SizeGuardError):
-        shapovalov_gram(A2.weight(3, 3), A2.root_vector(2, 2), guard=tiny2,
+        shapovalov_gram(A2.weight(3, 3), (2, 2), guard=tiny2,
                         engine=PBWEngine(get_structure("A2")))
 
 

@@ -35,6 +35,5 @@ def test_leq_translation_invariant(a, b):
 @settings(max_examples=100, deadline=None)
 def test_kostant_partition_monotone_under_root_addition(a, b):
     # Adding a positive root never decreases the partition count.
-    rv = A2.root_vector(a, b)
     for root in A2.positive_roots:
-        assert kostant_partition(rv + root) >= kostant_partition(rv)
+        assert kostant_partition(A2, (a + root[0], b + root[1])) >= kostant_partition(A2, (a, b))

@@ -66,8 +66,7 @@ def test_a1_single_root_pairing():
 
 def test_a2_positive_roots():
     rs = build_root_system("A2")
-    coeffs = {r.coeffs for r in rs.positive_roots}
-    assert coeffs == {(1, 0), (0, 1), (1, 1)}
+    assert set(rs.positive_roots) == {(1, 0), (0, 1), (1, 1)}
 
 
 def test_pairing_examples():
@@ -118,31 +117,48 @@ def test_is_dominant_examples():
 
 def test_kostant_partition_examples():
     a1 = build_root_system("A1")
-    assert kostant_partition(a1.root_vector(3)) == 1
+    assert kostant_partition(a1, (3,)) == 1
     a2 = build_root_system("A2")
-    assert kostant_partition(a2.root_vector(1, 1)) == 2
-    assert kostant_partition(a2.root_vector(0, 0)) == 1
-    assert kostant_partition(a2.root_vector(-1, 0)) == 0
+    assert kostant_partition(a2, (1, 1)) == 2
+    assert kostant_partition(a2, (0, 0)) == 1
+    assert kostant_partition(a2, (-1, 0)) == 0
+
+
+def test_kostant_partition_rejects_short_coordinates():
+    # A short tuple once looped forever: zip never ran past its end.
+    with pytest.raises(ValueError, match="2 simple-root coordinates"):
+        kostant_partition(build_root_system("A2"), (1,))
+
+
+def test_kostant_partition_rejects_long_coordinates():
+    with pytest.raises(ValueError, match="2 simple-root coordinates"):
+        kostant_partition(build_root_system("A2"), (1, 1, 1))
+
+
+def test_weight_of_rejects_wrong_length():
+    a2 = build_root_system("A2")
+    for nu in ((1,), (1, 1, 1), (1, 0.5)):
+        with pytest.raises(ValueError, match="2 simple-root coordinates"):
+            a2.weight_of(nu)
 
 
 def test_kostant_partition_against_generating_function(rs):
     table = partition_counts_by_genfun(rs.cartan_type, 8)
-    for rv in rs.root_vectors_up_to_height(8):
-        assert kostant_partition(rv) == table.get(rv.coeffs, 0), rv
+    for nu in rs.root_vectors_up_to_height(8):
+        assert kostant_partition(rs, nu) == table.get(nu, 0), nu
 
 
 def test_weyl_group_permutes_roots(rs):
     all_roots = set()
     for r in rs.positive_roots:
-        all_roots.add(r.coeffs)
-        all_roots.add(tuple(-c for c in r.coeffs))
+        all_roots.add(r)
+        all_roots.add(tuple(-c for c in r))
     for w in rs.weyl_group:
         image = set()
         for coeffs in all_roots:
-            wt = w.apply(rs.weight_of(rs.root_vector(*coeffs)))
-            rv = rs.to_root_vector(wt)
-            assert rv is not None
-            image.add(rv.coeffs)
+            nu = rs.to_root_vector(w.apply(rs.weight_of(coeffs)))
+            assert nu is not None
+            image.add(nu)
         assert image == all_roots
 
 
@@ -166,22 +182,22 @@ def test_weyl_preserves_pairing_up_to_coroot_permutation(rs):
         (k, -1) for k in range(len(rs.positive_roots))
     ]
     sample = [rs.weight(*c) for c in itertools.product(range(-2, 3), repeat=rs.rank)]
-    index_of = {r.coeffs: k for k, r in enumerate(rs.positive_roots)}
+    index_of = {r: k for k, r in enumerate(rs.positive_roots)}
     for w in rs.weyl_group:
         for k, eps in signed_roots:
-            root = rs.positive_roots[k] * eps
+            root = tuple(eps * c for c in rs.positive_roots[k])
             image = rs.to_root_vector(w.apply(rs.weight_of(root)))
             sign = 1
-            if not image.is_nonnegative():
-                image, sign = image * -1, -1
-            k_img = index_of[image.coeffs]
+            if min(image) < 0:
+                image, sign = tuple(-c for c in image), -1
+            k_img = index_of[image]
             for lam in sample:
                 assert sign * rs.root_pairing(w.apply(lam), k_img) == eps * rs.root_pairing(lam, k)
 
 
 def test_conversions_roundtrip(rs):
-    for rv in rs.root_vectors_up_to_height(4):
-        assert rs.to_root_vector(rs.weight_of(rv)) == rv
+    for nu in rs.root_vectors_up_to_height(4):
+        assert rs.to_root_vector(rs.weight_of(nu)) == nu
 
 
 def test_lattice_conversion_against_brute_force_oracle(rs):
@@ -194,9 +210,7 @@ def test_lattice_conversion_against_brute_force_oracle(rs):
     for coords in itertools.product(range(-6, 7), repeat=rs.rank):
         w = rs.weight(*coords)
         pre = points.get(coords)
-        rv = rs.to_root_vector(w)
-        assert (rv is None) == (pre is None), coords
-        assert rv is None or rv.coeffs == pre, coords
+        assert rs.to_root_vector(w) == pre, coords
         nonnegative = pre is not None and min(pre) >= 0
         assert leq(zero, w) == nonnegative, coords
         assert leq(rs.rho - w, rs.rho) == nonnegative, coords
@@ -205,14 +219,14 @@ def test_lattice_conversion_against_brute_force_oracle(rs):
 def test_root_vector_enumeration_is_lexicographic():
     a1 = build_root_system("A1")
     a2 = build_root_system("A2")
-    assert [rv.coeffs for rv in a1.root_vectors_up_to_height(2)] == [(0,), (1,), (2,)]
-    assert [rv.coeffs for rv in a2.root_vectors_up_to_height(2)] == [
+    assert list(a1.root_vectors_up_to_height(2)) == [(0,), (1,), (2,)]
+    assert list(a2.root_vectors_up_to_height(2)) == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0),
     ]
-    assert [rv.coeffs for rv in a2.root_vectors_up_to_height(3, below=a2.root_vector(1, 2))] == [
+    assert list(a2.root_vectors_up_to_height(3, below=(1, 2))) == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
     ]
-    assert [rv.coeffs for rv in a2.root_vectors_up_to_height(2, below=a2.root_vector(1, 2))] == [
+    assert list(a2.root_vectors_up_to_height(2, below=(1, 2))) == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1),
     ]
     assert list(a2.root_vectors_up_to_height(-1)) == []

@@ -75,7 +75,7 @@ def test_step_convexity_agrees_with_interval_oracle():
                        for _ in range(rng.randint(1, 7))}
             if rng.random() < 0.5:
                 lam = rng.choice(sorted(weights, key=lambda w: w.coords))
-                gap = rs.root_vector(*(rng.randint(0, 2) for _ in range(rs.rank)))
+                gap = tuple(rng.randint(0, 2) for _ in range(rs.rank))
                 weights |= set(interval(lam, lam + rs.weight_of(gap)))
                 weights.discard(rng.choice(sorted(weights, key=lambda w: w.coords)))
             expected = convex_by_intervals(weights)
