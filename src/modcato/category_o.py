@@ -46,7 +46,7 @@ from .rootdata import (
     Weight,
     height_drop,
     is_dominant,
-    kostant_partition,
+    kostant_table,
     leq,
 )
 from .topology import (
@@ -358,10 +358,9 @@ def q_module_mult(lam: Weight, J: OpenSet) -> FlagVector:
     if not J.contains(lam):
         raise ValueError(f"{lam} does not lie in the open set")
     rs = lam.system
-    out = {}
-    for mu in J.up_set(lam):
-        out[mu] = kostant_partition(rs, rs.to_root_vector(mu - lam))
-    flag = FlagVector(out)
+    gaps = {mu: rs.to_root_vector(mu - lam) for mu in J.up_set(lam)}
+    table = kostant_table(rs, max(map(sum, gaps.values())))
+    flag = FlagVector({mu: table[nu] for mu, nu in gaps.items()})
     if flag.get(lam) != 1:
         raise ExactnessError(f"flag has multiplicity {flag.get(lam)} at its head {lam}")
     return flag

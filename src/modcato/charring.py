@@ -9,9 +9,11 @@ the depth, in one table keyed by nu.  Nothing adds or multiplies
 characters; a sum or twist is dict arithmetic on ``coeffs``, wrapped in a
 new character.
 
-Every character walks the lattice through :meth:`TruncationBox.below`:
-Verma characters read Kostant partition counts off it, Weyl characters sum
-those counts with signs over the dot-action orbit, and
+Every character walks the lattice through :meth:`TruncationBox.below`,
+which reads the members below a weight off the table by offset, without a
+scan: Verma characters read Kostant partition counts for it from one
+:func:`~modcato.rootdata.kostant_table` at the box depth, Weyl characters
+sum those counts with signs over the dot-action orbit, and
 :func:`peel_decompose` reads its triangular basis as a table on the
 character's own box: ``basis(mu, nus)`` gives ``{nu: coefficient}`` for the
 simple-root coordinates nu of ``box.below(mu)`` and nothing else.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, sub
 from typing import Callable, Mapping
 
 from .errors import BoxMarginError, ExactnessError
@@ -32,7 +35,7 @@ from .rootdata import (
     dot_action,
     height_drop,
     is_dominant,
-    kostant_partition,
+    kostant_table,
 )
 
 
@@ -77,13 +80,14 @@ class TruncationBox:
         gap = self.system.to_root_vector(self.top - lam)
         if gap is None:
             return []
+        # The offsets nu = top - w with lam - w = nu - gap >= 0 are low + e
+        # for the nonnegative e of height at most depth - |low|.
+        low = [max(g, 0) for g in gap]
         out = []
-        for nu, w in self._members.items():
-            # lam - w = (top - w) - (top - lam)
-            diff = tuple([a - b for a, b in zip(nu, gap)])
-            if min(diff) >= 0:
-                out.append((w, diff))
-        return out
+        for e in self.system.root_vectors_up_to_height(self.depth - sum(low)):
+            nu = tuple(map(add, low, e))
+            out.append((self._members[nu], tuple(map(sub, nu, gap))))
+        return sorted(out, key=lambda pair: pair[0].coords)
 
 
 class FormalCharacter:
@@ -130,13 +134,8 @@ def verma_character(lam: Weight, box: TruncationBox) -> FormalCharacter:
     """Character of the Verma with highest weight ``lam``: partition counts."""
     if not box.contains(lam):
         raise BoxMarginError(f"box does not contain {lam}")
-    rs = lam.system
-    out = {}
-    for w, nu in box.below(lam):
-        p = kostant_partition(rs, nu)
-        if p:
-            out[w] = p
-    return FormalCharacter(out, box)
+    table = kostant_table(lam.system, box.depth)
+    return FormalCharacter({w: table[nu] for w, nu in box.below(lam)}, box)
 
 
 def weyl_dimension(lam: Weight) -> int:
@@ -162,10 +161,11 @@ def weyl_character(lam: Weight) -> FormalCharacter:
         raise ValueError(f"{lam} is not dominant")
     rs = lam.system
     box = TruncationBox.make(lam, height_drop(lam))
+    table = kostant_table(rs, box.depth)
     out: dict[Weight, int] = {}
     for w in rs.weyl_group:
         for x, nu in box.below(dot_action(w, lam)):
-            out[x] = out.get(x, 0) + w.sign * kostant_partition(rs, nu)
+            out[x] = out.get(x, 0) + w.sign * table[nu]
     chi = FormalCharacter(out, box)
     if chi.coefficient(lam) != 1:
         raise ExactnessError(f"Weyl character of {lam} has top coefficient {chi.coefficient(lam)}")

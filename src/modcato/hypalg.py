@@ -42,7 +42,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import ExactnessError, SizeGuardError, require_prime
-from .rootdata import RootSystem, Weight, _mat_mul, build_root_system, kostant_partition
+from .rootdata import RootSystem, Weight, _mat_mul, build_root_system, kostant_table
 
 
 @dataclass(frozen=True)
@@ -541,12 +541,13 @@ def _divided_grams(
     two independent routes.
     """
     rs = eng.rs
+    nus = list(map(rs._check_nu, nus))
+    if min(map(min, nus), default=0) < 0:
+        raise ValueError("nu must be a nonnegative root-lattice vector")
+    dims = kostant_table(rs, max(map(sum, nus), default=-1))
     for nu in nus:
-        dim = kostant_partition(rs, nu)
-        if min(nu) < 0:
-            raise ValueError("nu must be a nonnegative root-lattice vector")
-        if dim > guard.max_gram_dim:
-            raise SizeGuardError(f"weight space dimension {dim} exceeds guard {guard.max_gram_dim}")
+        if dims[nu] > guard.max_gram_dim:
+            raise SizeGuardError(f"weight space dimension {dims[nu]} exceeds guard {guard.max_gram_dim}")
     closure, todo = set(nus), list(nus)
     while todo:
         for group in eng._plan(todo.pop(), guard).groups:

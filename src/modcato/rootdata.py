@@ -5,6 +5,9 @@ vector is a plain tuple of simple-root coordinates.  The Cartan matrix
 converts between the two, here and nowhere else.  All arithmetic is exact
 and never uses floats; lattice conversion is integer-only (adjugate of C
 and a divisibility test by det C).
+
+Kostant partition counts come a table at a time from :func:`kostant_table`,
+built once per walk by its caller and not kept; nothing here memoises them.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
+from operator import mul, sub
 from typing import Iterator
 
 from .errors import ExactnessError
@@ -241,13 +244,10 @@ class RootSystem:
 
     # -- enumeration ------------------------------------------------------
 
-    def root_vectors_up_to_height(
-        self, h: int, below: tuple[int, ...] | None = None
-    ) -> Iterator[tuple[int, ...]]:
-        """All nonnegative root vectors of height at most ``h``, and at most
-        ``below`` componentwise when given, in lexicographic order."""
-        tops = (h,) * self.rank if below is None else below
-        for coeffs in itertools.product(*(range(t + 1) for t in tops)):
+    def root_vectors_up_to_height(self, h: int) -> Iterator[tuple[int, ...]]:
+        """All nonnegative root vectors of height at most ``h``, in
+        lexicographic order."""
+        for coeffs in itertools.product(range(h + 1), repeat=self.rank):
             if sum(coeffs) <= h:
                 yield coeffs
 
@@ -299,30 +299,28 @@ def is_dominant(lam: Weight) -> bool:
     return all(c >= 0 for c in lam.coords)
 
 
+def kostant_table(rs: RootSystem, height: int) -> dict[tuple[int, ...], int]:
+    """Kostant's partition function (Humphreys, *Introduction to Lie
+    Algebras and Representation Theory*, §24.1) on every nonnegative root
+    vector of height at most ``height``: one unbounded coin-change pass per
+    positive root, in lexicographic order, so nu - root precedes nu."""
+    table = {nu: 0 if any(nu) else 1 for nu in rs.root_vectors_up_to_height(height)}
+    for root in rs.positive_roots:
+        for nu in table:
+            rest = tuple(map(sub, nu, root))
+            if min(rest) >= 0:
+                table[nu] += table[rest]
+    return table
+
+
 def kostant_partition(rs: RootSystem, nu: tuple[int, ...]) -> int:
-    """Number of multisets of positive roots of ``rs`` summing to ``nu``."""
+    """Number of multisets of positive roots of ``rs`` summing to ``nu``, as
+    a single lookup in a fresh table up to its height; a caller that needs
+    many counts builds one :func:`kostant_table` and reads it."""
     nu = rs._check_nu(nu)
     if min(nu) < 0:
         return 0
-    return _kp(rs.cartan_type, nu, 0)
-
-
-@lru_cache(maxsize=None)
-def _kp(cartan_type: str, coeffs: tuple[int, ...], idx: int) -> int:
-    if all(c == 0 for c in coeffs):
-        return 1
-    roots = _POSITIVE[cartan_type]
-    if idx == len(roots):
-        return 0
-    root = roots[idx]
-    total = 0
-    k = 0
-    rem = coeffs
-    while all(c >= 0 for c in rem):
-        total += _kp(cartan_type, rem, idx + 1)
-        k += 1
-        rem = tuple(c - k * r for c, r in zip(coeffs, root))
-    return total
+    return kostant_table(rs, sum(nu))[nu]
 
 
 def dot_action(w: WeylElement, lam: Weight) -> Weight:

@@ -7,6 +7,7 @@ construction.  Locally closed sets are finite and order-convex.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -104,7 +105,7 @@ def interval(lam: Weight, nu: Weight) -> tuple[Weight, ...]:
     gap = rs.to_root_vector(nu - lam)
     if gap is None or min(gap) < 0:
         return ()
-    vectors = rs.root_vectors_up_to_height(sum(gap), below=gap)
+    vectors = itertools.product(*(range(g + 1) for g in gap))
     out = tuple(lam + rs.weight_of(v) for v in vectors)
     return tuple(sorted(out, key=lambda w: w.coords))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 POSITIVE_ROOTS = {
     "A1": [(1,)],
@@ -39,6 +40,26 @@ def partition_counts_by_genfun(cartan_type: str, max_height: int) -> dict[tuple[
                 k += 1
         series = out
     return series
+
+
+@lru_cache(maxsize=None)
+def kostant_by_recursion(cartan_type: str, nu: tuple[int, ...], idx: int = 0) -> int:
+    """Kostant partition number of ``nu`` by recursion on the roots: the
+    number of multiples of root ``idx`` to take, then the rest from the
+    later roots."""
+    if all(c == 0 for c in nu):
+        return 1
+    roots = POSITIVE_ROOTS[cartan_type]
+    if idx == len(roots) or min(nu) < 0:
+        return 0
+    total = 0
+    k = 0
+    rem = nu
+    while all(c >= 0 for c in rem):
+        total += kostant_by_recursion(cartan_type, rem, idx + 1)
+        k += 1
+        rem = tuple(c - k * r for c, r in zip(nu, roots[idx]))
+    return total
 
 
 def f_exponents_brute_force(cartan_type: str, nu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

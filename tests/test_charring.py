@@ -51,7 +51,8 @@ def test_box_membership_matches_brute_force(rs):
     # entries of size at most 1 for A1, A2 and B2, so their simple-root
     # coefficients lie in [-56, 56], inside the table.
     points = oracles.root_lattice_points(rs.cartan_type, 56)
-    seen = {"in": 0, "out of depth": 0, "out of coset": 0}
+    seen = {"in": 0, "out of depth": 0, "out of coset": 0,
+            "lam off coset": 0, "lam above top": 0, "lam beneath box": 0}
     for _ in range(40):
         box = _random_box(rs, rng)
         members = box.weights()
@@ -69,6 +70,13 @@ def test_box_membership_matches_brute_force(rs):
                 seen["out of coset"] += 1
         assert all(oracles.box_contains(box.top, box.depth, w, points) for w in members)
         for lam in probes[:: 3]:
+            gap = points.get((box.top - lam).coords)
+            if gap is None:
+                seen["lam off coset"] += 1
+            elif min(gap) < 0:
+                seen["lam above top"] += 1
+            elif sum(gap) > box.depth:
+                seen["lam beneath box"] += 1
             below = box.below(lam)
             assert dict(below) == oracles.below_set(lam, members, points), (box, lam)
             assert [w for w, _ in below] == sorted((w for w, _ in below), key=lambda w: w.coords)

@@ -517,6 +517,12 @@ def test_shapovalov_gram_rejects_wrong_length_nu():
         simple_weight_dims(A2.weight(1, 1), [(1,)], 3)
 
 
+def test_list_nu_answers_as_its_tuple():
+    lam = A2.weight(1, 1)
+    assert shapovalov_gram(lam, [1, 1]) == shapovalov_gram(lam, (1, 1))
+    assert simple_weight_dims(lam, [[1, 1]], 3) == simple_weight_dims(lam, [(1, 1)], 3)
+
+
 def test_size_guard_trips():
     tiny = SizeGuard(max_gram_dim=1, max_terms=10**6)
     with pytest.raises(SizeGuardError):

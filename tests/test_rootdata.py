@@ -3,20 +3,27 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 
+from modcato.category_o import q_module_mult
+from modcato.charring import TruncationBox, verma_character, weyl_character
+from modcato.hypalg import simple_weight_dims
 from modcato.rootdata import (
     build_root_system,
     dot_action,
     is_dominant,
     kostant_partition,
+    kostant_table,
     leq,
     pairing,
 )
+from modcato.topology import OpenSet
 
 from oracles import (
     cartan_matrix,
+    kostant_by_recursion,
     partition_counts_by_genfun,
     root_lattice_points,
 )
@@ -148,6 +155,36 @@ def test_kostant_partition_against_generating_function(rs):
         assert kostant_partition(rs, nu) == table.get(nu, 0), nu
 
 
+@pytest.mark.parametrize("height", [-1, 0, 12])
+def test_kostant_table_matches_recursion_and_generating_function(rs, height):
+    table = kostant_table(rs, height)
+    assert list(table) == list(rs.root_vectors_up_to_height(height))
+    assert table == {nu: kostant_by_recursion(rs.cartan_type, nu) for nu in table}
+    assert table == partition_counts_by_genfun(rs.cartan_type, height)
+
+
+def test_characters_and_flags_read_one_table_not_kostant_partition(monkeypatch):
+    import modcato.cli  # noqa: F401  (imports every layer)
+
+    def refuse(rs, nu):
+        raise AssertionError(f"kostant_partition({nu}) called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "modcato" and hasattr(module, "kostant_partition"):
+            monkeypatch.setattr(module, "kostant_partition", refuse)
+    b2, a2 = build_root_system("B2"), build_root_system("A2")
+    counts = partition_counts_by_genfun("B2", 10)
+    lam = b2.weight(-1, -1)
+    chi = verma_character(lam, TruncationBox.make(lam, 10))
+    assert {b2.to_root_vector(lam - w): c for w, c in chi.items()} == counts
+    assert sum(weyl_character(b2.weight(2, 2)).coeffs.values()) == 81
+    lam = a2.weight(-2, -2)
+    flag = q_module_mult(lam, OpenSet.down_closure([a2.weight(2, 2), a2.weight(3, 0)]))
+    assert all(c == partition_counts_by_genfun("A2", 8)[a2.to_root_vector(mu - lam)]
+               for mu, c in flag.items())
+    assert simple_weight_dims(a2.weight(1, 1), [(0, 0), (1, 1)], 3) == {(0, 0): 1, (1, 1): 1}
+
+
 def test_weyl_group_permutes_roots(rs):
     all_roots = set()
     for r in rs.positive_roots:
@@ -222,12 +259,6 @@ def test_root_vector_enumeration_is_lexicographic():
     assert list(a1.root_vectors_up_to_height(2)) == [(0,), (1,), (2,)]
     assert list(a2.root_vectors_up_to_height(2)) == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0),
-    ]
-    assert list(a2.root_vectors_up_to_height(3, below=(1, 2))) == [
-        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
-    ]
-    assert list(a2.root_vectors_up_to_height(2, below=(1, 2))) == [
-        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1),
     ]
     assert list(a2.root_vectors_up_to_height(-1)) == []
 
