@@ -13,7 +13,6 @@ from .category_o import (  # noqa: F401
     build_decomposition_table,
     decomposition_numbers,
     full_simple_character,
-    hom_dim_projective,
     projective_verma_mult,
     q_module_mult,
     simple_character,

@@ -36,7 +36,6 @@ from .charring import (
 from .errors import (
     BoxMarginError,
     ExactnessError,
-    InvalidCharacterError,
     ModcatoError,
     require_prime,
 )
@@ -147,11 +146,11 @@ def simple_character(
     The finished character is one ``simple_dim`` disk record per box; a hit
     fills the memo without a Gram build, and the highest-weight check still
     runs on it.  ``char simple``, :func:`tensor_flag` and
-    :func:`full_simple_character` come here.  The peel bases of
-    :func:`decomposition_numbers` and :func:`hom_dim_projective` read the
-    memo through :func:`_simple_dims` and write no record: their box is the
-    row's own, so only a rerun of that row could read one, and the row's
-    ``decomp_row`` record answers the rerun first.
+    :func:`full_simple_character` come here.  The peel basis of
+    :func:`decomposition_numbers` reads the memo through
+    :func:`_simple_dims` and writes no record: its box is the row's own, so
+    only a rerun of that row could read one, and the row's ``decomp_row``
+    record answers the rerun first.
     """
     require_prime(p)
     if not box.contains(lam):
@@ -164,9 +163,9 @@ def simple_character(
         # A record lists the nonzero dimensions of every weight space in its box.
         on_disk = {tuple(c): d for c, d in json.loads(cached)}
         dims = _SIMPLE_CACHE.setdefault((lam, p), {})
-        dims.update((nu, on_disk.get(w.coords, 0)) for w, nu in below if nu not in dims)
+        dims.update((nu, on_disk.get(box.weight(m).coords, 0)) for m, nu in below if nu not in dims)
     dims = _simple_dims(lam, p, [nu for _, nu in below], guard)
-    chi = FormalCharacter({w: dims[nu] for w, nu in below}, box)
+    chi = FormalCharacter({m: dims[nu] for m, nu in below}, box)
     if chi.coefficient(lam) != 1:
         raise ExactnessError(f"L({lam}) has multiplicity {chi.coefficient(lam)} at its highest weight")
     if cached is None:
@@ -391,28 +390,6 @@ def projective_verma_mult(
     return flag
 
 
-def hom_dim_projective(
-    lam: Weight,
-    J: OpenSet,
-    chi_M: FormalCharacter,
-    p: int,
-    *,
-    guard: SizeGuard | None = None,
-) -> int:
-    """Multiplicity [M : L(lam)], read off as a Hom-space dimension from the
-    projective cover; computed by peeling chi_M into simple characters."""
-    require_prime(p)
-    if not J.contains(lam):
-        raise ValueError(f"{lam} does not lie in the open set")
-    coeffs = peel_decompose(chi_M, lambda w, nus: _simple_dims(w, p, nus, guard))
-    negative = {w: a for w, a in coeffs.items() if a < 0}
-    if negative:
-        raise InvalidCharacterError(
-            f"input is not a genuine character; negative multiplicities {negative}"
-        )
-    return coeffs.get(lam, 0)
-
-
 def steinberg_digits(lam: Weight, p: int) -> tuple[Weight, ...]:
     """Base-p digit weights of a dominant weight, all coordinates in [0, p)."""
     require_prime(p)
@@ -451,5 +428,5 @@ def steinberg_check(
     nus = [nu for _, nu in below]
     sweep = simple_weight_dims(lam, nus, p, guard=guard)
     product = _simple_dims(lam, p, nus, guard)
-    diff = FormalCharacter({w: sweep[nu] - product[nu] for w, nu in below}, box)
-    return not diff.coeffs, diff
+    diff = FormalCharacter({m: sweep[nu] - product[nu] for m, nu in below}, box)
+    return not diff.offsets, diff

@@ -1,17 +1,20 @@
 """Truncated formal characters.
 
-A character is a table: a weight -> integer dict with the
-:class:`TruncationBox` that records where it is guaranteed correct, so
-infinite-support characters (Verma characters and their relatives) only
-exist relative to a box.  A box is one top weight and a depth; its members
-are top - nu for the nonnegative simple-root vectors nu of height at most
-the depth, in one table keyed by nu.  Nothing adds or multiplies
-characters; a sum or twist is dict arithmetic on ``coeffs``, wrapped in a
+A character is a table on a :class:`TruncationBox`, which records where
+it is guaranteed correct, so infinite-support characters (Verma characters
+and their relatives) only exist relative to a box.  A box is one top
+weight and a depth; its members are top - nu for the nonnegative
+simple-root vectors nu of height at most the depth, so each member is
+named by its offset nu, and a character is an offset -> integer dict.
+A ``Weight`` is built only where a caller asks for one: ``coeffs``,
+``serialize`` and the peeled weights.  Nothing adds or multiplies
+characters; a sum or twist is dict arithmetic on ``offsets`` (or on
+``coeffs``, keyed back with :meth:`TruncationBox.offset`), wrapped in a
 new character.
 
 Every character walks the lattice through :meth:`TruncationBox.below`,
-which reads the members below a weight off the table by offset, without a
-scan: Verma characters read Kostant partition counts for it from one
+which gives the offsets of the members below a weight without a scan:
+Verma characters read Kostant partition counts for it from one
 :func:`~modcato.rootdata.kostant_table` at the box depth, Weyl characters
 sum those counts with signs over the dot-action orbit, and
 :func:`peel_decompose` reads its triangular basis as a table on the
@@ -24,7 +27,6 @@ Boxes and characters are immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import add, sub
 from typing import Callable, Mapping
 
@@ -59,74 +61,81 @@ class TruncationBox:
     def system(self) -> RootSystem:
         return self.top.system
 
-    def contains(self, w: Weight) -> bool:
+    def offset(self, w: Weight) -> tuple[int, ...] | None:
+        """The offset top - w of a member w, or None when w is not one."""
         nu = self.system.to_root_vector(self.top - w)
-        return nu is not None and min(nu) >= 0 and sum(nu) <= self.depth
+        return nu if nu is not None and min(nu) >= 0 and sum(nu) <= self.depth else None
 
-    @cached_property
-    def _members(self) -> dict[tuple[int, ...], Weight]:
-        # offset nu -> top - C·nu, in the coordinate order of the weights.
-        rs = self.system
-        members = {nu: self.top - rs.weight_of(nu) for nu in rs.root_vectors_up_to_height(self.depth)}
-        return dict(sorted(members.items(), key=lambda kv: kv[1].coords))
+    def contains(self, w: Weight) -> bool:
+        return self.offset(w) is not None
+
+    def weight(self, nu: tuple[int, ...]) -> Weight:
+        """The member top - C·nu at offset nu."""
+        return self.top - self.system.weight_of(nu)
 
     def weights(self) -> tuple[Weight, ...]:
         """All box members, sorted by coordinates."""
-        return tuple(self._members.values())
+        members = map(self.weight, self.system.root_vectors_up_to_height(self.depth))
+        return tuple(sorted(members, key=lambda w: w.coords))
 
-    def below(self, lam: Weight) -> list[tuple[Weight, tuple[int, ...]]]:
-        """Box members w <= lam, sorted, each with the simple-root
-        coordinates of lam - w."""
+    def below(self, lam: Weight) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(m, nu) for each member w <= lam: its offset m = top - w and
+        nu = lam - w, both in simple-root coordinates, with m in the order
+        of ``root_vectors_up_to_height``."""
         gap = self.system.to_root_vector(self.top - lam)
         if gap is None:
             return []
-        # The offsets nu = top - w with lam - w = nu - gap >= 0 are low + e
-        # for the nonnegative e of height at most depth - |low|.
+        # The offsets m with lam - w = m - gap >= 0 are low + e for the
+        # nonnegative e of height at most depth - |low|.
         low = [max(g, 0) for g in gap]
         out = []
         for e in self.system.root_vectors_up_to_height(self.depth - sum(low)):
-            nu = tuple(map(add, low, e))
-            out.append((self._members[nu], tuple(map(sub, nu, gap))))
-        return sorted(out, key=lambda pair: pair[0].coords)
+            m = tuple(map(add, low, e))
+            out.append((m, tuple(map(sub, m, gap))))
+        return out
 
 
 class FormalCharacter:
-    """Finite weight -> integer map together with its truncation box."""
+    """Finite offset -> integer map on a truncation box: the coefficient of
+    the member top - C·nu at each offset nu."""
 
-    __slots__ = ("coeffs", "box")
+    __slots__ = ("offsets", "box")
 
-    def __init__(self, coeffs: Mapping[Weight, int], box: TruncationBox):
-        cleaned = {w: c for w, c in coeffs.items() if c != 0}
-        for w in cleaned:
-            if not box.contains(w):
-                raise ValueError(f"coefficient at {w} lies outside the truncation box")
-        self.coeffs: dict[Weight, int] = cleaned
+    def __init__(self, offsets: Mapping[tuple[int, ...], int], box: TruncationBox):
+        rank = box.system.rank
+        for nu in offsets:
+            if not (type(nu) is tuple and len(nu) == rank and all(type(a) is int for a in nu)
+                    and min(nu) >= 0 and sum(nu) <= box.depth):
+                raise ValueError(f"{nu!r} is not the offset of a truncation box member")
+        self.offsets: dict[tuple[int, ...], int] = {nu: c for nu, c in offsets.items() if c != 0}
         self.box = box
 
-    def coefficient(self, w: Weight) -> int:
-        return self.coeffs.get(w, 0)
+    @property
+    def coeffs(self) -> dict[Weight, int]:
+        """The same coefficients keyed by weight, in a new dict."""
+        return {self.box.weight(nu): c for nu, c in self.offsets.items()}
 
-    def support(self) -> tuple[Weight, ...]:
-        return tuple(sorted(self.coeffs, key=lambda w: w.coords))
+    def coefficient(self, w: Weight) -> int:
+        return self.offsets.get(self.box.offset(w), 0)
 
     def items(self):
         return self.coeffs.items()
 
     def serialize(self) -> list[list]:
-        return [[list(w.coords), c] for w, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].coords)]
+        return sorted([list(self.box.weight(nu).coords), c] for nu, c in self.offsets.items())
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FormalCharacter)
-            and self.coeffs == other.coeffs
+            and self.offsets == other.offsets
             and self.box == other.box
         )
 
     def __hash__(self):
-        return hash((frozenset(self.coeffs.items()), self.box))
+        return hash((frozenset(self.offsets.items()), self.box))
 
     def __repr__(self) -> str:
-        parts = " + ".join(f"{c}*e{w.coords}" for w, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].coords))
+        parts = " + ".join(f"{c}*e{tuple(coords)}" for coords, c in self.serialize())
         return f"FormalCharacter({parts or '0'})"
 
 
@@ -135,7 +144,7 @@ def verma_character(lam: Weight, box: TruncationBox) -> FormalCharacter:
     if not box.contains(lam):
         raise BoxMarginError(f"box does not contain {lam}")
     table = kostant_table(lam.system, box.depth)
-    return FormalCharacter({w: table[nu] for w, nu in box.below(lam)}, box)
+    return FormalCharacter({m: table[nu] for m, nu in box.below(lam)}, box)
 
 
 def weyl_dimension(lam: Weight) -> int:
@@ -162,14 +171,14 @@ def weyl_character(lam: Weight) -> FormalCharacter:
     rs = lam.system
     box = TruncationBox.make(lam, height_drop(lam))
     table = kostant_table(rs, box.depth)
-    out: dict[Weight, int] = {}
+    out: dict[tuple[int, ...], int] = {}
     for w in rs.weyl_group:
-        for x, nu in box.below(dot_action(w, lam)):
-            out[x] = out.get(x, 0) + w.sign * table[nu]
+        for m, nu in box.below(dot_action(w, lam)):
+            out[m] = out.get(m, 0) + w.sign * table[nu]
     chi = FormalCharacter(out, box)
     if chi.coefficient(lam) != 1:
         raise ExactnessError(f"Weyl character of {lam} has top coefficient {chi.coefficient(lam)}")
-    if sum(chi.coeffs.values()) != weyl_dimension(lam):
+    if sum(chi.offsets.values()) != weyl_dimension(lam):
         raise ExactnessError(f"Weyl character of {lam} disagrees with the dimension formula")
     return chi
 
@@ -184,23 +193,27 @@ def peel_decompose(
     ``{nu: coefficient of e^(mu - nu)}``.  It is asked only for the
     simple-root coordinates nu of ``chi.box.below(mu)``, must answer every
     one of them, and must give 1 at nu = 0.  Box weights are peeled by
-    non-increasing height with a lexicographic tie-break, so each weight's
-    residual is final when its turn comes and none is left at the end.
+    non-decreasing offset height, and at one height by reverse-lexicographic
+    offset, which is increasing coordinates in A1, A2 and B2; so each
+    weight's residual is final when its turn comes and none is left at the
+    end.
     """
     box = chi.box
-    order = sorted(box._members.items(), key=lambda kv: (sum(kv[0]), kv[1].coords))
+    order = sorted(box.system.root_vectors_up_to_height(box.depth),
+                   key=lambda m: (sum(m), [-a for a in m]))
     zero = (0,) * box.system.rank
-    residual = dict(chi.coeffs)
+    residual = dict(chi.offsets)
     out: dict[Weight, int] = {}
-    for _, mu in order:
-        a = residual.get(mu, 0)
+    for m in order:
+        a = residual.get(m, 0)
         if a == 0:
             continue
+        mu = box.weight(m)
         below = box.below(mu)
         dims = basis(mu, [nu for _, nu in below])
         if dims[zero] != 1:
             raise ValueError(f"basis character at {mu} does not have leading coefficient 1")
         out[mu] = a
-        for w, nu in below:
-            residual[w] = residual.get(w, 0) - a * dims[nu]
+        for m2, nu in below:
+            residual[m2] = residual.get(m2, 0) - a * dims[nu]
     return out

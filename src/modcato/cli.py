@@ -81,9 +81,10 @@ def _emit(args, text_payload: str, json_payload) -> None:
 
 
 def _character_output(args, chi, meta: dict) -> None:
-    rows = [[_coords_str_from(coords), c] for coords, c in chi.serialize()]
+    entries = chi.serialize()
+    rows = [[_coords_str_from(coords), c] for coords, c in entries]
     payload = dict(meta)
-    payload["entries"] = chi.serialize()
+    payload["entries"] = entries
     _emit(args, _format_table(rows, ["weight", "coeff"]), payload)
 
 
@@ -140,9 +141,10 @@ def cmd_decomp(args) -> int:
 
 
 def _flag_output(args, flag, meta: dict) -> None:
-    rows = [[_coords_str_from(coords), m] for coords, m in flag.serialize()]
+    entries = flag.serialize()
+    rows = [[_coords_str_from(coords), m] for coords, m in entries]
     payload = dict(meta)
-    payload["entries"] = flag.serialize()
+    payload["entries"] = entries
     _emit(args, _format_table(rows, ["weight", "mult"]), payload)
 
 
@@ -174,17 +176,18 @@ def cmd_steinberg(args) -> int:
     lam = parse_weight(rs, args.lam)
     box = TruncationBox.make(lam, args.depth)
     ok, diff = steinberg_check(lam, args.p, box)
+    difference = diff.serialize()
     digits = [list(d.coords) for d in steinberg_digits(lam, args.p)]
     text = [f"digits: {'; '.join(_coords_str_from(d) for d in digits)}"]
     text.append(f"factorization check: {'pass' if ok else 'FAIL'}")
     if not ok:
         text.append("difference (ch L - product) on the box:")
-        for coords, c in diff.serialize():
+        for coords, c in difference:
             text.append(f"  {_coords_str_from(coords)}  {c}")
     _emit(args, "\n".join(text),
           {"kind": "steinberg", "system": rs.cartan_type, "p": args.p,
            "lambda": list(lam.coords), "depth": args.depth, "passed": ok,
-           "digits": digits, "difference": diff.serialize()})
+           "digits": digits, "difference": difference})
     return 0 if ok else 1
 
 

@@ -23,10 +23,6 @@ class ExactnessError(ModcatoError):
     internal inconsistency, never a bad input."""
 
 
-class InvalidCharacterError(ModcatoError):
-    """An input character is not a nonnegative combination of simples."""
-
-
 # Miller-Rabin to these bases is exact below _MR_LIMIT, the least strong
 # pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86 (2017)).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -14,7 +14,6 @@ from modcato.category_o import (
     build_decomposition_table,
     decomposition_numbers,
     full_simple_character,
-    hom_dim_projective,
     projective_verma_mult,
     q_module_mult,
     simple_character,
@@ -27,7 +26,6 @@ from modcato.category_o import (
 from modcato.charring import FormalCharacter, TruncationBox, verma_character, weyl_character
 from modcato.errors import (
     BoxMarginError,
-    InvalidCharacterError,
     ModcatoError,
     PredicateError,
     require_prime,
@@ -154,8 +152,6 @@ def test_non_prime_p_is_rejected(p):
         lambda: simple_character(lam, p, box1(3, 3)),
         lambda: full_simple_character(lam, p),
         lambda: decomposition_numbers(lam, p, 0),
-        lambda: hom_dim_projective(lam, OpenSet.down_closure([lam]),
-                                   verma_character(lam, box1(3, 3)), p),
         lambda: steinberg_digits(lam, p),
         lambda: min_l(K, p),
         lambda: ShiftContext.build(K, A1.weight(4), p, 1),
@@ -309,21 +305,6 @@ def test_projective_verma_mult_examples():
     assert flag2.get(A1.weight(-3)) == 1
     for w in flag2.support():
         assert J.contains(w)
-
-
-def test_hom_dim_projective_examples():
-    box = box1(3, 6)
-    J = OpenSet.down_closure([A1.weight(3)])
-    chl = simple_character(A1.weight(3), 2, box)
-    assert hom_dim_projective(A1.weight(3), J, chl, 2) == 1
-    delta = verma_character(A1.weight(3), box)
-    assert hom_dim_projective(A1.weight(3), J, delta, 2) == 1
-    other = simple_character(A1.weight(1), 2, box)
-    combo = {w: 2 * chl.coefficient(w) + other.coefficient(w) for w in box.weights()}
-    assert hom_dim_projective(A1.weight(3), J, FormalCharacter(combo, box), 2) == 2
-    negated = FormalCharacter({w: -c for w, c in chl.items()}, box)
-    with pytest.raises(InvalidCharacterError):
-        hom_dim_projective(A1.weight(3), J, negated, 2)
 
 
 def test_steinberg_digits_examples():

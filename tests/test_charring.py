@@ -16,7 +16,7 @@ from modcato.charring import (
     weyl_dimension,
 )
 from modcato.errors import BoxMarginError
-from modcato.rootdata import build_root_system, is_dominant, kostant_partition
+from modcato.rootdata import RootSystem, build_root_system, is_dominant, kostant_partition
 
 import oracles
 
@@ -78,8 +78,11 @@ def test_box_membership_matches_brute_force(rs):
             elif sum(gap) > box.depth:
                 seen["lam beneath box"] += 1
             below = box.below(lam)
-            assert dict(below) == oracles.below_set(lam, members, points), (box, lam)
-            assert [w for w, _ in below] == sorted((w for w, _ in below), key=lambda w: w.coords)
+            assert {box.weight(m): nu for m, nu in below} == oracles.below_set(lam, members, points), (box, lam)
+            offsets = [m for m, _ in below]
+            assert all(box.offset(box.weight(m)) == m for m in offsets), (box, lam)
+            kept = set(offsets)
+            assert offsets == [m for m in rs.root_vectors_up_to_height(box.depth) if m in kept]
     assert min(seen.values()) > 0, seen
     other = B2 if rs is not B2 else A2
     box = _random_box(rs, rng)
@@ -87,6 +90,32 @@ def test_box_membership_matches_brute_force(rs):
         box.contains(other.zero_weight())
     with pytest.raises(ValueError):
         box.below(other.zero_weight())
+
+
+@pytest.mark.parametrize("key", [None, A2.weight(2, 0), (1,), (1.0, 0), (-1, 2), (2, 2)],
+                         ids=["none", "weight", "short", "float", "negative", "too-deep"])
+def test_character_rejects_keys_outside_its_box(key):
+    box = TruncationBox.make(A2.weight(1, 1), 3)
+    assert FormalCharacter({(1, 2): 1}, box).coefficient(A2.weight(1, -2)) == 1
+    with pytest.raises(ValueError, match="offset"):
+        FormalCharacter({key: 1}, box)
+
+
+def test_characters_build_no_member_weights(monkeypatch):
+    # A character is keyed by box offset: building one makes no member
+    # weight, and a Verma character converts only its top and its lam.
+    calls = dict.fromkeys(["weight_of", "to_root_vector"], 0)
+    for name in calls:
+        def counting(self, arg, real=getattr(RootSystem, name), name=name):
+            calls[name] += 1
+            return real(self, arg)
+        monkeypatch.setattr(RootSystem, name, counting)
+    chi = verma_character(B2.weight(-1, -1), TruncationBox.make(B2.weight(-1, -1), 100))
+    assert len(chi.offsets) == 5151
+    assert calls["weight_of"] == 0 and calls["to_root_vector"] <= 2, calls
+    calls.update(weight_of=0)
+    assert sum(weyl_character(B2.weight(6, 6)).offsets.values()) == weyl_dimension(B2.weight(6, 6))
+    assert calls["weight_of"] == 0, calls
 
 
 @pytest.mark.parametrize("top, depth", [
@@ -183,8 +212,8 @@ def verma_sum(coeffs, box):
     """The character sum of c * ch Delta(w) over ``coeffs``, on ``box``."""
     out = {}
     for w, c in coeffs.items():
-        for x, d in verma_character(w, box).items():
-            out[x] = out.get(x, 0) + c * d
+        for m, d in verma_character(w, box).offsets.items():
+            out[m] = out.get(m, 0) + c * d
     return FormalCharacter(out, box)
 
 
@@ -205,7 +234,7 @@ def test_peel_two_vermas():
 def test_peel_weyl_against_verma_basis():
     # ch V(3) = ch Delta(3) - ch Delta(-5) in rank 1.
     box = a1box(3, 6)
-    chi = FormalCharacter(weyl_character(A1.weight(3)).coeffs, box)
+    chi = FormalCharacter({box.offset(w): c for w, c in weyl_character(A1.weight(3)).items()}, box)
     out = peel_decompose(chi, verma_basis(A1))
     assert out == {A1.weight(3): 1, A1.weight(-5): -1}
 
@@ -251,6 +280,22 @@ def test_peel_asks_the_basis_for_the_box_below_each_peeled_weight():
         assert nus == [nu for _, nu in chi.box.below(mu)]
     assert max(sum(nu) for nu in dict(asked)[top]) == 3
     assert max(sum(nu) for nu in dict(asked)[A2.weight(1, 1)]) == 2
+
+
+@pytest.mark.parametrize("rs", [A1, A2, B2], ids=lambda rs: rs.cartan_type)
+def test_peel_goes_down_by_offset_height_then_coordinates(rs):
+    rng = random.Random(30 + rs.rank)
+    for _ in range(8):
+        box = _random_box(rs, rng)
+        coeffs = {w: rng.randint(1, 3) for w in box.weights()}
+        seen = []
+
+        def recording(mu, nus):
+            seen.append(mu)
+            return verma_basis(rs)(mu, nus)
+
+        assert peel_decompose(verma_sum(coeffs, box), recording) == coeffs
+        assert seen == sorted(coeffs, key=lambda mu: (sum(box.offset(mu)), mu.coords)), box
 
 
 def test_peel_reads_every_asked_nu_from_the_basis():
