@@ -9,10 +9,14 @@ Simple characters use Steinberg's tensor product theorem: if every coordinate
 of lambda0 lies in [0, p), then L(lambda0 + p*lambda1) = L(lambda0) (x)
 L(lambda1)^[1] (Steinberg, Nagoya Math. J. 22 (1963), and Jantzen, *Representations
 of Algebraic Groups*, II.3.17, for dominant weights; Haboush, LNM 795 (1980), for
-any weight over the hyperalgebra).  So only restricted weights are ranked.
-The digit recursion :func:`_simple_dims` is the one product of the theorem:
-the factorization check compares it with a Gram sweep of every weight space
-it is asked for, which never factorizes.
+any weight over the hyperalgebra).  So only restricted weights are ranked,
+and only on the weight spaces of their Weyl modules (Humphreys, *Introduction
+to Lie Algebras and Representation Theory*, §21.3; Jantzen, *RAG*, II.2 and
+II.5); a product step pairs each asked weight space with the nonzero weight
+spaces of L(lam0) of its own residue mod p.  The digit recursion
+:func:`_simple_dims` is the one product of the theorem: the factorization
+check compares it with a Gram sweep of every weight space it is asked for,
+which never factorizes.
 
 Dual Vermas never appear as objects: their characters equal the Verma
 characters, and every statement made here factors through characters,
@@ -24,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import le, mul
 from typing import Callable, Iterable, Mapping
 
 from . import cache as cache_store
@@ -47,6 +52,7 @@ from .rootdata import (
     is_dominant,
     kostant_table,
     leq,
+    weyl_hull,
 )
 from .topology import (
     LocallyClosedSet,
@@ -104,11 +110,15 @@ class FlagVector:
 
 @dataclass(frozen=True)
 class DecompositionTable:
-    """Composition multiplicities of Vermas over a locally closed region."""
+    """Composition multiplicities of Vermas over a locally closed region.
+
+    ``comparable`` lists every pair (mu, lam) of the region with lam <= mu, in
+    region order, zero entries included; ``entries`` holds the nonzero ones."""
 
     p: int
     region: tuple[Weight, ...]
     entries: Mapping[tuple[Weight, Weight], int]
+    comparable: tuple[tuple[Weight, Weight], ...]
 
     def entry(self, mu: Weight, lam: Weight) -> int:
         return self.entries.get((mu, lam), 0)
@@ -118,6 +128,7 @@ class DecompositionTable:
             self.p,
             tuple(sorted((w + gamma for w in self.region), key=lambda w: w.coords)),
             {(mu + gamma, lam + gamma): v for (mu, lam), v in self.entries.items()},
+            tuple((mu + gamma, lam + gamma) for mu, lam in self.comparable),
         )
 
     def serialize(self) -> list[list]:
@@ -184,32 +195,48 @@ def _digits(lam: Weight, p: int) -> tuple[Weight, Weight]:
 def _simple_dims(lam: Weight, p: int, nus, guard: SizeGuard | None) -> dict:
     """``_SIMPLE_CACHE[(lam, p)]`` filled in on ``nus`` by the theorem above.
 
-    A restricted lam ranks its top (checked) and the asked nu within its
-    ``height_drop``, so no Gram outgrows an asked one; deeper nu leave its Weyl
-    hull and are 0.  Any other lam has top 1, ending the recursion at lam1 = lam.
+    A restricted lam is dominant, so every weight of L(lam) is one of its Weyl
+    module, and lam - nu is one exactly when w(lam - nu) <= lam for every w in
+    W (:func:`~modcato.rootdata.weyl_hull`).  Only those asked nu and the top
+    (checked) are ranked; every other nu is 0.  Any other lam has top 1 and
+    asks L(lam0) once, on the nu0 of the (p-1)*2rho range up to the highest
+    asked height; each asked nu pairs only with the nonzero nu0 <= nu of its
+    own residue mod p, and L(lam1) is asked on those mu = (nu - nu0)/p alone.
+    Each mu lies below its nu, so the recursion ends even where lam1 = lam.
     """
     dims = _SIMPLE_CACHE.setdefault((lam, p), {})
     missing = [nu for nu in nus if nu not in dims]
     zero = (0,) * len(lam.coords)
     lam0, lam1 = _digits(lam, p)
     if missing and lam0 == lam:
-        drop = height_drop(lam)
-        ask = {nu for nu in missing if sum(nu) <= drop} | ({zero} - dims.keys())
+        # lam - nu is a weight of W(lam) iff (lam - w(lam)) + w(nu) >= 0 for every w.
+        hull = weyl_hull(lam)
+        ask = {nu for nu in missing
+               if all(o + sum(map(mul, row, nu)) >= 0
+                      for offset, w in hull for o, row in zip(offset, w))}
+        ask |= {zero} - dims.keys()
         dims.update(dict.fromkeys(missing, 0) | simple_weight_dims(lam, sorted(ask), p, guard=guard))
         if dims[zero] != 1:
             raise ExactnessError(f"L({lam}) has multiplicity {dims[zero]} at its highest weight")
     elif missing:
         dims[zero] = 1
+        asked = [nu for nu in missing if any(nu)]
+        if not asked:
+            return dims
+        high = max(map(sum, asked))
         # In root coordinates every nu0 of L(lam0) is <= lam0 - w0(lam0) <= (p-1)*2rho.
         top = [(p - 1) * sum(c) for c in zip(*lam.system.positive_roots)]
-        splits = {nu: [(nu0, tuple((n - a) // p for n, a in zip(nu, nu0))) for nu0 in
-                       itertools.product(*(range(n % p, min(n, t) + 1, p) for n, t in zip(nu, top)))]
-                  for nu in missing if any(nu)}
+        range0 = [nu0 for nu0 in itertools.product(*(range(t + 1) for t in top)) if sum(nu0) <= high]
+        d0 = _simple_dims(lam0, p, range0, guard)
+        groups: dict[tuple[int, ...], list] = {}
+        for nu0 in range0:
+            if d0[nu0]:
+                groups.setdefault(tuple(n % p for n in nu0), []).append(nu0)
+        splits = {nu: [(d0[nu0], tuple((n - a) // p for n, a in zip(nu, nu0)))
+                       for nu0 in groups.get(tuple(n % p for n in nu), ()) if all(map(le, nu0, nu))]
+                  for nu in asked}
         d1 = _simple_dims(lam1, p, {mu for pairs in splits.values() for _, mu in pairs}, guard)
-        splits = {nu: [(nu0, d1[mu]) for nu0, mu in pairs if d1[mu]]
-                  for nu, pairs in splits.items() if nu not in dims}
-        d0 = _simple_dims(lam0, p, {nu0 for pairs in splits.values() for nu0, _ in pairs}, guard)
-        dims.update((nu, sum(d0[nu0] * c for nu0, c in pairs)) for nu, pairs in splits.items())
+        dims.update((nu, sum(c * d1[mu] for c, mu in pairs)) for nu, pairs in splits.items())
     return dims
 
 
@@ -280,15 +307,18 @@ def build_decomposition_table(
     region = weights.sorted
     rs = region[0].system
     entries: dict[tuple[Weight, Weight], int] = {}
+    comparable: list[tuple[Weight, Weight]] = []
     for mu in region:
-        gaps = [rs.to_root_vector(mu - lam) for lam in region]
-        row_depth = max(sum(nu) for nu in gaps if nu is not None and min(nu) >= 0)
+        gaps = {lam: rs.to_root_vector(mu - lam) for lam in region}
+        below = [lam for lam, nu in gaps.items() if nu is not None and min(nu) >= 0]
+        comparable.extend((mu, lam) for lam in below)
+        row_depth = max(sum(gaps[lam]) for lam in below)
         if depth is not None:
             row_depth = max(row_depth, depth)
         # Every weight of the row lies below mu, in the box of that depth.
         row = decomposition_numbers(mu, p, row_depth, guard=guard)
-        entries.update(((mu, lam), row[lam]) for lam in region if row.get(lam))
-    return DecompositionTable(p, region, entries)
+        entries.update(((mu, lam), row[lam]) for lam in below if row.get(lam))
+    return DecompositionTable(p, region, entries, tuple(comparable))
 
 
 def validate_table_consistency(
@@ -415,9 +445,10 @@ def steinberg_check(
     below lam, which never factorizes; the right side is the digit
     recursion :func:`_simple_dims` that ``char simple`` prints, asked for
     the same weight spaces.  Neither reads nor writes a disk record.  At a
-    restricted lam both sides share one Gram sweep, so there it checks only
-    the zeros beyond lam's Weyl hull and the top weight; such weights need
-    an independent route, such as Jantzen's sum formula.
+    restricted lam the product ranks only the weights of the Weyl module, so
+    the check is that the sweep ranks 0 on every other weight space of the
+    box and agrees with itself on the rest; those need an independent
+    route, such as Jantzen's sum formula.
 
     Returns (equal on box, difference character sweep - product on box).
     """

@@ -29,7 +29,7 @@ from .category_o import (
 from .errors import ModcatoError, require_prime
 from .hypalg import SizeGuard
 from .reporting import Report
-from .rootdata import Weight, is_dominant, leq
+from .rootdata import Weight, is_dominant
 from .topology import (
     CarvedOpen,
     LocallyClosedSet,
@@ -144,15 +144,12 @@ def verify_periodicity(ctx: ShiftContext, *, depth: int | None = None) -> Report
     shifted = build_decomposition_table(ctx.Kt, ctx.p, depth=depth, guard=ctx.guard)
     report.payload["table"] = table.serialize()
     report.payload["shifted_table"] = shifted.serialize()
-    for mu in ctx.K:
-        for lam in ctx.K:
-            if not leq(lam, mu):
-                continue
-            report.record(
-                f"[Delta({mu.coords}):L({lam.coords})] vs shift by {ctx.gamma.coords}",
-                table.entry(mu, lam),
-                shifted.entry(mu + ctx.gamma, lam + ctx.gamma),
-            )
+    for mu, lam in table.comparable:
+        report.record(
+            f"[Delta({mu.coords}):L({lam.coords})] vs shift by {ctx.gamma.coords}",
+            table.entry(mu, lam),
+            shifted.entry(mu + ctx.gamma, lam + ctx.gamma),
+        )
     return report
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul, sub
 from typing import Iterator
 
@@ -197,6 +197,16 @@ class RootSystem:
             if not ok:
                 raise ExactnessError(f"{self.cartan_type} root data: {message}")
 
+    @cached_property
+    def weyl_root_matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Each element of ``weyl_group`` on simple-root coordinates, in the
+        same order: column j is w(alpha_j)."""
+        columns = [[self.to_root_vector(w.apply(self.weight_of(e))) for e in self.simple_roots]
+                   for w in self.weyl_group]
+        if any(None in c for c in columns):
+            raise ExactnessError(f"{self.cartan_type} root data: a Weyl image of a root is not integral")
+        return tuple(tuple(zip(*c)) for c in columns)
+
     # -- basic constructors ---------------------------------------------
 
     def weight(self, *coords: int) -> Weight:
@@ -331,11 +341,25 @@ def dot_action(w: WeylElement, lam: Weight) -> Weight:
 
 def height_drop(lam: Weight) -> int:
     """Height of lam minus its lowest Weyl image; bounds orbit-hull depth."""
+    return max(map(sum, _weyl_offsets(lam)))
+
+
+def weyl_hull(lam: Weight) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """One pair (lam - w(lam), w on simple-root coordinates) per w in W.
+
+    For dominant lam, lam - nu lies in the Weyl hull of lam, i.e.
+    w(lam - nu) <= lam for every w, exactly when offset + w(nu) >= 0
+    coordinatewise for every pair; those are the weights of the Weyl module
+    (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+    §21.3)."""
+    return tuple(zip(_weyl_offsets(lam), lam.system.weyl_root_matrices))
+
+
+def _weyl_offsets(lam: Weight) -> Iterator[tuple[int, ...]]:
+    """lam - w(lam) in simple-root coordinates, for w in ``weyl_group`` order."""
     rs = lam.system
-    best = 0
     for w in rs.weyl_group:
-        nu = rs.to_root_vector(lam - w.apply(lam))
-        if nu is None:
+        offset = rs.to_root_vector(lam - w.apply(lam))
+        if offset is None:
             raise ExactnessError("Weyl images differ by root-lattice vectors")
-        best = max(best, sum(nu))
-    return best
+        yield offset

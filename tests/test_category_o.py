@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -32,7 +33,7 @@ from modcato.errors import (
 )
 from modcato.hypalg import rank_mod_p, simple_weight_dims
 from modcato.periodicity import ShiftContext
-from modcato.rootdata import build_root_system
+from modcato.rootdata import build_root_system, height_drop
 from modcato.topology import LocallyClosedSet, OpenSet, min_l
 
 import oracles
@@ -385,3 +386,88 @@ def test_steinberg_and_frobenius_b2():
     twisted = oracles.twisted(simple_character(lam, 2, box).coeffs, 2)
     direct = simple_character(lam * 2, 2, oracles.scaled_box(box, 2))
     assert twisted == direct.coeffs
+
+
+def _restricted_weights():
+    for typ, primes in (("A1", (2, 3, 5, 7)), ("A2", (2, 3, 5)), ("B2", (2, 3, 5))):
+        rs = build_root_system(typ)
+        for p in primes:
+            for coords in itertools.product(range(p), repeat=rs.rank):
+                yield rs.weight(*coords), p
+
+
+def test_restricted_asks_are_the_weyl_module_support(monkeypatch):
+    # A restricted lam ranks exactly the nu with lam - nu a weight of W(lam),
+    # read off the alternating Weyl sum, and every nu it drops within
+    # height_drop ranks 0 in the Gram sweep.
+    import modcato.category_o as category_o
+
+    real = category_o.simple_weight_dims
+    asked = []
+
+    def record(lam, nus, p, guard=None):
+        asked.extend(nus)
+        return {nu: 1 for nu in nus}
+
+    monkeypatch.setattr(category_o, "simple_weight_dims", record)
+    weights = zeros = 0
+    for lam, p in _restricted_weights():
+        rs = lam.system
+        drop = height_drop(lam)
+        nus = list(rs.root_vectors_up_to_height(drop))
+        monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+        asked.clear()
+        category_o._simple_dims(lam, p, nus, None)
+        support = oracles.weyl_alternating_sum(lam, [lam - rs.weight_of(nu) for nu in nus])
+        assert {lam - rs.weight_of(nu) for nu in asked} == support.keys(), (lam, p)
+        weights += 1
+        if drop <= 14:
+            kept = set(asked)
+            dropped = [nu for nu in nus if nu not in kept]
+            assert not any(real(lam, dropped, p).values()), (lam, p)
+            zeros += len(dropped)
+    assert (weights, zeros) == (93, 1642)
+
+
+@pytest.mark.parametrize("typ, coords, p, depth", [
+    ("A2", (5, 4), 3, 12), ("A2", (-1, -1), 3, 12), ("A2", (-4, 7), 2, 10),
+    ("B2", (5, 4), 3, 12), ("B2", (-1, -1), 2, 12), ("B2", (7, 3), 5, 14),
+])
+def test_digit_product_asks_each_digit_once(typ, coords, p, depth, monkeypatch):
+    # One product step asks L(lam0) once, no higher than the highest asked
+    # nu, and asks L(lam1) only at mu = (nu - nu0)/p with dim L(lam0) > 0 at
+    # nu0.  At lam = (-1,-1) the second digit is lam itself.
+    import modcato.category_o as category_o
+
+    real = category_o._simple_dims
+    level = []
+    children = []
+
+    def record(lam, p, nus, guard):
+        nus = list(nus)
+        if len(level) == 1:
+            children.append((lam, nus))
+        level.append(lam)
+        try:
+            return real(lam, p, nus, guard)
+        finally:
+            level.pop()
+
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    monkeypatch.setattr(category_o, "_simple_dims", record)
+    rs = build_root_system(typ)
+    lam = rs.weight(*coords)
+    lam0, lam1 = category_o._digits(lam, p)
+    nus = list(rs.root_vectors_up_to_height(depth))
+    dims = category_o._simple_dims(lam, p, nus, None)
+    assert [w for w, _ in children] == [lam0, lam1]
+    (_, asked0), (_, asked1) = children
+    assert max(map(sum, asked0)) <= depth
+    d0 = category_o._SIMPLE_CACHE[(lam0, p)]
+    partnered = {tuple((n - a) // p for n, a in zip(nu, nu0))
+                 for nu in nus for nu0 in asked0
+                 if d0[nu0] and all(a <= n and (n - a) % p == 0 for n, a in zip(nu, nu0))}
+    assert asked1 and set(asked1) <= partnered
+    box = TruncationBox.make(lam, depth)
+    expect = oracles.sweep_simple_coeffs(lam, p, box)
+    assert {box.weight(m): dims[nu] for m, nu in box.below(lam) if dims[nu]} == expect

@@ -130,6 +130,30 @@ def test_steinberg_fail_prints_the_difference(capsys, monkeypatch):
     assert payload["difference"] == [[[2], 1]]
 
 
+def test_steinberg_at_a_restricted_weight_checks_the_sweep(capsys, monkeypatch):
+    # At a restricted lam the product ranks only the weights of the Weyl
+    # module, so a sweep that is wrong outside them shows.  nu = (4,0) lies
+    # within height_drop(2,2) = 8 but lam - nu = (-6,6) is conjugate to
+    # (6,0), which is not below (2,2).
+    import modcato.category_o as category_o
+
+    real = category_o.simple_weight_dims
+
+    def perturbed(lam, nus, p, guard=None):
+        dims = real(lam, nus, p, guard=guard)
+        if lam.coords == (2, 2) and (4, 0) in dims:
+            dims[(4, 0)] += 1
+        return dims
+
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    monkeypatch.setattr(category_o, "simple_weight_dims", perturbed)
+    code, out, _ = run(capsys, "steinberg", "--type", "A2", "--p", "3", "--lambda=2,2", "--depth", "8")
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "factorization check: FAIL", "difference (ch L - product) on the box:", "  -6,6  1",
+    ]
+
+
 @pytest.mark.parametrize("argv, n_digits", [
     (("--type", "B2", "--p", "11", "--lambda=21,21", "--depth", "8"), 2),
     (("--type", "A1", "--p", "2", "--lambda=99999999999999999999", "--depth", "3"), 67),

@@ -202,3 +202,32 @@ def test_verify_periodicity_checks_no_region_again(monkeypatch):
     assert verify_periodicity(ctx).passed
     assert convexity == []
     assert guards == [guard] * 4
+
+
+def test_verify_periodicity_reads_comparability_from_the_table(monkeypatch):
+    # The table keeps the comparable pairs it converted while building its
+    # rows, zero entries included; the comparison walks those and calls leq
+    # on no pair of K again.
+    import modcato.rootdata as rootdata
+    from modcato.rootdata import leq
+
+    K = LocallyClosedSet.make(interval(A2.weight(-1, -1), A2.weight(1, 1)))
+    ctx = ShiftContext.build(K, A2.weight(3, 3), 3, 1)
+    table = build_decomposition_table(K, 3)
+    expect = [(mu, lam) for mu in K for lam in K if leq(lam, mu)]
+    assert list(table.comparable) == expect
+    assert any(not table.entry(mu, lam) for mu, lam in expect)
+    shifted = table.translate(ctx.gamma)
+    assert shifted.comparable == tuple((mu + ctx.gamma, lam + ctx.gamma) for mu, lam in expect)
+
+    def no_leq(*args):
+        raise AssertionError("comparability derived again")
+
+    monkeypatch.setattr(rootdata, "leq", no_leq)
+    monkeypatch.setattr(category_o, "leq", no_leq)
+    monkeypatch.setattr(periodicity, "leq", no_leq, raising=False)
+    rep = verify_periodicity(ctx)
+    assert rep.passed
+    assert [c.identity for c in rep.checks] == [
+        f"[Delta({mu.coords}):L({lam.coords})] vs shift by (3, 3)" for mu, lam in expect
+    ]

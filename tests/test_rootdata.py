@@ -190,11 +190,12 @@ def test_weyl_group_permutes_roots(rs):
     for r in rs.positive_roots:
         all_roots.add(r)
         all_roots.add(tuple(-c for c in r))
-    for w in rs.weyl_group:
+    for w, matrix in zip(rs.weyl_group, rs.weyl_root_matrices, strict=True):
         image = set()
         for coeffs in all_roots:
             nu = rs.to_root_vector(w.apply(rs.weight_of(coeffs)))
             assert nu is not None
+            assert nu == tuple(sum(a * c for a, c in zip(row, coeffs)) for row in matrix)
             image.add(nu)
         assert image == all_roots
 
