@@ -10,13 +10,16 @@ of lambda0 lies in [0, p), then L(lambda0 + p*lambda1) = L(lambda0) (x)
 L(lambda1)^[1] (Steinberg, Nagoya Math. J. 22 (1963), and Jantzen, *Representations
 of Algebraic Groups*, II.3.17, for dominant weights; Haboush, LNM 795 (1980), for
 any weight over the hyperalgebra).  So only restricted weights are ranked,
-and only on the weight spaces of their Weyl modules (Humphreys, *Introduction
-to Lie Algebras and Representation Theory*, §21.3; Jantzen, *RAG*, II.2 and
-II.5); a product step pairs each asked weight space with the nonzero weight
-spaces of L(lam0) of its own residue mod p.  The digit recursion
+and only on the dominant weights of their Weyl modules (Humphreys,
+*Introduction to Lie Algebras and Representation Theory*, §21.3; Jantzen,
+*RAG*, II.2 and II.5): a restricted L(lam) is finite-dimensional, so its
+weight multiplicities are W-invariant (Jantzen, *RAG*, II.1.19; Humphreys,
+§21.2), and every other weight space of the module copies its dominant
+conjugate.  A product step pairs each asked weight space with the nonzero
+weight spaces of L(lam0) of its own residue mod p.  The digit recursion
 :func:`_simple_dims` is the one product of the theorem: the factorization
 check compares it with a Gram sweep of every weight space it is asked for,
-which never factorizes.
+which never factorizes and never uses W.
 
 Dual Vermas never appear as objects: their characters equal the Verma
 characters, and every statement made here factors through characters,
@@ -196,29 +199,41 @@ def _simple_dims(lam: Weight, p: int, nus, guard: SizeGuard | None) -> dict:
     """``_SIMPLE_CACHE[(lam, p)]`` filled in on ``nus`` by the theorem above.
 
     A restricted lam is dominant, so every weight of L(lam) is one of its Weyl
-    module, and lam - nu is one exactly when w(lam - nu) <= lam for every w in
-    W (:func:`~modcato.rootdata.weyl_hull`).  Only those asked nu and the top
-    (checked) are ranked; every other nu is 0.  Any other lam has top 1 and
-    asks L(lam0) once, on the nu0 of the (p-1)*2rho range up to the highest
-    asked height; each asked nu pairs only with the nonzero nu0 <= nu of its
-    own residue mod p, and L(lam1) is asked on those mu = (nu - nu0)/p alone.
-    Each mu lies below its nu, so the recursion ends even where lam1 = lam.
+    module, and lam - nu is one exactly when every image
+    nu_w = (lam - w(lam)) + w(nu) is >= 0 (:func:`~modcato.rootdata.weyl_hull`).
+    L(lam) is then a finite-dimensional G-module, whose weight multiplicities
+    are W-invariant (Jantzen, *RAG*, II.1.19), so such a nu reads the least
+    image nu+, with lam - nu+ the dominant conjugate of lam - nu.  Only the
+    nu+ and the top (checked) are ranked; every nu outside the Weyl module
+    is 0.  Since nu+ <= nu, no Gram is larger than nu's own.
+
+    Any other lam has top 1 and asks L(lam0) once, on the nu0 of the
+    (p-1)*2rho range up to the highest asked height; each asked nu pairs
+    only with the nonzero nu0 <= nu of its own residue mod p, and L(lam1) is
+    asked on those mu = (nu - nu0)/p alone.  Each mu lies below its nu, so
+    the recursion ends even where lam1 = lam.
     """
     dims = _SIMPLE_CACHE.setdefault((lam, p), {})
     missing = [nu for nu in nus if nu not in dims]
+    if not missing:
+        return dims
     zero = (0,) * len(lam.coords)
     lam0, lam1 = _digits(lam, p)
-    if missing and lam0 == lam:
-        # lam - nu is a weight of W(lam) iff (lam - w(lam)) + w(nu) >= 0 for every w.
+    if lam0 == lam:
+        # lam - nu is a weight of W(lam) iff every nu_w = (lam - w(lam)) + w(nu) is >= 0;
+        # the least nu_w is nu+, with lam - nu+ dominant and conjugate to lam - nu.
         hull = weyl_hull(lam)
-        ask = {nu for nu in missing
-               if all(o + sum(map(mul, row, nu)) >= 0
-                      for offset, w in hull for o, row in zip(offset, w))}
-        ask |= {zero} - dims.keys()
-        dims.update(dict.fromkeys(missing, 0) | simple_weight_dims(lam, sorted(ask), p, guard=guard))
+        reps = {}
+        for nu in missing:
+            images = [tuple(o + sum(map(mul, row, nu)) for o, row in zip(offset, w)) for offset, w in hull]
+            if min(map(min, images)) >= 0:
+                reps[nu] = min(images, key=sum)
+        ask = ({zero} | set(reps.values())) - dims.keys()
+        dims.update(simple_weight_dims(lam, sorted(ask), p, guard=guard))
+        dims.update((nu, dims[reps[nu]] if nu in reps else 0) for nu in missing)
         if dims[zero] != 1:
             raise ExactnessError(f"L({lam}) has multiplicity {dims[zero]} at its highest weight")
-    elif missing:
+    else:
         dims[zero] = 1
         asked = [nu for nu in missing if any(nu)]
         if not asked:
@@ -445,10 +460,11 @@ def steinberg_check(
     below lam, which never factorizes; the right side is the digit
     recursion :func:`_simple_dims` that ``char simple`` prints, asked for
     the same weight spaces.  Neither reads nor writes a disk record.  At a
-    restricted lam the product ranks only the weights of the Weyl module, so
-    the check is that the sweep ranks 0 on every other weight space of the
-    box and agrees with itself on the rest; those need an independent
-    route, such as Jantzen's sum formula.
+    restricted lam the product ranks only the dominant weights of the Weyl
+    module and copies each to its W-orbit, so the check is that the sweep
+    ranks 0 on every weight space of the box outside the Weyl module and is
+    W-invariant on the rest.  At the dominant weights it agrees with itself;
+    those need an independent route, such as Jantzen's sum formula.
 
     Returns (equal on box, difference character sweep - product on box).
     """

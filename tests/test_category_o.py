@@ -33,7 +33,7 @@ from modcato.errors import (
 )
 from modcato.hypalg import rank_mod_p, simple_weight_dims
 from modcato.periodicity import ShiftContext
-from modcato.rootdata import build_root_system, height_drop
+from modcato.rootdata import build_root_system, height_drop, is_dominant
 from modcato.topology import LocallyClosedSet, OpenSet, min_l
 
 import oracles
@@ -71,16 +71,19 @@ def test_simple_character_nondominant_is_infinite():
 @pytest.mark.parametrize("typ", ["A1", "A2", "B2"])
 def test_simple_character_ranks_exactly_the_weight_spaces_below(typ, monkeypatch):
     # Characters come digit by digit: only restricted highest weights are
-    # ranked, and the shared memo ranks no weight space twice in a process.
+    # ranked, the shared memo ranks no weight space twice in a process, and
+    # the product equals one Gram sweep of the box below lam.
     import modcato.category_o as category_o
 
     rs = build_root_system(typ)
     rng = random.Random(31 + rs.rank)
     ranked = []
+    real = category_o.simple_weight_dims
 
     def record(lam, nus, p, guard=None):
+        nus = list(nus)
         ranked.extend((lam, p, nu) for nu in nus)
-        return {nu: 0 if any(nu) else 1 for nu in nus}
+        return real(lam, nus, p, guard=guard)
 
     monkeypatch.delenv("MODCATO_CACHE", raising=False)
     cache.configure(None)
@@ -90,8 +93,10 @@ def test_simple_character_ranks_exactly_the_weight_spaces_below(typ, monkeypatch
         top = rs.weight(*[rng.randint(-3, 3) for _ in range(rs.rank)])
         box = TruncationBox.make(top, rng.randint(0, 4))
         lam = rng.choice(box.weights())
-        chi = simple_character(lam, rng.choice((2, 3)), box)
-        assert chi.coeffs == {lam: 1}
+        p = rng.choice((2, 3))
+        chi = simple_character(lam, p, box)
+        below = TruncationBox.make(lam, box.depth - sum(box.offset(lam)))
+        assert chi.coeffs == oracles.sweep_simple_coeffs(lam, p, below), (lam, p)
     assert ranked
     assert all(0 <= c < p for lam, p, _ in ranked for c in lam.coords)
     assert len(ranked) == len(set(ranked))
@@ -397,9 +402,10 @@ def _restricted_weights():
 
 
 def test_restricted_asks_are_the_weyl_module_support(monkeypatch):
-    # A restricted lam ranks exactly the nu with lam - nu a weight of W(lam),
-    # read off the alternating Weyl sum, and every nu it drops within
-    # height_drop ranks 0 in the Gram sweep.
+    # A restricted lam ranks exactly the nu with lam - nu a dominant weight of
+    # W(lam), read off the alternating Weyl sum; the filled table is nonzero
+    # on the whole support, and every nu it drops within height_drop ranks 0
+    # in the Gram sweep.
     import modcato.category_o as category_o
 
     real = category_o.simple_weight_dims
@@ -417,16 +423,36 @@ def test_restricted_asks_are_the_weyl_module_support(monkeypatch):
         nus = list(rs.root_vectors_up_to_height(drop))
         monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
         asked.clear()
-        category_o._simple_dims(lam, p, nus, None)
+        dims = category_o._simple_dims(lam, p, nus, None)
         support = oracles.weyl_alternating_sum(lam, [lam - rs.weight_of(nu) for nu in nus])
-        assert {lam - rs.weight_of(nu) for nu in asked} == support.keys(), (lam, p)
+        dominant = {w for w in support if is_dominant(w)}
+        assert {lam - rs.weight_of(nu) for nu in asked} == dominant, (lam, p)
+        assert {lam - rs.weight_of(nu) for nu in nus if dims[nu]} == support.keys(), (lam, p)
         weights += 1
         if drop <= 14:
-            kept = set(asked)
-            dropped = [nu for nu in nus if nu not in kept]
+            dropped = [nu for nu in nus if lam - rs.weight_of(nu) not in support]
             assert not any(real(lam, dropped, p).values()), (lam, p)
             zeros += len(dropped)
     assert (weights, zeros) == (93, 1642)
+
+
+def test_restricted_tables_match_one_sweep_without_w(monkeypatch):
+    # A restricted lam ranks one weight space per W-orbit and copies it to
+    # the rest of the orbit (Jantzen, RAG, II.1.19).  One Gram sweep of
+    # every nu up to height_drop, which never uses W, must give the same table.
+    import modcato.category_o as category_o
+
+    cases = 0
+    for lam, p in _restricted_weights():
+        drop = height_drop(lam)
+        if drop > 14:
+            continue
+        nus = list(lam.system.root_vectors_up_to_height(drop))
+        monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+        dims = category_o._simple_dims(lam, p, nus, None)
+        assert {nu: dims[nu] for nu in nus} == simple_weight_dims(lam, nus, p), (lam, p)
+        cases += 1
+    assert cases == 80
 
 
 @pytest.mark.parametrize("typ, coords, p, depth", [

@@ -154,14 +154,35 @@ def test_steinberg_at_a_restricted_weight_checks_the_sweep(capsys, monkeypatch):
     ]
 
 
+def test_steinberg_at_a_restricted_weight_checks_w_invariance(capsys, monkeypatch):
+    # The product ranks one weight space per W-orbit, so a sweep that is not
+    # W-invariant shows.  nu = (2,0) gives lam - nu = (-2,4), which is
+    # conjugate to lam = (2,2) itself; the product reads it from nu = 0.
+    import modcato.category_o as category_o
+
+    real = category_o.simple_weight_dims
+
+    def perturbed(lam, nus, p, guard=None):
+        dims = real(lam, nus, p, guard=guard)
+        if lam.coords == (2, 2) and (2, 0) in dims:
+            dims[(2, 0)] += 1
+        return dims
+
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    monkeypatch.setattr(category_o, "simple_weight_dims", perturbed)
+    code, out, _ = run(capsys, "steinberg", "--type", "A2", "--p", "3", "--lambda=2,2", "--depth", "8")
+    assert code == 1
+    assert out.splitlines()[-1] == "  -2,4  1"
+
+
 @pytest.mark.parametrize("argv, n_digits", [
     (("--type", "B2", "--p", "11", "--lambda=21,21", "--depth", "8"), 2),
     (("--type", "A1", "--p", "2", "--lambda=99999999999999999999", "--depth", "3"), 67),
 ], ids=["B2-p11", "A1-huge"])
 def test_steinberg_ranks_only_the_asked_box(capsys, monkeypatch, argv, n_digits):
-    # Neither side ranks a weight space deeper than the box: the digit (10,10)
-    # on its whole support would trip the size guard, and a product of 67
-    # full digit characters would not finish.
+    # Neither side ranks a weight space deeper than the box: the Gram sweep
+    # of the digit (10,10) on its whole support would trip the size guard,
+    # and a product of 67 full digit characters would not finish.
     import modcato.category_o as category_o
 
     real = category_o.simple_weight_dims
@@ -396,10 +417,10 @@ def test_failed_digit_highest_weight_check_exits_3(capsys, monkeypatch):
 
 
 def test_digit_ranks_stay_under_the_guard(capsys, monkeypatch):
-    # L(21,21) = L(10,10) (x) L(1,1)^[1] at p=11.  Ranking the restricted
-    # digit on its whole support would build Grams of dimension 210 and exit
-    # 2 at the default guard; only the weight spaces the box reaches are
-    # ranked, none larger than the box's own.
+    # L(21,21) = L(10,10) (x) L(1,1)^[1] at p=11.  The restricted digit is
+    # ranked only on the dominant conjugates of the weight spaces the box
+    # reaches, and a conjugate nu+ <= nu has a Gram no larger than nu's, so
+    # no Gram is larger than the box's own.
     import modcato.category_o as category_o
     from modcato.charring import TruncationBox
     from modcato.rootdata import build_root_system, kostant_partition
