@@ -7,10 +7,10 @@ truncation box) per simple character asked for in its own right, by
 (``steinberg`` compares in memory).  The pieces behind an answer are rebuilt
 instead.  One kind of piece is the simple characters a row is peeled into:
 their box is the row's, so only a rerun of that row could read them, and
-the row's own record answers the rerun first (on the cache-a2 benchmark,
-no process ever read one of those 389 records).  The other is the
-per-weight-space Gram matrices and their ranks: on an ext4 virtio disk of
-a 2-core VM one atomic put takes 0.56-0.85 ms, while an A2 Gram matrix
+the row's own record answers the rerun first (when such records were
+written, no process of the cache-a2 benchmark ever read one).  The other
+is the per-weight-space Gram matrices and their ranks: on an ext4 virtio
+disk of a 2-core VM one atomic put takes 0.56-0.85 ms, while an A2 Gram matrix
 with its mod-p rank takes 0.10-0.12 ms to compute (nu <= (6,6)), so a
 per-space record cost more to write than it saved.
 

@@ -15,11 +15,12 @@ and only on the dominant weights of their Weyl modules (Humphreys,
 *RAG*, II.2 and II.5): a restricted L(lam) is finite-dimensional, so its
 weight multiplicities are W-invariant (Jantzen, *RAG*, II.1.19; Humphreys,
 §21.2), and every other weight space of the module copies its dominant
-conjugate.  A product step pairs each asked weight space with the nonzero
-weight spaces of L(lam0) of its own residue mod p.  The digit recursion
-:func:`_simple_dims` is the one product of the theorem: the factorization
-check compares it with a Gram sweep of every weight space it is asked for,
-which never factorizes and never uses W.
+conjugate.  Every table is asked for by height, all nu of height at most
+h, and holds only nonzero dimensions: a product step convolves the nonzero
+weight spaces of L(lam0) up to h with those of L(lam1) up to h // p.  The
+digit recursion :func:`_simple_dims` is the one product of the theorem: the
+factorization check compares it with a Gram sweep of every weight space of
+its box, which never factorizes and never uses W.
 
 Dual Vermas never appear as objects: their characters equal the Verma
 characters, and every statement made here factors through characters,
@@ -28,10 +29,9 @@ read as tables: a flag is tensored with a character's ``coeffs`` dict.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from operator import le, mul
+from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
 from . import cache as cache_store
@@ -142,7 +142,7 @@ class DecompositionTable:
         return sorted(triples)
 
 
-# (lam, p) -> {nu coefficients: dim L(lam)_{lam - nu}}
+# (lam, p) -> (h, {nu: dim L(lam)_{lam - nu}}): the nonzero ones of height <= h
 _SIMPLE_CACHE: dict = {}
 
 
@@ -155,8 +155,8 @@ def simple_character(
 ) -> FormalCharacter:
     """Assemble ch L(lam) on a box from the Gram ranks of restricted weights.
 
-    Dimensions are memoized per (lam, p) and weight space, so a character
-    asked on a new box computes only the weight spaces no earlier box held.
+    Dimensions are memoized per (lam, p) up to a height, so a character
+    asked on a deeper box ranks only the weight spaces below that height.
     The finished character is one ``simple_dim`` disk record per box; a hit
     fills the memo without a Gram build, and the highest-weight check still
     runs on it.  ``char simple``, :func:`tensor_flag` and
@@ -167,19 +167,22 @@ def simple_character(
     record answers the rerun first.
     """
     require_prime(p)
-    if not box.contains(lam):
+    gap = box.offset(lam)
+    if gap is None:
         raise BoxMarginError(f"box does not contain the highest weight {lam}")
     rs = lam.system
+    height = box.depth - sum(gap)
     payload = f"lam={_csv(lam.coords)};box={_csv(box.top.coords)};depth={box.depth}"
     cached = cache_store.get_value("simple_dim", rs.cartan_type, p, payload)
-    below = box.below(lam)
     if cached is not None:
         # A record lists the nonzero dimensions of every weight space in its box.
-        on_disk = {tuple(c): d for c, d in json.loads(cached)}
-        dims = _SIMPLE_CACHE.setdefault((lam, p), {})
-        dims.update((nu, on_disk.get(box.weight(m).coords, 0)) for m, nu in below if nu not in dims)
-    dims = _simple_dims(lam, p, [nu for _, nu in below], guard)
-    chi = FormalCharacter({m: dims[nu] for m, nu in below}, box)
+        done, dims = _SIMPLE_CACHE.get((lam, p), (-1, {}))
+        if height > done:
+            gaps = ((rs.to_root_vector(lam - rs.weight(*c)), d) for c, d in json.loads(cached))
+            on_disk = {nu: d for nu, d in gaps if nu is not None and min(nu) >= 0 and sum(nu) <= height}
+            _SIMPLE_CACHE[(lam, p)] = (height, {**on_disk, **dims})
+    dims = _simple_dims(lam, p, height, guard)
+    chi = FormalCharacter({tuple(map(add, gap, nu)): d for nu, d in dims.items() if sum(nu) <= height}, box)
     if chi.coefficient(lam) != 1:
         raise ExactnessError(f"L({lam}) has multiplicity {chi.coefficient(lam)} at its highest weight")
     if cached is None:
@@ -195,63 +198,57 @@ def _digits(lam: Weight, p: int) -> tuple[Weight, Weight]:
     return rs.weight(*(c % p for c in lam.coords)), rs.weight(*(c // p for c in lam.coords))
 
 
-def _simple_dims(lam: Weight, p: int, nus, guard: SizeGuard | None) -> dict:
-    """``_SIMPLE_CACHE[(lam, p)]`` filled in on ``nus`` by the theorem above.
+def _simple_dims(lam: Weight, p: int, height: int, guard: SizeGuard | None) -> dict:
+    """Every nonzero dim L(lam)_{lam - nu} with nu of height <= ``height``,
+    as ``{nu: dim}``, by the theorem above; kept in ``_SIMPLE_CACHE``.
 
-    A restricted lam is dominant, so every weight of L(lam) is one of its Weyl
-    module, and lam - nu is one exactly when every image
-    nu_w = (lam - w(lam)) + w(nu) is >= 0 (:func:`~modcato.rootdata.weyl_hull`).
-    L(lam) is then a finite-dimensional G-module, whose weight multiplicities
-    are W-invariant (Jantzen, *RAG*, II.1.19), so such a nu reads the least
-    image nu+, with lam - nu+ the dominant conjugate of lam - nu.  Only the
-    nu+ and the top (checked) are ranked; every nu outside the Weyl module
-    is 0.  Since nu+ <= nu, no Gram is larger than nu's own.
+    A restricted lam is dominant, so every weight of L(lam) is one of its
+    Weyl module W(lam), whose dominant weights are the dominant lam - nu with
+    nu >= 0 (Humphreys, §21.3).  L(lam) is a finite-dimensional G-module,
+    whose weight multiplicities are W-invariant (Jantzen, *RAG*, II.1.19),
+    so only the dominant lam - nu of height <= ``height`` not yet known are
+    ranked (the top among them, checked), and each nonzero one is copied to
+    the images nu_w = (lam - w(lam)) + w(nu) of its orbit
+    (:func:`~modcato.rootdata.weyl_hull`), which are no lower than nu.
 
-    Any other lam has top 1 and asks L(lam0) once, on the nu0 of the
-    (p-1)*2rho range up to the highest asked height; each asked nu pairs
-    only with the nonzero nu0 <= nu of its own residue mod p, and L(lam1) is
-    asked on those mu = (nu - nu0)/p alone.  Each mu lies below its nu, so
-    the recursion ends even where lam1 = lam.
+    Any other lam convolves the nonzero entries of L(lam0) up to ``height``
+    with those of L(lam1) up to ``height // p``: nu = nu0 + p*mu.  At height
+    0 the table is the top alone, {0: 1}, asked of neither digit, so the
+    recursion ends even where lam1 = lam.
     """
-    dims = _SIMPLE_CACHE.setdefault((lam, p), {})
-    missing = [nu for nu in nus if nu not in dims]
-    if not missing:
+    done, dims = _SIMPLE_CACHE.get((lam, p), (-1, {}))
+    if height <= done:
         return dims
     zero = (0,) * len(lam.coords)
     lam0, lam1 = _digits(lam, p)
     if lam0 == lam:
-        # lam - nu is a weight of W(lam) iff every nu_w = (lam - w(lam)) + w(nu) is >= 0;
-        # the least nu_w is nu+, with lam - nu+ dominant and conjugate to lam - nu.
-        hull = weyl_hull(lam)
-        reps = {}
-        for nu in missing:
-            images = [tuple(o + sum(map(mul, row, nu)) for o, row in zip(offset, w)) for offset, w in hull]
-            if min(map(min, images)) >= 0:
-                reps[nu] = min(images, key=sum)
-        ask = ({zero} | set(reps.values())) - dims.keys()
-        dims.update(simple_weight_dims(lam, sorted(ask), p, guard=guard))
-        dims.update((nu, dims[reps[nu]] if nu in reps else 0) for nu in missing)
-        if dims[zero] != 1:
-            raise ExactnessError(f"L({lam}) has multiplicity {dims[zero]} at its highest weight")
+        rs = lam.system
+        # Every weight lam - nu of W(lam) has nu of height at most height_drop(lam).
+        dominant = [nu for nu in rs.root_vectors_up_to_height(min(height, height_drop(lam)))
+                    if all(c >= sum(map(mul, row, nu)) for c, row in zip(lam.coords, rs.cartan_matrix))]
+        ranked = simple_weight_dims(lam, [nu for nu in dominant if sum(nu) > done], p, guard=guard)
+        if done < 0 and ranked[zero] != 1:
+            raise ExactnessError(f"L({lam}) has multiplicity {ranked[zero]} at its highest weight")
+        dims, hull = dict(dims), weyl_hull(lam)
+        for nu in dominant:
+            d = ranked[nu] if sum(nu) > done else dims.get(nu, 0)
+            for offset, w in hull if d else ():
+                image = tuple(o + sum(map(mul, row, nu)) for o, row in zip(offset, w))
+                if done < sum(image) <= height:
+                    dims[image] = d
+    elif height == 0:
+        dims = {zero: 1}
     else:
-        dims[zero] = 1
-        asked = [nu for nu in missing if any(nu)]
-        if not asked:
-            return dims
-        high = max(map(sum, asked))
-        # In root coordinates every nu0 of L(lam0) is <= lam0 - w0(lam0) <= (p-1)*2rho.
-        top = [(p - 1) * sum(c) for c in zip(*lam.system.positive_roots)]
-        range0 = [nu0 for nu0 in itertools.product(*(range(t + 1) for t in top)) if sum(nu0) <= high]
-        d0 = _simple_dims(lam0, p, range0, guard)
-        groups: dict[tuple[int, ...], list] = {}
-        for nu0 in range0:
-            if d0[nu0]:
-                groups.setdefault(tuple(n % p for n in nu0), []).append(nu0)
-        splits = {nu: [(d0[nu0], tuple((n - a) // p for n, a in zip(nu, nu0)))
-                       for nu0 in groups.get(tuple(n % p for n in nu), ()) if all(map(le, nu0, nu))]
-                  for nu in asked}
-        d1 = _simple_dims(lam1, p, {mu for pairs in splits.values() for _, mu in pairs}, guard)
-        dims.update((nu, sum(c * d1[mu] for c, mu in pairs)) for nu, pairs in splits.items())
+        d0 = _simple_dims(lam0, p, height, guard)
+        d1 = [(p * sum(mu), [p * b for b in mu], c) for mu, c in _simple_dims(lam1, p, height // p, guard).items()]
+        dims = {}
+        for nu0, c0 in d0.items():
+            room = height - sum(nu0)
+            for h1, pmu, c1 in d1:
+                if h1 <= room:
+                    nu = tuple(map(add, nu0, pmu))
+                    dims[nu] = dims.get(nu, 0) + c0 * c1
+    _SIMPLE_CACHE[(lam, p)] = (height, dims)
     return dims
 
 
@@ -285,7 +282,7 @@ def decomposition_numbers(
         }
     chi = verma_character(mu, box)
 
-    row = peel_decompose(chi, lambda w, nus: _simple_dims(w, p, nus, guard))
+    row = peel_decompose(chi, lambda w, height: _simple_dims(w, p, height, guard))
     for w, a in row.items():
         if a < 0:
             raise ExactnessError(
@@ -472,8 +469,7 @@ def steinberg_check(
     if not box.contains(lam):
         raise BoxMarginError(f"box does not contain the highest weight {lam}")
     below = box.below(lam)
-    nus = [nu for _, nu in below]
-    sweep = simple_weight_dims(lam, nus, p, guard=guard)
-    product = _simple_dims(lam, p, nus, guard)
-    diff = FormalCharacter({m: sweep[nu] - product[nu] for m, nu in below}, box)
+    sweep = simple_weight_dims(lam, [nu for _, nu in below], p, guard=guard)
+    product = _simple_dims(lam, p, box.depth - sum(box.offset(lam)), guard)
+    diff = FormalCharacter({m: sweep[nu] - product.get(nu, 0) for m, nu in below}, box)
     return not diff.offsets, diff

@@ -12,14 +12,14 @@ characters; a sum or twist is dict arithmetic on ``offsets`` (or on
 ``coeffs``, keyed back with :meth:`TruncationBox.offset`), wrapped in a
 new character.
 
-Every character walks the lattice through :meth:`TruncationBox.below`,
+Verma and Weyl characters walk the lattice through :meth:`TruncationBox.below`,
 which gives the offsets of the members below a weight without a scan:
 Verma characters read Kostant partition counts for it from one
-:func:`~modcato.rootdata.kostant_table` at the box depth, Weyl characters
-sum those counts with signs over the dot-action orbit, and
-:func:`peel_decompose` reads its triangular basis as a table on the
-character's own box: ``basis(mu, nus)`` gives ``{nu: coefficient}`` for the
-simple-root coordinates nu of ``box.below(mu)`` and nothing else.
+:func:`~modcato.rootdata.kostant_table` at the box depth, and Weyl characters
+sum those counts with signs over the dot-action orbit.  :func:`peel_decompose`
+reads its triangular basis as a sparse table by height: ``basis(mu, height)``
+gives the nonzero ``{nu: coefficient}`` up to the depth of the box below mu,
+and the peel subtracts those entries alone.
 
 Boxes and characters are immutable values.
 """
@@ -185,18 +185,18 @@ def weyl_character(lam: Weight) -> FormalCharacter:
 
 def peel_decompose(
     chi: FormalCharacter,
-    basis: Callable[[Weight, list[tuple[int, ...]]], Mapping[tuple[int, ...], int]],
+    basis: Callable[[Weight, int], Mapping[tuple[int, ...], int]],
 ) -> dict[Weight, int]:
     """Expand ``chi`` in a triangular basis over every weight of its box.
 
-    ``basis(mu, nus)`` gives the basis character labelled mu as
-    ``{nu: coefficient of e^(mu - nu)}``.  It is asked only for the
-    simple-root coordinates nu of ``chi.box.below(mu)``, must answer every
-    one of them, and must give 1 at nu = 0.  Box weights are peeled by
-    non-decreasing offset height, and at one height by reverse-lexicographic
-    offset, which is increasing coordinates in A1, A2 and B2; so each
-    weight's residual is final when its turn comes and none is left at the
-    end.
+    ``basis(mu, height)`` gives the basis character labelled mu as
+    ``{nu: coefficient of e^(mu - nu)}``, keyed by ``rank`` nonnegative ints:
+    every nonzero one with nu of height at most ``height``, the depth of the
+    box below mu, and 1 at nu = 0; higher entries are ignored.  Box weights
+    are peeled by non-decreasing offset height, and at one height by
+    reverse-lexicographic offset, which is increasing coordinates in A1, A2
+    and B2; so each weight's residual is final when its turn comes and none
+    is left at the end.
     """
     box = chi.box
     order = sorted(box.system.root_vectors_up_to_height(box.depth),
@@ -209,11 +209,15 @@ def peel_decompose(
         if a == 0:
             continue
         mu = box.weight(m)
-        below = box.below(mu)
-        dims = basis(mu, [nu for _, nu in below])
-        if dims[zero] != 1:
+        height = box.depth - sum(m)
+        dims = basis(mu, height)
+        if dims.get(zero) != 1:
             raise ValueError(f"basis character at {mu} does not have leading coefficient 1")
         out[mu] = a
-        for m2, nu in below:
-            residual[m2] = residual.get(m2, 0) - a * dims[nu]
+        for nu, d in dims.items():
+            if not (type(nu) is tuple and len(nu) == len(zero) and all(type(c) is int and c >= 0 for c in nu)):
+                raise ValueError(f"basis character at {mu} has key {nu!r}, not {len(zero)} nonnegative ints")
+            if sum(nu) <= height:  # mu - nu is the member at offset m + nu
+                m2 = tuple(map(add, m, nu))
+                residual[m2] = residual.get(m2, 0) - a * d
     return out

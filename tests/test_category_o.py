@@ -402,10 +402,10 @@ def _restricted_weights():
 
 
 def test_restricted_asks_are_the_weyl_module_support(monkeypatch):
-    # A restricted lam ranks exactly the nu with lam - nu a dominant weight of
-    # W(lam), read off the alternating Weyl sum; the filled table is nonzero
-    # on the whole support, and every nu it drops within height_drop ranks 0
-    # in the Gram sweep.
+    # A restricted lam asked to height_drop ranks exactly the nu with lam - nu
+    # a dominant weight of W(lam), read off the alternating Weyl sum; the
+    # table holds exactly the whole support, and every nu it leaves out
+    # within height_drop ranks 0 in the Gram sweep.
     import modcato.category_o as category_o
 
     real = category_o.simple_weight_dims
@@ -423,11 +423,13 @@ def test_restricted_asks_are_the_weyl_module_support(monkeypatch):
         nus = list(rs.root_vectors_up_to_height(drop))
         monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
         asked.clear()
-        dims = category_o._simple_dims(lam, p, nus, None)
+        dims = category_o._simple_dims(lam, p, drop, None)
         support = oracles.weyl_alternating_sum(lam, [lam - rs.weight_of(nu) for nu in nus])
         dominant = {w for w in support if is_dominant(w)}
+        assert len(asked) == len(set(asked)), (lam, p)
         assert {lam - rs.weight_of(nu) for nu in asked} == dominant, (lam, p)
-        assert {lam - rs.weight_of(nu) for nu in nus if dims[nu]} == support.keys(), (lam, p)
+        assert set(dims) <= set(nus) and all(dims.values()), (lam, p)
+        assert {lam - rs.weight_of(nu) for nu in dims} == support.keys(), (lam, p)
         weights += 1
         if drop <= 14:
             dropped = [nu for nu in nus if lam - rs.weight_of(nu) not in support]
@@ -449,8 +451,9 @@ def test_restricted_tables_match_one_sweep_without_w(monkeypatch):
             continue
         nus = list(lam.system.root_vectors_up_to_height(drop))
         monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
-        dims = category_o._simple_dims(lam, p, nus, None)
-        assert {nu: dims[nu] for nu in nus} == simple_weight_dims(lam, nus, p), (lam, p)
+        dims = category_o._simple_dims(lam, p, drop, None)
+        sweep = simple_weight_dims(lam, nus, p)
+        assert dims == {nu: d for nu, d in sweep.items() if d}, (lam, p)
         cases += 1
     assert cases == 80
 
@@ -460,22 +463,21 @@ def test_restricted_tables_match_one_sweep_without_w(monkeypatch):
     ("B2", (5, 4), 3, 12), ("B2", (-1, -1), 2, 12), ("B2", (7, 3), 5, 14),
 ])
 def test_digit_product_asks_each_digit_once(typ, coords, p, depth, monkeypatch):
-    # One product step asks L(lam0) once, no higher than the highest asked
-    # nu, and asks L(lam1) only at mu = (nu - nu0)/p with dim L(lam0) > 0 at
-    # nu0.  At lam = (-1,-1) the second digit is lam itself.
+    # One product step asks L(lam0) once, at the asked height, and L(lam1)
+    # once, at that height // p, and keeps only nonzero dimensions.  At
+    # lam = (-1,-1) the second digit is lam itself, asked lower down.
     import modcato.category_o as category_o
 
     real = category_o._simple_dims
     level = []
     children = []
 
-    def record(lam, p, nus, guard):
-        nus = list(nus)
+    def record(lam, p, height, guard):
         if len(level) == 1:
-            children.append((lam, nus))
+            children.append((lam, height))
         level.append(lam)
         try:
-            return real(lam, p, nus, guard)
+            return real(lam, p, height, guard)
         finally:
             level.pop()
 
@@ -484,16 +486,30 @@ def test_digit_product_asks_each_digit_once(typ, coords, p, depth, monkeypatch):
     rs = build_root_system(typ)
     lam = rs.weight(*coords)
     lam0, lam1 = category_o._digits(lam, p)
-    nus = list(rs.root_vectors_up_to_height(depth))
-    dims = category_o._simple_dims(lam, p, nus, None)
-    assert [w for w, _ in children] == [lam0, lam1]
-    (_, asked0), (_, asked1) = children
-    assert max(map(sum, asked0)) <= depth
-    d0 = category_o._SIMPLE_CACHE[(lam0, p)]
-    partnered = {tuple((n - a) // p for n, a in zip(nu, nu0))
-                 for nu in nus for nu0 in asked0
-                 if d0[nu0] and all(a <= n and (n - a) % p == 0 for n, a in zip(nu, nu0))}
-    assert asked1 and set(asked1) <= partnered
+    dims = category_o._simple_dims(lam, p, depth, None)
+    assert children == [(lam0, depth), (lam1, depth // p)]
+    assert all(dims.values()) and max(map(sum, dims)) <= depth
     box = TruncationBox.make(lam, depth)
     expect = oracles.sweep_simple_coeffs(lam, p, box)
-    assert {box.weight(m): dims[nu] for m, nu in box.below(lam) if dims[nu]} == expect
+    assert {box.weight(nu): d for nu, d in dims.items()} == expect
+
+
+@pytest.mark.parametrize("typ", ["A2", "B2"])
+@pytest.mark.parametrize("coords", [(5, 4), (-1, -1), (-4, 7)])
+def test_a_table_extended_in_steps_equals_one_ask(typ, coords, monkeypatch):
+    # Asking height h and then h' > h extends the memo of lam and of its
+    # digits, the restricted digit's included; the result must be the table
+    # one fresh ask at h' gives, and the Gram sweep on the box of depth h'.
+    import modcato.category_o as category_o
+
+    rs = build_root_system(typ)
+    lam = rs.weight(*coords)
+    for p, steps in ((3, (0, 1, 4, 10)), (2, (3, 9))):
+        monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+        for h in steps:
+            stepped = category_o._simple_dims(lam, p, h, None)
+        monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+        assert stepped == category_o._simple_dims(lam, p, steps[-1], None), (lam, p)
+        box = TruncationBox.make(lam, steps[-1])
+        expect = oracles.sweep_simple_coeffs(lam, p, box)
+        assert {box.weight(nu): d for nu, d in stepped.items()} == expect, (lam, p)

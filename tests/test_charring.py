@@ -204,8 +204,9 @@ def test_b2_known_dimensions():
 
 
 def verma_basis(rs):
-    """Peel basis of Verma characters: dim Delta(mu)_{mu - nu} = P(nu)."""
-    return lambda mu, nus: {nu: kostant_partition(rs, nu) for nu in nus}
+    """Peel basis of Verma characters: dim Delta(mu)_{mu - nu} = P(nu), on
+    every nu of height at most the asked height."""
+    return lambda mu, height: {nu: kostant_partition(rs, nu) for nu in rs.root_vectors_up_to_height(height)}
 
 
 def verma_sum(coeffs, box):
@@ -253,16 +254,18 @@ def test_peel_reassembly_roundtrip():
 def test_peel_rejects_basis_without_leading_coefficient_1():
     box = a1box(0, 4)
     mu = A1.weight(0)
-    twice = lambda w, nus: {nu: 2 * d for nu, d in verma_basis(A1)(w, nus).items()}
-    with pytest.raises(ValueError, match=f"basis character at {re.escape(str(mu))} "
-                                         "does not have leading coefficient 1"):
-        peel_decompose(verma_character(mu, box), twice)
+    twice = lambda w, height: {nu: 2 * d for nu, d in verma_basis(A1)(w, height).items()}
+    without_top = lambda w, height: {nu: d for nu, d in verma_basis(A1)(w, height).items() if any(nu)}
+    for basis in (twice, without_top):
+        with pytest.raises(ValueError, match=f"basis character at {re.escape(str(mu))} "
+                                             "does not have leading coefficient 1"):
+            peel_decompose(verma_character(mu, box), basis)
 
 
 def test_peel_asks_the_basis_for_the_box_below_each_peeled_weight():
     # The box cuts the down-set of each peeled mu at the box depth below the
-    # top, so the basis is asked for exactly the box weights below mu: down
-    # to height 3 at the top, and to height 2 at (1,1) = top - alpha_1.
+    # top, so the basis is asked for exactly the height of the box weights
+    # below mu: 3 at the top, and 2 at (1,1) = top - alpha_1.
     top = A2.weight(3, 0)
     box = TruncationBox.make(top, 3)
     rng = random.Random(5)
@@ -270,16 +273,17 @@ def test_peel_asks_the_basis_for_the_box_below_each_peeled_weight():
     chi = verma_sum(coeffs, box)
     asked = []
 
-    def recording(mu, nus):
-        asked.append((mu, nus))
-        return verma_basis(A2)(mu, nus)
+    def recording(mu, height):
+        asked.append((mu, height))
+        return verma_basis(A2)(mu, height)
 
     assert peel_decompose(chi, recording) == coeffs
     assert sorted(mu.coords for mu, _ in asked) == sorted(w.coords for w in coeffs)
-    for mu, nus in asked:
-        assert nus == [nu for _, nu in chi.box.below(mu)]
-    assert max(sum(nu) for nu in dict(asked)[top]) == 3
-    assert max(sum(nu) for nu in dict(asked)[A2.weight(1, 1)]) == 2
+    for mu, height in asked:
+        assert type(height) is int
+        assert height == max(sum(nu) for _, nu in chi.box.below(mu))
+    assert dict(asked)[top] == 3
+    assert dict(asked)[A2.weight(1, 1)] == 2
 
 
 @pytest.mark.parametrize("rs", [A1, A2, B2], ids=lambda rs: rs.cartan_type)
@@ -290,16 +294,39 @@ def test_peel_goes_down_by_offset_height_then_coordinates(rs):
         coeffs = {w: rng.randint(1, 3) for w in box.weights()}
         seen = []
 
-        def recording(mu, nus):
+        def recording(mu, height):
             seen.append(mu)
-            return verma_basis(rs)(mu, nus)
+            return verma_basis(rs)(mu, height)
 
         assert peel_decompose(verma_sum(coeffs, box), recording) == coeffs
         assert seen == sorted(coeffs, key=lambda mu: (sum(box.offset(mu)), mu.coords)), box
 
 
-def test_peel_reads_every_asked_nu_from_the_basis():
+@pytest.mark.parametrize("key", [(-1,), (1, 0), (), (1.0,), (True,), "1"],
+                         ids=["negative", "too-long", "empty", "float", "bool", "str"])
+def test_peel_rejects_a_basis_key_that_is_not_an_offset(key):
     box = a1box(0, 4)
-    top_only = lambda w, nus: {(0,): 1}
-    with pytest.raises(KeyError):
-        peel_decompose(verma_character(A1.weight(0), box), top_only)
+    mu = A1.weight(0)
+    with pytest.raises(ValueError, match=f"basis character at {re.escape(str(mu))} has key "
+                                         f"{re.escape(repr(key))}, not 1 nonnegative ints"):
+        peel_decompose(verma_character(mu, box), lambda w, height: {(0,): 1, key: 1})
+
+
+def test_peel_subtracts_only_the_nonzero_entries_up_to_the_asked_height():
+    # A sparse unitriangular basis, e^mu + 3 e^(mu - 2 alpha): the basis may
+    # list its zero entries or leave them out, and may hold entries above
+    # the asked height, whose weights lie outside the box; the peel reads
+    # only the entries of the box.
+    box = a1box(3, 9)
+    sparse = lambda mu, height: {(0,): 1, (2,): 3}
+    dense = lambda mu, height: {(n,): {0: 1, 2: 3}.get(n, 0) for n in range(height + 1)}
+    coeffs = {A1.weight(3): 2, A1.weight(1): -1, A1.weight(-7): 4, A1.weight(-15): 1}
+    out = {}
+    for w, c in coeffs.items():
+        (m,) = box.offset(w)
+        for (n,), d in dense(w, box.depth - m).items():
+            out[(m + n,)] = out.get((m + n,), 0) + c * d
+    chi = FormalCharacter(out, box)
+    assert chi.coefficient(A1.weight(-11)) == 3 * 4
+    assert peel_decompose(chi, dense) == coeffs
+    assert peel_decompose(chi, sparse) == coeffs

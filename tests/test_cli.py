@@ -17,7 +17,7 @@ import modcato
 from modcato import cache
 from modcato.cli import main
 
-from oracles import base_p_digits
+from oracles import base_p_digits, sweep_simple_coeffs
 
 
 @pytest.fixture(autouse=True)
@@ -513,3 +513,43 @@ def test_warm_cache_replays_answers_without_gram_work(capsys, tmp_path, monkeypa
     for kind in ("gram", "rank_0"):
         with pytest.raises(ValueError):
             cache.make_key(kind, "A2", None, "lam=0,0;nu=1,1")
+
+
+@pytest.mark.parametrize("typ, lam, p, small, deep", [
+    ("A2", (5, 4), 3, 4, 12), ("A2", (2, 1), 3, 2, 8), ("B2", (-1, -1), 2, 3, 10),
+])
+def test_simple_dim_disk_hit_then_a_deeper_char_simple(capsys, monkeypatch, tmp_path, typ, lam, p, small, deep):
+    # A simple_dim record read on a small box fills the memo to that box's
+    # height without a Gram build; a deeper char simple then extends it and
+    # must print what a fresh process prints, which is the Gram sweep.
+    import modcato.category_o as category_o
+    from modcato.charring import TruncationBox
+    from modcato.rootdata import build_root_system
+
+    argv = ("char", "simple", "--type", typ, "--p", str(p), f"--lambda={','.join(map(str, lam))}",
+            "--format", "json", "--depth")
+    real = category_o.simple_weight_dims
+    ranked = []
+
+    def record(lam, nus, p, guard=None):
+        nus = list(nus)
+        ranked.extend(nus)
+        return real(lam, nus, p, guard=guard)
+
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    monkeypatch.setattr(category_o, "simple_weight_dims", record)
+    code, cold, _ = run(capsys, *argv, str(small), "--cache-dir", str(tmp_path))
+    assert code == 0 and ranked
+    category_o._SIMPLE_CACHE.clear()
+    ranked.clear()
+    code, warm, _ = run(capsys, *argv, str(small), "--cache-dir", str(tmp_path))
+    assert code == 0 and warm == cold and not ranked
+    code, extended, _ = run(capsys, *argv, str(deep), "--cache-dir", str(tmp_path))
+    assert code == 0
+    category_o._SIMPLE_CACHE.clear()
+    cache.configure(None)
+    code, fresh, _ = run(capsys, *argv, str(deep))
+    assert code == 0 and extended == fresh
+    w = build_root_system(typ).weight(*lam)
+    expect = sweep_simple_coeffs(w, p, TruncationBox.make(w, deep))
+    assert {tuple(c): d for c, d in json.loads(fresh)["entries"]} == {x.coords: d for x, d in expect.items()}
