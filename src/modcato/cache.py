@@ -1,17 +1,20 @@
 """Persistent memoization of expensive exact results across runs.
 
-Only finished answers persist: one ``decomp_row`` record per decomposition
-row, and one ``simple_dim`` record (its weight -> dimension list on a
+Only finished answers persist, in three kinds: one ``decomp_row`` record per
+decomposition row asked for on its own box (``decomp``), one
+``decomp_table`` record per finished decomposition table over a locally
+closed region (``periodicity full`` and ``projmult``), whose rows are not
+written, and one ``simple_dim`` record (its weight -> dimension list on a
 truncation box) per simple character asked for in its own right, by
 ``char simple``, ``tensor_flag`` and ``full_simple_character``
 (``steinberg`` compares in memory).  The pieces behind an answer are rebuilt
-instead.  One kind of piece is the simple characters a row is peeled into:
-their box is the row's, so only a rerun of that row could read them, and
-the row's own record answers the rerun first (when such records were
-written, no process of the cache-a2 benchmark ever read one).  The other
-is the per-weight-space Gram matrices and their ranks: on an ext4 virtio
-disk of a 2-core VM one atomic put takes 0.56-0.85 ms, while an A2 Gram matrix
-with its mod-p rank takes 0.10-0.12 ms to compute (nu <= (6,6)), so a
+instead.  One kind of piece is the simple characters a row or table is
+peeled into: only a rerun of that row or table could read them, and its own
+record answers the rerun first (when such records were written, no process
+of the cache-a2 benchmark ever read one).  The other is the
+per-weight-space Gram matrices and their ranks: on an ext4 virtio disk of a
+2-core VM one atomic put takes 0.56-0.85 ms, while an A2 Gram matrix with
+its mod-p rank takes 0.10-0.12 ms to compute (nu <= (6,6)), so a
 per-space record cost more to write than it saved.
 
 One record per file, one line per record: ``version<TAB>key<TAB>value``,
@@ -37,7 +40,7 @@ log = logging.getLogger("modcato.cache")
 
 RECORD_VERSION = "modcato-cache-v1"
 
-KINDS = ("simple_dim", "decomp_row")
+KINDS = ("simple_dim", "decomp_row", "decomp_table")
 
 _configured: Path | None = None
 _explicit = False

@@ -30,8 +30,10 @@ read as tables: a flag is tensored with a character's ``coeffs`` dict.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
-from operator import add, mul
+from math import comb
+from operator import add, mul, sub
 from typing import Callable, Iterable, Mapping
 
 from . import cache as cache_store
@@ -45,9 +47,10 @@ from .errors import (
     BoxMarginError,
     ExactnessError,
     ModcatoError,
+    SizeGuardError,
     require_prime,
 )
-from .hypalg import SizeGuard, simple_weight_dims
+from .hypalg import DEFAULT_GUARD, SizeGuard, simple_weight_dims
 from .reporting import Report
 from .rootdata import (
     Weight,
@@ -160,11 +163,11 @@ def simple_character(
     The finished character is one ``simple_dim`` disk record per box; a hit
     fills the memo without a Gram build, and the highest-weight check still
     runs on it.  ``char simple``, :func:`tensor_flag` and
-    :func:`full_simple_character` come here.  The peel basis of
-    :func:`decomposition_numbers` reads the memo through
-    :func:`_simple_dims` and writes no record: its box is the row's own, so
-    only a rerun of that row could read one, and the row's ``decomp_row``
-    record answers the rerun first.
+    :func:`full_simple_character` come here.  The peel bases of
+    :func:`decomposition_numbers` and :func:`build_decomposition_table`
+    read the memo through :func:`_simple_dims` and write no record: only a
+    rerun of that row or table could read one, and its own ``decomp_row``
+    or ``decomp_table`` record answers the rerun first.
     """
     require_prime(p)
     gap = box.offset(lam)
@@ -214,7 +217,8 @@ def _simple_dims(lam: Weight, p: int, height: int, guard: SizeGuard | None) -> d
     Any other lam convolves the nonzero entries of L(lam0) up to ``height``
     with those of L(lam1) up to ``height // p``: nu = nu0 + p*mu.  At height
     0 the table is the top alone, {0: 1}, asked of neither digit, so the
-    recursion ends even where lam1 = lam.
+    recursion ends even where lam1 = lam.  A step whose term count passes
+    the guard's ``max_terms`` raises ``SizeGuardError`` before it is built.
     """
     done, dims = _SIMPLE_CACHE.get((lam, p), (-1, {}))
     if height <= done:
@@ -240,7 +244,23 @@ def _simple_dims(lam: Weight, p: int, height: int, guard: SizeGuard | None) -> d
         dims = {zero: 1}
     else:
         d0 = _simple_dims(lam0, p, height, guard)
-        d1 = [(p * sum(mu), [p * b for b in mu], c) for mu, c in _simple_dims(lam1, p, height // p, guard).items()]
+        # A step has at most comb(height + r, r) * comb(height // p + r, r)
+        # terms.  Past the guard, their count is read first as a floor, before
+        # L(lam1) is asked, then exactly, before the product is built.
+        limit, r = (guard or DEFAULT_GUARD).max_terms, len(zero)
+        large = comb(height + r, r) * comb(height // p + r, r) > limit
+        terms = 0
+        if large:
+            n1, top1 = _size_floor(lam1, p, height // p)
+            terms = n1 * sum(1 for nu0 in d0 if sum(nu0) + p * top1 <= height)
+        if terms <= limit:
+            d1 = [(p * sum(mu), [p * b for b in mu], c) for mu, c in _simple_dims(lam1, p, height // p, guard).items()]
+            if large:
+                heights = sorted(h1 for h1, _, _ in d1)
+                terms = sum(bisect_right(heights, height - sum(nu0)) for nu0 in d0)
+        if terms > limit:
+            raise SizeGuardError(f"digit product L({lam0.coords}) x L({lam1.coords})^[1] of L({lam.coords}) "
+                                 f"at p={p} has at least {terms} terms, over the guard's max_terms={limit}")
         dims = {}
         for nu0, c0 in d0.items():
             room = height - sum(nu0)
@@ -252,12 +272,50 @@ def _simple_dims(lam: Weight, p: int, height: int, guard: SizeGuard | None) -> d
     return dims
 
 
+def _size_floor(lam: Weight, p: int, height: int) -> tuple[int, int]:
+    """(n, top): the table of L(lam) to ``height`` has at least n entries,
+    none of them higher than top, read from the digits' Weyl orbits without
+    a table or a Gram rank.
+
+    A restricted L(lam0) has dimension 1 on the W-orbit of lam0 and no
+    weight below its lowest one, height_drop(lam0) deep.  A product's
+    entries are nu0 + p*mu; where the orbit offsets nu0 have distinct
+    residues mod p, the shifted copies of L(lam1)'s table are disjoint, so
+    each nu0 that fits below ``height`` with every mu adds n1 entries;
+    otherwise nu0 = 0 alone does.
+    """
+    if height == 0:
+        return 1, 0
+    lam0, lam1 = _digits(lam, p)
+    orbit = {offset for offset, _ in weyl_hull(lam0)}
+    drop = max(map(sum, orbit))
+    if lam0 == lam:
+        return sum(1 for nu in orbit if sum(nu) <= height), min(height, drop)
+    n1, top1 = _size_floor(lam1, p, height // p)
+    fit = sum(1 for nu0 in orbit if sum(nu0) + p * top1 <= height)
+    disjoint = len({tuple(c % p for c in nu0) for nu0 in orbit}) == len(orbit)
+    return (fit * n1 if disjoint else n1), min(height, drop + p * top1)
+
+
 def full_simple_character(lam: Weight, p: int, *, guard: SizeGuard | None = None) -> FormalCharacter:
     """Complete character of the finite-dimensional simple at dominant lam,
     on the box of lam's Weyl-orbit hull."""
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     return simple_character(lam, p, TruncationBox.make(lam, height_drop(lam)), guard=guard)
+
+
+def _checked_row(mu: Weight, row: dict[Weight, int]) -> dict[Weight, int]:
+    """A peeled row [Delta(mu) : L(lam)], after checking that no
+    multiplicity is negative and that L(mu) occurs once."""
+    for w, a in row.items():
+        if a < 0:
+            raise ExactnessError(
+                f"negative multiplicity {a} at {w} while decomposing {mu}"
+            )
+    if row.get(mu) != 1:
+        raise ExactnessError(f"row of {mu} has multiplicity {row.get(mu)} at its own head")
+    return row
 
 
 def decomposition_numbers(
@@ -281,15 +339,7 @@ def decomposition_numbers(
             rs.weight(*coords): v for coords, v in json.loads(cached)
         }
     chi = verma_character(mu, box)
-
-    row = peel_decompose(chi, lambda w, height: _simple_dims(w, p, height, guard))
-    for w, a in row.items():
-        if a < 0:
-            raise ExactnessError(
-                f"negative multiplicity {a} at {w} while decomposing {mu}"
-            )
-    if row.get(mu) != 1:
-        raise ExactnessError(f"row of {mu} has multiplicity {row.get(mu)} at its own head")
+    row = _checked_row(mu, peel_decompose(chi, lambda w, height: _simple_dims(w, p, height, guard)))
     cache_store.put_value(
         "decomp_row",
         rs.cartan_type,
@@ -304,33 +354,61 @@ def build_decomposition_table(
     weights: LocallyClosedSet | Iterable[Weight],
     p: int,
     *,
-    depth: int | None = None,
     guard: SizeGuard | None = None,
 ) -> DecompositionTable:
     """Region-bounded table [Delta(mu) : L(lam)] over a locally closed set.
 
     A :class:`LocallyClosedSet` is used as it is; any other iterable goes
     through :meth:`LocallyClosedSet.make`, which raises ``ValueError`` on an
-    empty or leaking set."""
-    if depth is not None and depth < 0:
-        raise ModcatoError(f"depth={depth} must be nonnegative")
+    empty or leaking set.
+
+    The region is order-convex, so for lam <= mu in it every xi with
+    lam <= xi <= mu lies in it too, and [Delta(mu) : L(lam)] depends only on
+    characters at region weights.  Each row peels the Verma character of mu
+    read at the region weights below mu, from one Kostant table, with
+    ``peel_decompose(..., within=)`` those weights' offsets; no row reads a
+    weight outside the region.  The finished table is one ``decomp_table``
+    disk record, keyed by p and the sorted region, read first on a rerun.
+    """
+    require_prime(p)
     if not isinstance(weights, LocallyClosedSet):
         weights = LocallyClosedSet.make(weights)
     region = weights.sorted
     rs = region[0].system
-    entries: dict[tuple[Weight, Weight], int] = {}
-    comparable: list[tuple[Weight, Weight]] = []
+    # One conversion per weight: lam <= mu only inside one coset of the root
+    # lattice, where mu - lam = (mu - base) - (lam - base).
+    bases: list[Weight] = []
+    place = {}
+    for w in region:
+        for base in bases:
+            nu = rs.to_root_vector(w - base)
+            if nu is not None:
+                place[w] = (base, nu)
+                break
+        else:
+            bases.append(w)
+            place[w] = (w, (0,) * rs.rank)
+    below = {}
     for mu in region:
-        gaps = {lam: rs.to_root_vector(mu - lam) for lam in region}
-        below = [lam for lam, nu in gaps.items() if nu is not None and min(nu) >= 0]
-        comparable.extend((mu, lam) for lam in below)
-        row_depth = max(sum(gaps[lam]) for lam in below)
-        if depth is not None:
-            row_depth = max(row_depth, depth)
-        # Every weight of the row lies below mu, in the box of that depth.
-        row = decomposition_numbers(mu, p, row_depth, guard=guard)
-        entries.update(((mu, lam), row[lam]) for lam in below if row.get(lam))
-    return DecompositionTable(p, region, entries, tuple(comparable))
+        base, high = place[mu]
+        gaps = ((lam, tuple(map(sub, high, nu))) for lam, (b, nu) in place.items() if b == base)
+        below[mu] = {lam: gap for lam, gap in gaps if min(gap) >= 0}
+    comparable = tuple((mu, lam) for mu in region for lam in below[mu])
+    payload = f"region={';'.join(_csv(w.coords) for w in region)}"
+    cached = cache_store.get_value("decomp_table", rs.cartan_type, p, payload)
+    if cached is not None:
+        entries = {(rs.weight(*m), rs.weight(*l)): v for m, l, v in json.loads(cached)}
+        return DecompositionTable(p, region, entries, comparable)
+    kp = kostant_table(rs, max(sum(nu) for gaps in below.values() for nu in gaps.values()))
+    entries: dict[tuple[Weight, Weight], int] = {}
+    for mu in region:
+        gaps = frozenset(below[mu].values())
+        chi = FormalCharacter({nu: kp[nu] for nu in gaps}, TruncationBox.make(mu, max(map(sum, gaps))))
+        row = peel_decompose(chi, lambda w, height: _simple_dims(w, p, height, guard), within=gaps)
+        entries.update(((mu, lam), a) for lam, a in _checked_row(mu, row).items())
+    table = DecompositionTable(p, region, entries, comparable)
+    cache_store.put_value("decomp_table", rs.cartan_type, p, payload, json.dumps(table.serialize()))
+    return table
 
 
 def validate_table_consistency(
@@ -415,18 +493,14 @@ def projective_verma_mult(
     guard: SizeGuard | None = None,
 ) -> FlagVector:
     """Verma multiplicities of the projective cover of L(lam) in the
-    truncation to J, through reciprocity: [Delta(mu) : L(lam)] for mu in J."""
+    truncation to J, through reciprocity: [Delta(mu) : L(lam)] for mu in J,
+    column lam of one table over the up-set of lam.  That set is the union
+    of the intervals [lam, c] over J's ceiling, so it is order-convex."""
     if not J.contains(lam):
         raise ValueError(f"{lam} does not lie in the open set")
-    rs = lam.system
-    out = {}
-    for mu in J.up_set(lam):
-        gap = sum(rs.to_root_vector(mu - lam))
-        row = decomposition_numbers(mu, p, gap, guard=guard)
-        val = row.get(lam, 0)
-        if val:
-            out[mu] = val
-    flag = FlagVector(out)
+    up = LocallyClosedSet(frozenset(J.up_set(lam)))
+    table = build_decomposition_table(up, p, guard=guard)
+    flag = FlagVector({mu: table.entry(mu, lam) for mu in up})
     if flag.get(lam) != 1:
         raise ExactnessError(f"flag has multiplicity {flag.get(lam)} at its head {lam}")
     return flag

@@ -19,7 +19,8 @@ Verma characters read Kostant partition counts for it from one
 sum those counts with signs over the dot-action orbit.  :func:`peel_decompose`
 reads its triangular basis as a sparse table by height: ``basis(mu, height)``
 gives the nonzero ``{nu: coefficient}`` up to the depth of the box below mu,
-and the peel subtracts those entries alone.
+and the peel subtracts those entries alone; ``within=`` keeps it to a
+convex set of offsets.
 
 Boxes and characters are immutable values.
 """
@@ -186,6 +187,8 @@ def weyl_character(lam: Weight) -> FormalCharacter:
 def peel_decompose(
     chi: FormalCharacter,
     basis: Callable[[Weight, int], Mapping[tuple[int, ...], int]],
+    *,
+    within: frozenset[tuple[int, ...]] | None = None,
 ) -> dict[Weight, int]:
     """Expand ``chi`` in a triangular basis over every weight of its box.
 
@@ -197,6 +200,13 @@ def peel_decompose(
     reverse-lexicographic offset, which is increasing coordinates in A1, A2
     and B2; so each weight's residual is final when its turn comes and none
     is left at the end.
+
+    With a set of offsets ``within``, a subtraction at an offset m + nu
+    outside it is skipped, so the peel reads and writes only those offsets.
+    If ``within`` holds the support of ``chi`` and its weights are
+    order-convex, the result is the box peel restricted to ``within``: the
+    coefficient at xi is final once every eta with xi <= eta <= some weight
+    of ``chi`` is peeled, and every such eta lies in ``within``.
     """
     box = chi.box
     order = sorted(box.system.root_vectors_up_to_height(box.depth),
@@ -219,5 +229,6 @@ def peel_decompose(
                 raise ValueError(f"basis character at {mu} has key {nu!r}, not {len(zero)} nonnegative ints")
             if sum(nu) <= height:  # mu - nu is the member at offset m + nu
                 m2 = tuple(map(add, m, nu))
-                residual[m2] = residual.get(m2, 0) - a * d
+                if within is None or m2 in within:
+                    residual[m2] = residual.get(m2, 0) - a * d
     return out

@@ -216,7 +216,9 @@ def cmd_periodicity(args) -> int:
     if args.which == "updown":
         report = verify_updown(ctx)
     else:
-        report = verify_periodicity(ctx, depth=args.depth)
+        if args.depth is not None and args.depth < 0:
+            raise ModcatoError(f"depth={args.depth} must be nonnegative")
+        report = verify_periodicity(ctx)
     return _report_output(args, report)
 
 
@@ -302,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     full = peri_sub.add_parser("full")
     _add_common(full, p=True, weight_set=True, gamma=True, level=True, depth=None)
     full.add_argument("--depth", type=int, default=None,
-                      help="extra region depth for the tables")
+                      help="accepted for old scripts; the tables peel inside K "
+                           "and do not depend on it")
     full.set_defaults(handler=cmd_periodicity)
 
     return parser

@@ -130,7 +130,7 @@ def verify_updown(ctx: ShiftContext) -> Report:
     return report
 
 
-def verify_periodicity(ctx: ShiftContext, *, depth: int | None = None) -> Report:
+def verify_periodicity(ctx: ShiftContext) -> Report:
     """Entrywise equality of the K and K+gamma decomposition tables.
 
     Both tables go through the full Gram pipeline independently; nothing is
@@ -140,8 +140,8 @@ def verify_periodicity(ctx: ShiftContext, *, depth: int | None = None) -> Report
         f"decomposition periodicity on K={sorted(w.coords for w in ctx.K)}, "
         f"gamma={ctx.gamma.coords}, p={ctx.p}, l={ctx.l}"
     )
-    table = build_decomposition_table(ctx.K, ctx.p, depth=depth, guard=ctx.guard)
-    shifted = build_decomposition_table(ctx.Kt, ctx.p, depth=depth, guard=ctx.guard)
+    table = build_decomposition_table(ctx.K, ctx.p, guard=ctx.guard)
+    shifted = build_decomposition_table(ctx.Kt, ctx.p, guard=ctx.guard)
     report.payload["table"] = table.serialize()
     report.payload["shifted_table"] = shifted.serialize()
     for mu, lam in table.comparable:

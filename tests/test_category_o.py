@@ -29,12 +29,13 @@ from modcato.errors import (
     BoxMarginError,
     ModcatoError,
     PredicateError,
+    SizeGuardError,
     require_prime,
 )
-from modcato.hypalg import rank_mod_p, simple_weight_dims
+from modcato.hypalg import SizeGuard, rank_mod_p, simple_weight_dims
 from modcato.periodicity import ShiftContext
-from modcato.rootdata import build_root_system, height_drop, is_dominant
-from modcato.topology import LocallyClosedSet, OpenSet, min_l
+from modcato.rootdata import build_root_system, height_drop, is_dominant, leq
+from modcato.topology import LocallyClosedSet, OpenSet, interval, min_l
 
 import oracles
 
@@ -202,13 +203,6 @@ def test_require_prime_on_large_values():
         require_prime(2**89 - 1)
 
 
-def test_negative_table_depth_is_rejected():
-    weights = [A1.weight(c) for c in (-3, -1, 1)]
-    with pytest.raises(ModcatoError, match="depth=-3 must be nonnegative"):
-        build_decomposition_table(weights, 2, depth=-3)
-    assert build_decomposition_table(weights, 2, depth=0).entries
-
-
 def test_table_region_must_be_nonempty_and_convex():
     with pytest.raises(ValueError):
         build_decomposition_table([], 2)
@@ -311,6 +305,64 @@ def test_projective_verma_mult_examples():
     assert flag2.get(A1.weight(-3)) == 1
     for w in flag2.support():
         assert J.contains(w)
+
+
+def _random_convex_region(rs, rng, span, size):
+    # The weights between two of a few random ones, each above a random base:
+    # convex, since xi1 <= eta <= xi2 with s1 <= xi1 and xi2 <= s2 puts eta
+    # in [s1, s2].  Half the time a translate off the root lattice joins it,
+    # whose weights are comparable with none of the first.
+    units = (rs.weight(*(int(i == j) for j in range(rs.rank))) for i in range(rs.rank))
+    off = next(w for w in units if rs.to_root_vector(w) is None)
+    while True:
+        base = rs.weight(*(rng.randint(-span, span) for _ in range(rs.rank)))
+        seeds = [base] + [base + rs.weight_of(tuple(rng.randint(0, 3) for _ in range(rs.rank)))
+                          for _ in range(rng.randint(1, 2))]
+        region = {w for s1 in seeds for s2 in seeds for w in interval(s1, s2)}
+        if rng.random() < 0.5:
+            region |= {w + off for w in region}
+        if len(region) <= size:
+            return LocallyClosedSet.make(region)
+
+
+@pytest.mark.parametrize("typ, p, span, size", [
+    ("A1", 2, 6, 8), ("A1", 3, 6, 8), ("A1", 5, 9, 8),
+    ("A2", 2, 2, 12), ("A2", 3, 2, 12), ("A2", 5, 3, 12),
+    ("B2", 2, 2, 12), ("B2", 3, 2, 12), ("B2", 5, 2, 12),
+])
+def test_region_table_equals_rows_on_a_deeper_box(typ, p, span, size):
+    # Each row peeled inside the region gives the entries of the whole-box
+    # row of decomposition_numbers, on a box deeper than the region.
+    rs = build_root_system(typ)
+    rng = random.Random(f"{typ}-{p}")
+    linked = 0
+    for _ in range(5):
+        K = _random_convex_region(rs, rng, span, size)
+        table = build_decomposition_table(K, p)
+        expect = {}
+        for mu in K:
+            below = [lam for lam in K if leq(lam, mu)]
+            depth = max(sum(rs.to_root_vector(mu - lam)) for lam in below) + 2
+            row = decomposition_numbers(mu, p, depth)
+            expect.update(((mu, lam), row[lam]) for lam in below if row.get(lam))
+        assert table.entries == expect
+        assert set(table.comparable) == {(mu, lam) for mu in K for lam in K if leq(lam, mu)}
+        linked += sum(mu != lam for mu, lam in table.entries)
+    assert linked
+
+
+@pytest.mark.parametrize("typ, p, lam, ceiling", [
+    ("A1", 2, (-5,), [(3,)]), ("A2", 3, (-2, -2), [(2, 2)]),
+    ("A2", 2, (-3, 0), [(1, 1), (3, -2)]), ("B2", 3, (-2, -2), [(2, 2)]),
+    ("B2", 5, (-2, -1), [(1, 1), (3, -1)]),
+])
+def test_projective_mult_equals_rows_read_one_by_one(typ, p, lam, ceiling):
+    # Column lam of the up-set's table against one box row per mu, read at lam.
+    rs = build_root_system(typ)
+    lam = rs.weight(*lam)
+    J = OpenSet.down_closure([rs.weight(*c) for c in ceiling])
+    rows = {mu: decomposition_numbers(mu, p, sum(rs.to_root_vector(mu - lam))) for mu in J.up_set(lam)}
+    assert projective_verma_mult(lam, J, p) == FlagVector({mu: row.get(lam, 0) for mu, row in rows.items()})
 
 
 def test_steinberg_digits_examples():
@@ -492,6 +544,50 @@ def test_digit_product_asks_each_digit_once(typ, coords, p, depth, monkeypatch):
     box = TruncationBox.make(lam, depth)
     expect = oracles.sweep_simple_coeffs(lam, p, box)
     assert {box.weight(nu): d for nu, d in dims.items()} == expect
+
+
+@pytest.mark.parametrize("typ, coords, p, height", [
+    ("A1", (255,), 2, 300), ("A1", (-1,), 3, 200), ("A2", (-1, -1), 3, 60),
+    ("A2", (8, 8), 3, 30), ("B2", (5, 4), 3, 40), ("B2", (-1, -1), 2, 30),
+])
+def test_digit_product_guard_reads_the_step_term_count(typ, coords, p, height, monkeypatch):
+    # The top step pairs nu0 of L(lam0) with mu of L(lam1) wherever
+    # |nu0| + p|mu| <= height.  The guard trips one term below that count
+    # and not at it; its floor, read before L(lam1) is asked, is no larger.
+    import modcato.category_o as category_o
+
+    rs = build_root_system(typ)
+    lam = rs.weight(*coords)
+    lam0, lam1 = category_o._digits(lam, p)
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    d0 = category_o._simple_dims(lam0, p, height, None)
+    d1 = category_o._simple_dims(lam1, p, height // p, None)
+    terms = sum(1 for nu0 in d0 for mu in d1 if sum(nu0) + p * sum(mu) <= height)
+    n1, top1 = category_o._size_floor(lam1, p, height // p)
+    assert n1 * sum(1 for nu0 in d0 if sum(nu0) + p * top1 <= height) <= terms
+    assert n1 <= len(d1) and max(map(sum, d1)) <= top1
+    category_o._SIMPLE_CACHE.clear()
+    with pytest.raises(SizeGuardError, match=f"of L\\({re.escape(str(lam.coords))}\\) at p={p} has at least "
+                                             f"\\d+ terms, over the guard's max_terms={terms - 1}"):
+        category_o._simple_dims(lam, p, height, SizeGuard(max_terms=terms - 1))
+    category_o._SIMPLE_CACHE.clear()
+    assert category_o._simple_dims(lam, p, height, SizeGuard(max_terms=terms))
+
+
+def test_digit_product_trips_the_guard_before_building_it(monkeypatch):
+    # L(2^20 - 1) at p = 2 has 2^20 weights, each of dimension 1; its last
+    # step trips the default guard of 10^6 terms, and L(10^20 - 1) trips it
+    # from the digits' orbits alone, before any product is built.
+    import modcato.category_o as category_o
+
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    dims = category_o._simple_dims(A1.weight(2**16 - 1), 2, 70000, None)
+    assert len(dims) == 2**16 and set(dims.values()) == {1}
+    for lam in (2**20 - 1, 10**20 - 1):
+        category_o._SIMPLE_CACHE.clear()
+        with pytest.raises(SizeGuardError, match="max_terms=1000000"):
+            category_o._simple_dims(A1.weight(lam), 2, 10**20, None)
+    assert len(category_o._SIMPLE_CACHE) < 100
 
 
 @pytest.mark.parametrize("typ", ["A2", "B2"])

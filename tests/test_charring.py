@@ -17,6 +17,7 @@ from modcato.charring import (
 )
 from modcato.errors import BoxMarginError
 from modcato.rootdata import RootSystem, build_root_system, is_dominant, kostant_partition
+from modcato.topology import interval
 
 import oracles
 
@@ -300,6 +301,37 @@ def test_peel_goes_down_by_offset_height_then_coordinates(rs):
 
         assert peel_decompose(verma_sum(coeffs, box), recording) == coeffs
         assert seen == sorted(coeffs, key=lambda mu: (sum(box.offset(mu)), mu.coords)), box
+
+
+@pytest.mark.parametrize("rs", [A1, A2, B2], ids=lambda rs: rs.cartan_type)
+def test_peel_within_a_convex_set_is_the_box_peel_restricted_to_it(rs):
+    # A character supported on the offsets W of an interval [lo, hi] of the
+    # box: peeled within W, it gives the box peel's coefficients on W, and
+    # the basis is asked only at weights of W, since no subtraction lands
+    # outside it.  The box peel of the same character leaves weights outside
+    # W with nonzero coefficients.
+    rng = random.Random(40 + rs.rank)
+    outside = 0
+    for _ in range(8):
+        box = TruncationBox.make(rs.weight(*[rng.randint(-4, 4) for _ in range(rs.rank)]), rng.randint(2, 6))
+        hi = rng.choice(box.weights())
+        lo = box.weight(rng.choice(box.below(hi))[0])
+        W = frozenset(box.offset(w) for w in interval(lo, hi))
+        coeffs = {w: rng.randint(-3, 3) for w in box.weights()}
+        full = verma_sum(coeffs, box)
+        chi = FormalCharacter({m: c for m, c in full.offsets.items() if m in W}, box)
+        asked = []
+
+        def recording(mu, height):
+            asked.append(mu)
+            return verma_basis(rs)(mu, height)
+
+        whole = peel_decompose(chi, verma_basis(rs))
+        inside = peel_decompose(chi, recording, within=W)
+        assert inside == {w: a for w, a in whole.items() if box.offset(w) in W}
+        assert all(box.offset(mu) in W for mu in asked)
+        outside += sum(box.offset(w) not in W for w in whole)
+    assert outside
 
 
 @pytest.mark.parametrize("key", [(-1,), (1, 0), (), (1.0,), (True,), "1"],

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -279,13 +280,30 @@ def test_uncertifiable_p_exit_2(capsys):
 
 
 def test_negative_table_depth_exit_2(capsys):
-    code, out, err = run(
-        capsys, "periodicity", "full", "--type", "A1", "--p", "2", "--l", "1",
-        "--set", "0,2", "--gamma", "2", "--depth=-3",
-    )
+    # The tables peel inside K, so --depth changes no entry: a negative one
+    # is still refused, and one too large for any box answers as if absent.
+    argv = ("periodicity", "full", "--type", "A1", "--p", "2", "--l", "1",
+            "--set", "0,2", "--gamma", "2")
+    code, out, err = run(capsys, *argv, "--depth=-3")
     assert code == 2
     assert out == ""
     assert "depth=-3 must be nonnegative" in err
+    plain = run(capsys, *argv)
+    assert plain[0] == 0 and plain[1]
+    assert run(capsys, *argv, "--depth", "99999999999999999999") == plain
+
+
+def test_oversized_digit_product_exit_2(capsys):
+    # L(10^20 - 1) at p = 2 is a product of 49 two-weight digit characters:
+    # the size guard refuses it from the digits' orbits, before any product
+    # is built.
+    start = time.monotonic()
+    code, out, err = run(capsys, "char", "simple", "--type", "A1", "--p", "2",
+                         "--lambda=99999999999999999999", "--depth", "99999999999999999999")
+    assert time.monotonic() - start < 2
+    assert (code, out) == (2, "")
+    assert "L((99999999999999999999,)) at p=2 has at least" in err
+    assert "over the guard's max_terms=1000000" in err
 
 
 def test_argparse_usage_exit_2():
@@ -491,13 +509,14 @@ def test_warm_cache_replays_answers_without_gram_work(capsys, tmp_path, monkeypa
          "--format", "json", *use],
         ["periodicity", "full", "--type", "A2", "--p", "2", "--l", "1",
          "--set", "0,0;2,-1", "--gamma", "2,2", "--depth", "2", *use],
+        ["projmult", "--type", "A2", "--p", "3", "--lambda=-2,-2", "--ceiling=2,2", *use],
     ]
     monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     cold = [run(capsys, *argv) for argv in commands]
-    assert [code for code, _, _ in cold] == [0, 0, 0]
+    assert [code for code, _, _ in cold] == [0, 0, 0, 0]
     records = sorted(p for p in tmp_path.iterdir() if p.suffix == ".rec")
     kinds = {p.read_text(encoding="utf-8").split("\t")[1].split(";")[0] for p in records}
-    assert kinds == {"kind=simple_dim", "kind=decomp_row"}
+    assert kinds == {"kind=simple_dim", "kind=decomp_row", "kind=decomp_table"}
 
     # A fresh process has no in-memory simple characters; the disk alone must
     # answer every command, without a single Gram rank.

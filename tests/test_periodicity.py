@@ -180,14 +180,15 @@ def test_context_shifted_region_is_built_once():
 
 def test_verify_periodicity_checks_no_region_again(monkeypatch):
     # K and K + gamma are LocallyClosedSets, so neither table tests convexity
-    # again; every row is built under the context's guard.
-    real_rows = category_o.decomposition_numbers
+    # again; every row is peeled from simple characters asked under the
+    # context's guard.
+    real_dims = category_o._simple_dims
     guards = []
     convexity = []
 
-    def rows(mu, p, depth, *, guard=None):
+    def dims(lam, p, height, guard):
         guards.append(guard)
-        return real_rows(mu, p, depth, guard=guard)
+        return real_dims(lam, p, height, guard)
 
     def convex(weights):
         convexity.append(weights)
@@ -196,12 +197,13 @@ def test_verify_periodicity_checks_no_region_again(monkeypatch):
     guard = SizeGuard(max_gram_dim=150)
     K = LocallyClosedSet.make([A2.weight(0, 0), A2.weight(2, -1)])
     ctx = ShiftContext.build(K, A2.weight(2, 2), 2, 1, guard=guard)
-    monkeypatch.setattr(category_o, "decomposition_numbers", rows)
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    monkeypatch.setattr(category_o, "_simple_dims", dims)
     monkeypatch.setattr(topology, "is_locally_closed", convex)
     monkeypatch.setattr(category_o, "is_locally_closed", convex, raising=False)
     assert verify_periodicity(ctx).passed
     assert convexity == []
-    assert guards == [guard] * 4
+    assert guards and guards == [guard] * len(guards)
 
 
 def test_verify_periodicity_reads_comparability_from_the_table(monkeypatch):
