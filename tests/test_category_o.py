@@ -203,6 +203,22 @@ def test_require_prime_on_large_values():
         require_prime(2**89 - 1)
 
 
+def test_negative_table_depth_is_rejected():
+    # A table peels inside its region and takes no depth; a row of the table
+    # still reads a box of the depth it is given, and refuses a negative one.
+    weights = [A1.weight(c) for c in (-3, -1, 1)]
+    with pytest.raises(TypeError):
+        build_decomposition_table(weights, 2, depth=-3)
+    with pytest.raises(ModcatoError, match="depth=-3 must be a nonnegative int"):
+        decomposition_numbers(A1.weight(1), 2, -3)
+    table = build_decomposition_table(weights, 2)
+    assert table.entries
+    row = decomposition_numbers(A1.weight(1), 2, 4)
+    for mu, lam in table.comparable:
+        if mu == A1.weight(1):
+            assert row.get(lam, 0) == table.entry(mu, lam)
+
+
 def test_table_region_must_be_nonempty_and_convex():
     with pytest.raises(ValueError):
         build_decomposition_table([], 2)
