@@ -30,13 +30,10 @@ variable; with neither set, every lookup misses and puts are no-ops.
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-
-log = logging.getLogger("modcato.cache")
+from typing import NamedTuple
 
 RECORD_VERSION = "modcato-cache-v1"
 
@@ -46,8 +43,7 @@ _configured: Path | None = None
 _explicit = False
 
 
-@dataclass(frozen=True)
-class CacheKey:
+class CacheKey(NamedTuple):
     kind: str
     system: str
     p: int | None
@@ -60,6 +56,15 @@ class CacheKey:
     def filename(self) -> str:
         digest = hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
         return f"{digest}.rec"
+
+
+def _logger():
+    """The ``modcato.cache`` logger.  Only an unreadable record or an
+    unwritable store logs, so ``logging`` is imported here, on those paths,
+    rather than by every command."""
+    import logging
+
+    return logging.getLogger("modcato.cache")
 
 
 def configure(directory: str | os.PathLike | None) -> None:
@@ -94,11 +99,11 @@ def get(key: CacheKey) -> str | None:
     except FileNotFoundError:
         return None
     except OSError as exc:
-        log.warning("unreadable cache record %s: %s", path, exc)
+        _logger().warning("unreadable cache record %s: %s", path, exc)
         return None
     parts = line.rstrip("\n").split("\t", 2)
     if len(parts) != 3 or parts[0] != RECORD_VERSION or parts[1] != key.canonical():
-        log.warning("corrupt or stale cache record %s; treating as absent", path)
+        _logger().warning("corrupt or stale cache record %s; treating as absent", path)
         return None
     return parts[2]
 
@@ -123,7 +128,7 @@ def put(key: CacheKey, value: str) -> None:
                 pass
             raise
     except OSError as exc:
-        log.error("cache store %s is not writable (%s); proceeding uncached", root, exc)
+        _logger().error("cache store %s is not writable (%s); proceeding uncached", root, exc)
 
 
 def get_value(kind: str, system: str, p: int | None, payload: str) -> str | None:

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import comb
 from operator import add, mul, sub
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import cache as cache_store
 from .charring import (
@@ -114,8 +113,7 @@ class FlagVector:
         return f"FlagVector({{{inner}}})"
 
 
-@dataclass(frozen=True)
-class DecompositionTable:
+class DecompositionTable(NamedTuple):
     """Composition multiplicities of Vermas over a locally closed region.
 
     ``comparable`` lists every pair (mu, lam) of the region with lam <= mu, in

@@ -27,9 +27,8 @@ Boxes and characters are immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, sub
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import BoxMarginError, ExactnessError
 from .rootdata import (
@@ -42,8 +41,7 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class TruncationBox:
+class TruncationBox(NamedTuple):
     """The weights w below one top weight whose offset nu = top - w, in
     simple-root coordinates, is nonnegative of height at most depth."""
 

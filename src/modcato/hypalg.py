@@ -26,8 +26,13 @@ structure-constant coordinates come from one fraction-free (Bareiss)
 eliminator whose every division is checked.
 
 Structure constants come from fixed matrix realizations of the three
-supported types; a bracket-closure, Jacobi, and root-string self-test runs
-once per realization, so a transcription error cannot survive construction.
+supported types, all brackets at once: one elimination of the basis
+augmented with every distinct nonzero bracket of two basis matrices.  A
+self-test runs once per realization, so a transcription error cannot
+survive construction: antisymmetry on every pair, then the Jacobi identity
+on the basis triples i < j < k (given antisymmetry the Jacobiator is
+alternating and trilinear, so those triples suffice), the weight rules, the
+coroots and the Chevalley root-string condition.
 The engine's memo tables are plain dicts: reads and idempotent inserts
 under the interpreter lock are safe for concurrent use.
 """
@@ -37,16 +42,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import ExactnessError, SizeGuardError, require_prime
-from .rootdata import RootSystem, Weight, _mat_mul, build_root_system, kostant_table
+from .rootdata import RootSystem, Weight, build_root_system, kostant_table
 
 
-@dataclass(frozen=True)
-class SizeGuard:
+class SizeGuard(NamedTuple):
     """Hard limits that make oversized instances fail loudly."""
 
     max_gram_dim: int = 200
@@ -55,8 +58,7 @@ class SizeGuard:
 
 DEFAULT_GUARD = SizeGuard()
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(NamedTuple):
     """Divided-power contravariant form on one Verma weight space, on the
     sorted f-exponents of its PBW basis."""
 
@@ -84,11 +86,14 @@ def _mat_neg(m):
     return tuple(tuple(-v for v in row) for row in m)
 
 
-def _mat_bracket(a, b):
-    ab = _mat_mul(a, b)
-    ba = _mat_mul(b, a)
-    n = len(a)
-    return tuple(tuple(ab[i][j] - ba[i][j] for j in range(n)) for i in range(n))
+def _mat_bracket(a, b) -> tuple[int, ...]:
+    """The commutator ab - ba, flattened row by row."""
+    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    return tuple(
+        sum(map(operator.mul, ra, cb)) - sum(map(operator.mul, rb, ca))
+        for ra, rb in zip(a, b)
+        for cb, ca in zip(cols_b, cols_a)
+    )
 
 
 def _realization(cartan_type: str):
@@ -129,15 +134,17 @@ def _realization(cartan_type: str):
     return f, h, e
 
 
-def _bareiss(rows):
+def _bareiss(rows, pivot_cols=None):
     """Echelon form of an integer matrix by fraction-free elimination
-    (Bareiss 1968), and its pivot columns.  Each entry stays a minor of the
+    (Bareiss 1968), and its pivot columns, which are sought among the first
+    ``pivot_cols`` columns (all by default).  Each entry stays a minor of the
     input, so every division by the previous pivot is exact; a remainder
     raises ExactnessError."""
     mat = [list(row) for row in rows]
     pivots: list[int] = []
     prev = 1
-    for c in range(len(mat[0]) if mat else 0):
+    width = len(mat[0]) if mat else 0
+    for c in range(width if pivot_cols is None else pivot_cols):
         r = len(pivots)
         piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if piv is None:
@@ -146,7 +153,7 @@ def _bareiss(rows):
         top = mat[r]
         for i in range(r + 1, len(mat)):
             row, lead = mat[i], mat[i][c]
-            for j in range(c, len(row)):
+            for j in range(c, width):
                 row[j], rem = divmod(top[c] * row[j] - lead * top[j], prev)
                 if rem:
                     raise ExactnessError("inexact division in fraction-free elimination")
@@ -157,23 +164,33 @@ def _bareiss(rows):
     return mat, pivots
 
 
-def _solve_in_basis(basis_vecs, target):
-    """Integer coordinates of target in the span of basis_vecs, or None when
-    it lies outside; raises ExactnessError when they are not integral."""
+def _solve_in_basis(basis_vecs, targets):
+    """Integer coordinates of each target in the span of basis_vecs, or None
+    for a target outside it, from one elimination of the basis augmented
+    with every target; raises ExactnessError when some coordinates are not
+    integral.  Pivots are sought only among the basis columns, so each
+    target column goes through the row operations a solve of its own would
+    apply: it lies in the span exactly when it vanishes below the pivot rows."""
+    if not targets:
+        return []
     cols = len(basis_vecs)
-    mat, pivots = _bareiss(
-        [[vec[r] for vec in basis_vecs] + [t] for r, t in enumerate(target)]
-    )
-    if pivots and pivots[-1] == cols:
-        return None
-    coords = [0] * cols
-    for r in reversed(range(len(pivots))):
-        c = pivots[r]
-        rhs = mat[r][cols] - sum(mat[r][j] * coords[j] for j in range(c + 1, cols))
-        coords[c], rem = divmod(rhs, mat[r][c])
-        if rem:
-            raise ExactnessError("non-integral coordinates in the basis")
-    return coords
+    rows = [[vec[r] for vec in basis_vecs] + [t[r] for t in targets] for r in range(len(targets[0]))]
+    mat, pivots = _bareiss(rows, cols)
+    rank = len(pivots)
+    out = []
+    for t in range(cols, cols + len(targets)):
+        if any(row[t] for row in mat[rank:]):
+            out.append(None)
+            continue
+        coords = [0] * cols
+        for r in reversed(range(rank)):
+            c = pivots[r]
+            rhs = mat[r][t] - sum(mat[r][j] * coords[j] for j in range(c + 1, cols))
+            coords[c], rem = divmod(rhs, mat[r][c])
+            if rem:
+                raise ExactnessError("non-integral coordinates in the basis")
+        out.append(coords)
+    return out
 
 
 class ChevalleyStructure:
@@ -199,10 +216,7 @@ class ChevalleyStructure:
             [v for row in m for v in row] for m in self._basis_mats
         ]
         self.dim = len(self._basis_mats)
-        self.bracket_table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                self.bracket_table[(i, j)] = self._expand_bracket(i, j)
+        self.bracket_table = self._solve_brackets()
         # <root_k, alpha_i^vee> for the h-commutation rules.
         self.root_fund = rs.root_fund
         self._self_test()
@@ -225,15 +239,23 @@ class ChevalleyStructure:
         return "e", idx - self.nroots - self.rank
 
     # construction -------------------------------------------------------
-    def _expand_bracket(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
-        br = _mat_bracket(self._basis_mats[i], self._basis_mats[j])
-        vec = [v for row in br for v in row]
-        if not any(vec):
-            return ()
-        coords = _solve_in_basis(self._basis_vecs, vec)
-        if coords is None:
+    def _solve_brackets(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """Every bracket [b_i, b_j] of basis elements on the basis, from one
+        elimination over the distinct nonzero ones."""
+        pairs = [(i, j) for i in range(self.dim) for j in range(self.dim)]
+        brackets = {}
+        for i, j in pairs:
+            vec = _mat_bracket(self._basis_mats[i], self._basis_mats[j])
+            if any(vec):
+                brackets[i, j] = vec
+        targets = list(dict.fromkeys(brackets.values()))
+        solved = dict(zip(targets, _solve_in_basis(self._basis_vecs, targets)))
+        if None in solved.values():
             raise ExactnessError("bracket does not close on the Chevalley basis")
-        return tuple((idx, c) for idx, c in enumerate(coords) if c)
+        return {
+            ij: tuple((idx, c) for idx, c in enumerate(solved[brackets[ij]]) if c) if ij in brackets else ()
+            for ij in pairs
+        }
 
     def _bracket_combo(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -246,10 +268,17 @@ class ChevalleyStructure:
     def _self_test(self) -> None:
         rs = self.rs
         dim = self.dim
-        # Jacobi identity over the whole basis.
+        # Antisymmetry on every pair, the diagonal included.  Given it, the
+        # Jacobiator [x,[y,z]] - [[x,y],z] - [y,[x,z]] is alternating and
+        # trilinear, so the Jacobi identity holds on the whole algebra as
+        # soon as it holds on the basis triples i < j < k.
         for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
+            for j in range(i, dim):
+                if self.bracket_table[(j, i)] != tuple((idx, -c) for idx, c in self.bracket_table[(i, j)]):
+                    raise ExactnessError(f"antisymmetry fails for basis pair ({i}, {j})")
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                for k in range(j + 1, dim):
                     lhs = self._bracket_combo({i: 1}, dict(self.bracket_table[(j, k)]))
                     rhs = self._bracket_combo(dict(self.bracket_table[(i, j)]), {k: 1})
                     for idx, c in self._bracket_combo({j: 1}, dict(self.bracket_table[(i, k)])).items():

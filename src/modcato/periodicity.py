@@ -15,7 +15,6 @@ K + gamma and ch L(gamma).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .category_o import (
@@ -28,6 +27,7 @@ from .category_o import (
 )
 from .errors import ModcatoError, require_prime
 from .hypalg import SizeGuard
+from .record import Record
 from .reporting import Report
 from .rootdata import Weight, is_dominant
 from .topology import (
@@ -40,21 +40,19 @@ from .topology import (
 )
 
 
-@dataclass(frozen=True)
-class ShiftContext:
+class ShiftContext(Record):
     """Everything one verification reads.  :meth:`build` checks (K, gamma,
     p, l) and carves J, J~ and J~'; ``guard`` bounds every Gram build the
     verification makes, L(gamma)'s included; K + gamma and ch L(gamma) are
     built on first use and kept."""
 
-    K: LocallyClosedSet
-    gamma: Weight
-    p: int
-    l: int
-    J: OpenSet
-    Jt: OpenSet
-    Jtprime: CarvedOpen
-    guard: SizeGuard | None = None
+    _fields = ("K", "gamma", "p", "l", "J", "Jt", "Jtprime", "guard")
+    __slots__ = _fields + ("__dict__",)  # the dict holds ``Kt`` and ``gamma_char`` once read
+
+    def __init__(self, K: LocallyClosedSet, gamma: Weight, p: int, l: int, J: OpenSet,
+                 Jt: OpenSet, Jtprime: CarvedOpen, guard: SizeGuard | None = None):
+        for name, value in zip(self._fields, (K, gamma, p, l, J, Jt, Jtprime, guard)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def build(K: LocallyClosedSet, gamma: Weight, p: int, l: int, *,

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     identity: str
     left: object
     right: object
@@ -24,11 +25,20 @@ class CheckRecord:
         }
 
 
-@dataclass
-class Report:
-    title: str
-    checks: list[CheckRecord] = field(default_factory=list)
-    payload: dict = field(default_factory=dict)
+class Report(Record):
+    """A titled list of checks and a JSON payload, filled in as a
+    verification runs: the one mutable, so unhashable, record."""
+
+    _fields = ("title", "checks", "payload")
+    __slots__ = _fields
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, title: str, checks: list[CheckRecord] | None = None, payload: dict | None = None):
+        self.title = title
+        self.checks = [] if checks is None else checks
+        self.payload = {} if payload is None else payload
 
     def record(self, identity: str, left, right) -> CheckRecord:
         rec = CheckRecord(identity, left, right)

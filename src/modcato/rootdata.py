@@ -12,13 +12,12 @@ built once per walk by its caller and not kept; nothing here memoises them.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import mul, sub
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ExactnessError
+from .record import Record
 
 SUPPORTED_TYPES = ("A1", "A2", "B2")
 
@@ -44,12 +43,15 @@ _POSITIVE = {
 _WEYL_SIZE = {"A1": 2, "A2": 6, "B2": 8}
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Weight:
+class Weight(Record):
     """Integral weight in fundamental-weight coordinates."""
 
-    system: "RootSystem" = field(repr=False)
-    coords: tuple[int, ...]
+    _fields = ("system", "coords")
+    __slots__ = _fields
+
+    def __init__(self, system: RootSystem, coords: tuple[int, ...]):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "coords", coords)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -81,8 +83,7 @@ class Weight:
         return f"Weight({self.system.cartan_type}, {self.coords})"
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """Lattice automorphism acting on fundamental coordinates, with sign."""
 
     matrix: tuple[tuple[int, ...], ...]
@@ -254,17 +255,25 @@ class RootSystem:
 
     # -- enumeration ------------------------------------------------------
 
-    def root_vectors_up_to_height(self, h: int) -> Iterator[tuple[int, ...]]:
+    def root_vectors_up_to_height(self, h: int) -> list[tuple[int, ...]]:
         """All nonnegative root vectors of height at most ``h``, in
         lexicographic order."""
-        for coeffs in itertools.product(range(h + 1), repeat=self.rank):
-            if sum(coeffs) <= h:
-                yield coeffs
+        return _vectors_up_to_height(self.rank, h)
 
 
 def _check_same(a: RootSystem, b: RootSystem) -> None:
     if a.cartan_type != b.cartan_type:
         raise ValueError(f"mismatched root systems {a.cartan_type} and {b.cartan_type}")
+
+
+def _vectors_up_to_height(rank: int, h: int) -> list[tuple[int, ...]]:
+    """The nonnegative integer vectors of length ``rank`` with coordinate sum
+    at most ``h``, in lexicographic order: each vector is extended by every
+    coordinate its remaining budget allows, in ascending order."""
+    level = [((), h)]
+    for _ in range(rank):
+        level = [(vec + (a,), left - a) for vec, left in level for a in range(left + 1)]
+    return [vec for vec, _ in level]
 
 
 def _mat_mul(a, b):

@@ -8,15 +8,15 @@ construction.  Locally closed sets are finite and order-convex.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ExactnessError, PredicateError, require_prime
+from .record import Record
 from .rootdata import Weight, leq
 
 
-@dataclass(frozen=True)
-class OpenSet:
+class OpenSet(NamedTuple):
     """Down-closure of a finite ceiling; membership is mu <= some ceiling."""
 
     ceiling: tuple[Weight, ...]
@@ -52,8 +52,7 @@ class OpenSet:
         return sorted(list(c.coords) for c in self.ceiling)
 
 
-@dataclass(frozen=True)
-class CarvedOpen:
+class CarvedOpen(NamedTuple):
     """The open complement of K inside its down-closure J, as a predicate."""
 
     inside: OpenSet
@@ -66,12 +65,15 @@ class CarvedOpen:
         return CarvedOpen(self.inside.translate(gamma), shift_set(self.removed, gamma))
 
 
-@dataclass(frozen=True)
-class LocallyClosedSet:
+class LocallyClosedSet(Record):
     """Finite order-convex weight set.  :meth:`make` is the one place that
     checks convexity; :func:`shift_set` translates a checked set."""
 
-    elements: frozenset[Weight]
+    _fields = ("elements",)
+    __slots__ = _fields + ("__dict__",)  # the dict holds ``sorted`` once read
+
+    def __init__(self, elements: frozenset[Weight]):
+        object.__setattr__(self, "elements", elements)
 
     @staticmethod
     def make(weights) -> "LocallyClosedSet":

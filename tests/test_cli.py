@@ -320,6 +320,26 @@ def _separate_process(*argv):
                           capture_output=True, env=env, check=False)
 
 
+def test_start_up_loads_no_dataclasses_inspect_or_logging():
+    # What every process pays: importing the CLI, building the three engines
+    # (each runs its structure self-test) and running a command load none of
+    # these; the cache imports logging only once a record or store fails.
+    # -S keeps site's own imports out of the count.
+    script = "\n".join([
+        "import sys, modcato.cli",
+        "from modcato.hypalg import get_engine",
+        "for t in ('A1', 'A2', 'B2'): get_engine(t)",
+        "modcato.cli.main(['char', 'weyl', '--type', 'B2', '--lambda=1,1'])",
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'logging') if m in sys.modules))",
+    ])
+    env = {k: v for k, v in os.environ.items() if k != "MODCATO_CACHE"}
+    env["PYTHONPATH"] = str(Path(modcato.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == b"[]"
+
+
 def test_one_process_runs_many_commands_like_separate_processes(capsys):
     # The parser is built once per process; reusing it must not leak state
     # from one command into the next, including after a usage error.

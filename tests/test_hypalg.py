@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import sys
@@ -9,10 +10,12 @@ from fractions import Fraction
 
 import pytest
 
+from modcato import hypalg
 from modcato.charring import weyl_character
 from modcato.errors import ExactnessError, SizeGuardError
 from modcato.hypalg import (
     DEFAULT_GUARD,
+    ChevalleyStructure,
     PBWEngine,
     SizeGuard,
     _divided_grams,
@@ -562,11 +565,114 @@ def test_rank_rational_matches_fraction_elimination():
 
 
 def test_solve_in_basis_hand_cases():
-    assert _solve_in_basis([[1, 0], [1, 1]], [3, 2]) == [1, 2]
-    assert _solve_in_basis([[2, 0], [0, -3]], [-4, 6]) == [-2, -2]
-    assert _solve_in_basis([[1, 0]], [0, 1]) is None  # outside the span
-    assert _solve_in_basis([[2, 4]], [1, 3]) is None
+    assert _solve_in_basis([[1, 0], [1, 1]], [[3, 2]]) == [[1, 2]]
+    assert _solve_in_basis([[2, 0], [0, -3]], [[-4, 6]]) == [[-2, -2]]
+    assert _solve_in_basis([[1, 0]], [[0, 1]]) == [None]  # outside the span
+    assert _solve_in_basis([[2, 4]], [[1, 3]]) == [None]
     with pytest.raises(ExactnessError):
-        _solve_in_basis([[2]], [1])  # in the span over Q, not over Z
+        _solve_in_basis([[2]], [[1]])  # in the span over Q, not over Z
     with pytest.raises(ExactnessError):
-        _solve_in_basis([[1, 1], [1, -1]], [1, 0])
+        _solve_in_basis([[1, 1], [1, -1]], [[1, 0]])
+
+
+def test_solve_in_basis_mixed_batch():
+    # One elimination answers each target as a solve of its own would: an
+    # in-span target gets its coordinates, an out-of-span one None, in the
+    # batch's order; a non-integral target anywhere in the batch raises.
+    basis = [[2, 0, 0], [0, 1, 0]]
+    inside, outside, halves = [4, -3, 0], [0, 0, 1], [1, 0, 0]
+    assert _solve_in_basis(basis, [inside, outside]) == [[2, -3], None]
+    assert _solve_in_basis(basis, [outside, inside]) == [None, [2, -3]]
+    assert _solve_in_basis(basis, []) == []
+    for batch in ([inside, outside, halves], [halves, inside, outside], [outside, halves, inside]):
+        with pytest.raises(ExactnessError, match="non-integral"):
+            _solve_in_basis(basis, batch)
+
+
+# SHA-1 of repr(sorted(bracket_table.items())) for flip=(), as first built
+# by one Bareiss solve per bracket.
+BRACKET_TABLE_SHA1 = {
+    "A1": "75e44900da10cb5f42958426b86c75fb5bb5c173",
+    "A2": "903631625f5b4f415d4cdf1b7b6d7e534753407b",
+    "B2": "078f0736fbcccccf3eb2a9baeb5e7db475597473",
+}
+
+
+@pytest.mark.parametrize("cartan_type", sorted(BRACKET_TABLE_SHA1))
+def test_bracket_table_is_pinned(cartan_type):
+    table = get_structure(cartan_type).bracket_table
+    digest = hashlib.sha1(repr(sorted(table.items())).encode()).hexdigest()
+    assert digest == BRACKET_TABLE_SHA1[cartan_type]
+
+
+def _a1_realization(f, h, e):
+    """A monkeypatch for ``_realization`` that hands A1 the given 2x2
+    matrices in place of its Chevalley basis."""
+    return lambda cartan_type: ([f], [h], [e])
+
+
+E12, F21, E11 = ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (0, 0))
+H = ((1, 0), (0, -1))
+
+
+@pytest.mark.parametrize("f, h, e, message", [
+    # [e, f] = diag(1, -1) does not lie in the span of f, diag(1, 0), e.
+    (F21, E11, E12, "does not close"),
+    # [e, f] = h is half of the basis element 2h.
+    (F21, ((2, 0), (0, -2)), E12, "non-integral"),
+    # Basis element -h: [-h, e] = -2e against <alpha, alpha^vee> = 2.
+    (F21, ((-1, 0), (0, 1)), E12, "weight rule"),
+    # Basis element 2e: the weight rules hold, but [2e, f] = 2h.
+    (F21, H, ((0, 2), (0, 0)), "coroot mismatch"),
+])
+def test_structure_self_test_rejects_a_bad_realization(monkeypatch, f, h, e, message):
+    monkeypatch.setattr(hypalg, "_realization", _a1_realization(f, h, e))
+    with pytest.raises(ExactnessError, match=message):
+        ChevalleyStructure(A1)
+    monkeypatch.setattr(hypalg, "_realization", _a1_realization(F21, H, E12))
+    ChevalleyStructure(A1)  # the true basis passes
+
+
+def _rescaled(table, scale):
+    """The bracket table on the basis b_i' = scale[i] b_i, which is still a
+    Lie algebra's: [b_i', b_j'] = sum_m scale[i] scale[j] c_m / scale[m] b_m'."""
+    return {
+        (i, j): tuple((m, scale[i] * scale[j] * c / scale[m]) for m, c in terms)
+        for (i, j), terms in table.items()
+    }
+
+
+def test_structure_self_test_rejects_each_corrupted_table():
+    st = ChevalleyStructure(A2)
+    good = dict(st.bracket_table)
+    e0, e1 = st.e_index(0), st.e_index(1)
+    (root, c), = good[e0, e1]
+    cases = [
+        # One side of a pair changed: the table is not antisymmetric.
+        ({(e1, e0): ((root, -2 * c),)}, "antisymmetry"),
+        # Both sides changed: antisymmetric, but no longer a Lie algebra.
+        ({(e0, e1): ((root, 2 * c),), (e1, e0): ((root, -2 * c),)}, "Jacobi"),
+    ]
+    for change, message in cases:
+        st.bracket_table = {**good, **change}
+        with pytest.raises(ExactnessError, match=message):
+            st._self_test()
+    # A1 has a single basis triple i < j < k, (f, h, e), and with [h, e] = 3e
+    # the Jacobi identity fails on it.
+    a1 = ChevalleyStructure(A1)
+    h, e = a1.h_index(0), a1.e_index(0)
+    a1.bracket_table = {**a1.bracket_table, (h, e): ((e, 3),), (e, h): ((e, -3),)}
+    with pytest.raises(ExactnessError, match="Jacobi"):
+        a1._self_test()
+    # e_{(1,1)} halved and f_{(1,1)} doubled: still a Lie algebra with the
+    # same weights and coroots, but N_{(0,1),(1,0)} becomes 2 where the
+    # Chevalley basis has |N| = 1.
+    scale = [Fraction(1)] * st.dim
+    scale[st.e_index(2)], scale[st.f_index(2)] = Fraction(1, 2), Fraction(2)
+    st.bracket_table = _rescaled(good, scale)
+    with pytest.raises(ExactnessError, match="Chevalley sign"):
+        st._self_test()
+    # Negating both is a change of sign convention, which passes.
+    scale[st.e_index(2)], scale[st.f_index(2)] = Fraction(-1), Fraction(-1)
+    st.bracket_table = _rescaled(good, scale)
+    st._self_test()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 import modcato.category_o as category_o
@@ -11,6 +14,7 @@ from modcato.category_o import FlagVector, build_decomposition_table
 from modcato.errors import ModcatoError
 from modcato.hypalg import SizeGuard
 from modcato.periodicity import (
+    Report,
     ShiftContext,
     shift_down_flag,
     shift_up_flag,
@@ -233,3 +237,34 @@ def test_verify_periodicity_reads_comparability_from_the_table(monkeypatch):
     assert [c.identity for c in rep.checks] == [
         f"[Delta({mu.coords}):L({lam.coords})] vs shift by (3, 3)" for mu, lam in expect
     ]
+
+
+def test_value_classes_keep_equality_hash_repr_and_immutability():
+    # The slots records compare, hash and print as the frozen dataclasses
+    # they replace did; Report stays mutable and unhashable.
+    K = LocallyClosedSet.make([A2.weight(0, 0)])
+    ctx = ShiftContext.build(K, A2.weight(3, 3), 3, 1)
+    assert repr(K) == "LocallyClosedSet(elements=frozenset({Weight(A2, (0, 0))}))"
+    assert repr(ctx).startswith(
+        "ShiftContext(K=LocallyClosedSet(elements=frozenset({Weight(A2, (0, 0))})), "
+        "gamma=Weight(A2, (3, 3)), p=3, l=1, J=OpenSet(ceiling=(Weight(A2, (0, 0)),)), ")
+    assert repr(ctx).endswith(", guard=None)")
+    twin = ShiftContext.build(LocallyClosedSet.make([A2.weight(0, 0)]), A2.weight(3, 3), 3, 1)
+    assert ctx == twin and hash(ctx) == hash(twin)
+    assert ctx != ShiftContext.build(K, A2.weight(6, 6), 3, 1)
+    assert ctx.Kt is ctx.Kt and ctx.Kt == shift_set(K, A2.weight(3, 3))
+    for obj, field in ((ctx, "p"), (K, "elements"), (A2.weight(1, 0), "coords"), (SizeGuard(), "max_terms")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+    assert repr(SizeGuard()) == "SizeGuard(max_gram_dim=200, max_terms=1000000)"
+    report = Report("t")
+    assert report == Report("t", [], {}) and repr(report) == "Report(title='t', checks=[], payload={})"
+    report.record("x", 1, 2)
+    report.title = "u"
+    assert repr(report) == ("Report(title='u', checks=[CheckRecord(identity='x', left=1, right=2)], "
+                            "payload={})")
+    with pytest.raises(TypeError):
+        hash(report)
+    for obj in (A2.weight(1, 0), K, ctx, report):
+        for twin in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and twin == obj and repr(twin) == repr(obj)

@@ -11,6 +11,7 @@ from modcato.category_o import q_module_mult
 from modcato.charring import TruncationBox, verma_character, weyl_character
 from modcato.hypalg import simple_weight_dims
 from modcato.rootdata import (
+    _vectors_up_to_height,
     build_root_system,
     dot_action,
     is_dominant,
@@ -262,6 +263,15 @@ def test_root_vector_enumeration_is_lexicographic():
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0),
     ]
     assert list(a2.root_vectors_up_to_height(-1)) == []
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_vectors_up_to_height_are_the_filtered_product(rank):
+    # Built directly, without the (h + 1)^rank product and its filter, in
+    # the same lexicographic order.
+    for h in range(-1, 16):
+        product = [v for v in itertools.product(range(h + 1), repeat=rank) if sum(v) <= h]
+        assert _vectors_up_to_height(rank, h) == product, h
 
 
 def test_dot_action_of_identity(rs):
