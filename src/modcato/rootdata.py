@@ -269,10 +269,15 @@ def _check_same(a: RootSystem, b: RootSystem) -> None:
 def _vectors_up_to_height(rank: int, h: int) -> list[tuple[int, ...]]:
     """The nonnegative integer vectors of length ``rank`` with coordinate sum
     at most ``h``, in lexicographic order: each vector is extended by every
-    coordinate its remaining budget allows, in ascending order."""
+    coordinate its remaining budget allows, in ascending order.
+
+    The coordinate values 0..h are built as one tuple first, as
+    ``itertools.product`` built them, so a height too large to enumerate
+    raises ``OverflowError`` or ``MemoryError`` before any vector is made."""
+    values = tuple(range(h + 1))
     level = [((), h)]
     for _ in range(rank):
-        level = [(vec + (a,), left - a) for vec, left in level for a in range(left + 1)]
+        level = [(vec + (a,), left - a) for vec, left in level for a in values[: left + 1]]
     return [vec for vec, _ in level]
 
 

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -313,11 +314,28 @@ def test_argparse_usage_exit_2():
     assert exc.value.code == 2
 
 
-def _separate_process(*argv):
+def _separate_process(*argv, **kwargs):
     env = {k: v for k, v in os.environ.items() if k != "MODCATO_CACHE"}
     env["PYTHONPATH"] = str(Path(modcato.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-m", "modcato.cli", *argv],
-                          capture_output=True, env=env, check=False)
+                          capture_output=True, env=env, check=False, **kwargs)
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ("char", "weyl", "--type", "A1", "--lambda=99999999999999999999"),
+    ("char", "verma", "--type", "A1", "--lambda=0", "--depth", "99999999999999999999"),
+])
+def test_huge_height_fails_before_enumerating(argv):
+    # A box or Kostant table of height 10^20 is refused before any vector is
+    # built: the coordinate values 0..h do not fit a tuple. An enumeration
+    # that started instead would end in a MemoryError at the 1 GiB cap.
+    done = _separate_process(*argv, preexec_fn=_cap_address_space, timeout=20)
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1].startswith(b"OverflowError"), done.stderr[-300:]
 
 
 def test_start_up_loads_no_dataclasses_inspect_or_logging():
