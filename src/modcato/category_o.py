@@ -32,16 +32,11 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from math import comb
-from operator import add, mul, sub
+from operator import add, ge, mul, sub
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import cache as cache_store
-from .charring import (
-    FormalCharacter,
-    TruncationBox,
-    peel_decompose,
-    verma_character,
-)
+from .charring import FormalCharacter, TruncationBox, peel
 from .errors import (
     BoxMarginError,
     ExactnessError,
@@ -56,7 +51,6 @@ from .rootdata import (
     height_drop,
     is_dominant,
     kostant_table,
-    leq,
     weyl_hull,
 )
 from .topology import (
@@ -324,20 +318,18 @@ def decomposition_numbers(
     guard: SizeGuard | None = None,
 ) -> dict[Weight, int]:
     """One row [Delta(mu) : L(lam)], for every lam in the down-set of mu to
-    ``depth``, by peeling simple characters on that box."""
+    ``depth``, by peeling its Kostant counts into simple characters."""
     require_prime(p)
     if type(depth) is not int or depth < 0:
         raise ModcatoError(f"depth={depth!r} must be a nonnegative int")
     rs = mu.system
-    box = TruncationBox.make(mu, depth)
     payload = f"mu={_csv(mu.coords)};depth={depth}"
     cached = cache_store.get_value("decomp_row", rs.cartan_type, p, payload)
     if cached is not None:
         return {
             rs.weight(*coords): v for coords, v in json.loads(cached)
         }
-    chi = verma_character(mu, box)
-    row = _checked_row(mu, peel_decompose(chi, lambda w, height: _simple_dims(w, p, height, guard)))
+    row = _checked_row(mu, peel(mu, kostant_table(rs, depth), lambda w, height: _simple_dims(w, p, height, guard)))
     cache_store.put_value(
         "decomp_row",
         rs.cartan_type,
@@ -362,10 +354,9 @@ def build_decomposition_table(
 
     The region is order-convex, so for lam <= mu in it every xi with
     lam <= xi <= mu lies in it too, and [Delta(mu) : L(lam)] depends only on
-    characters at region weights.  Each row peels the Verma character of mu
-    read at the region weights below mu, from one Kostant table, with
-    ``peel_decompose(..., within=)`` those weights' offsets; no row reads a
-    weight outside the region.  The finished table is one ``decomp_table``
+    characters at region weights.  Each row peels the Kostant counts of the
+    region weights below mu, read from one table, and no row reads a weight
+    outside the region.  The finished table is one ``decomp_table``
     disk record, keyed by p and the sorted region, read first on a rerun.
     """
     require_prime(p)
@@ -399,10 +390,9 @@ def build_decomposition_table(
         return DecompositionTable(p, region, entries, comparable)
     kp = kostant_table(rs, max(sum(nu) for gaps in below.values() for nu in gaps.values()))
     entries: dict[tuple[Weight, Weight], int] = {}
+    basis = lambda w, height: _simple_dims(w, p, height, guard)
     for mu in region:
-        gaps = frozenset(below[mu].values())
-        chi = FormalCharacter({nu: kp[nu] for nu in gaps}, TruncationBox.make(mu, max(map(sum, gaps))))
-        row = peel_decompose(chi, lambda w, height: _simple_dims(w, p, height, guard), within=gaps)
+        row = peel(mu, {gap: kp[gap] for gap in below[mu].values()}, basis)
         entries.update(((mu, lam), a) for lam, a in _checked_row(mu, row).items())
     table = DecompositionTable(p, region, entries, comparable)
     cache_store.put_value("decomp_table", rs.cartan_type, p, payload, json.dumps(table.serialize()))
@@ -412,23 +402,22 @@ def build_decomposition_table(
 def validate_table_consistency(
     table: DecompositionTable, *, guard: SizeGuard | None = None
 ) -> Report:
-    """Character identity dim Delta(mu)_nu = sum_lam [Delta(mu):L(lam)] dim L(lam)_nu."""
+    """Character identity dim Delta(mu)_nu = sum_lam [Delta(mu):L(lam)] dim L(lam)_nu
+    at each comparable pair of the table, read from the peel's tables."""
+    require_prime(table.p)
     report = Report(f"character consistency over {len(table.region)} weights, p={table.p}")
     rs = table.region[0].system
-    for mu in table.region:
-        below = [nu for nu in table.region if leq(nu, mu)]
-        depth = max(sum(rs.to_root_vector(mu - nu)) for nu in below)
-        box = TruncationBox.make(mu, depth)
-        delta = verma_character(mu, box)
-        simples = {lam: simple_character(lam, table.p, box, guard=guard)
-                   for lam in table.region if table.entry(mu, lam)}
-        for nu in below:
-            lhs = delta.coefficient(nu)
-            rhs = sum(table.entry(mu, lam) * chi.coefficient(nu)
-                      for lam, chi in simples.items() if leq(nu, lam))
-            report.record(
-                f"dim Delta({mu.coords})_{nu.coords}", lhs, rhs
-            )
+    gaps: dict[Weight, dict[Weight, tuple[int, ...]]] = {}
+    for mu, nu in table.comparable:
+        gaps.setdefault(mu, {})[nu] = rs.to_root_vector(mu - nu)
+    kp = kostant_table(rs, max(sum(gap) for below in gaps.values() for gap in below.values()))
+    for mu, below in gaps.items():
+        depth = max(map(sum, below.values()))
+        simples = [(g, table.entry(mu, lam), _simple_dims(lam, table.p, depth - sum(g), guard))
+                   for lam, g in below.items() if table.entry(mu, lam)]
+        for nu, gap in below.items():
+            rhs = sum(a * dims.get(tuple(map(sub, gap, g)), 0) for g, a, dims in simples if all(map(ge, gap, g)))
+            report.record(f"dim Delta({mu.coords})_{nu.coords}", kp[gap], rhs)
     return report
 
 

@@ -16,11 +16,9 @@ Verma and Weyl characters walk the lattice through :meth:`TruncationBox.below`,
 which gives the offsets of the members below a weight without a scan:
 Verma characters read Kostant partition counts for it from one
 :func:`~modcato.rootdata.kostant_table` at the box depth, and Weyl characters
-sum those counts with signs over the dot-action orbit.  :func:`peel_decompose`
-reads its triangular basis as a sparse table by height: ``basis(mu, height)``
-gives the nonzero ``{nu: coefficient}`` up to the depth of the box below mu,
-and the peel subtracts those entries alone; ``within=`` keeps it to a
-convex set of offsets.
+sum those counts with signs over the dot-action orbit.  :func:`peel` reads
+its triangular basis as a sparse table by height, ``basis(mu, height)``,
+and subtracts those entries alone, at the offsets it peels.
 
 Boxes and characters are immutable values.
 """
@@ -182,51 +180,59 @@ def weyl_character(lam: Weight) -> FormalCharacter:
     return chi
 
 
-def peel_decompose(
-    chi: FormalCharacter,
+def peel(
+    top: Weight,
+    counts: Mapping[tuple[int, ...], int],
     basis: Callable[[Weight, int], Mapping[tuple[int, ...], int]],
-    *,
-    within: frozenset[tuple[int, ...]] | None = None,
 ) -> dict[Weight, int]:
-    """Expand ``chi`` in a triangular basis over every weight of its box.
-
-    ``basis(mu, height)`` gives the basis character labelled mu as
-    ``{nu: coefficient of e^(mu - nu)}``, keyed by ``rank`` nonnegative ints:
-    every nonzero one with nu of height at most ``height``, the depth of the
-    box below mu, and 1 at nu = 0; higher entries are ignored.  Box weights
-    are peeled by non-decreasing offset height, and at one height by
-    reverse-lexicographic offset, which is increasing coordinates in A1, A2
-    and B2; so each weight's residual is final when its turn comes and none
-    is left at the end.
-
-    With a set of offsets ``within``, a subtraction at an offset m + nu
-    outside it is skipped, so the peel reads and writes only those offsets.
-    If ``within`` holds the support of ``chi`` and its weights are
-    order-convex, the result is the box peel restricted to ``within``: the
-    coefficient at xi is final once every eta with xi <= eta <= some weight
-    of ``chi`` is peeled, and every such eta lies in ``within``.
+    """Expand ``counts``, the coefficient of e^(top - m) at each offset m of
+    an order-convex set of offsets that holds 0, zeros included, in a
+    triangular basis.  ``basis(mu, height)`` gives the basis character
+    labelled mu as ``{nu: coefficient of e^(mu - nu)}``, keyed by offsets:
+    every nonzero one up to ``height``, the highest offset's height less
+    mu's, and 1 at nu = 0.  Offsets are peeled by height, then by
+    reverse-lexicographic offset (increasing coordinates in A1, A2 and B2),
+    and a subtraction at an offset that is not a key of ``counts`` is
+    skipped; the set is convex, so each residual is final at its turn.
     """
-    box = chi.box
-    order = sorted(box.system.root_vectors_up_to_height(box.depth),
-                   key=lambda m: (sum(m), [-a for a in m]))
-    zero = (0,) * box.system.rank
-    residual = dict(chi.offsets)
+    system = top.system
+    depth = max(map(sum, counts))
+    zero = (0,) * system.rank
+    residual = dict(counts)
     out: dict[Weight, int] = {}
-    for m in order:
-        a = residual.get(m, 0)
+    for m in sorted(counts, key=lambda m: (sum(m), [-a for a in m])):
+        a = residual[m]
         if a == 0:
             continue
-        mu = box.weight(m)
-        height = box.depth - sum(m)
-        dims = basis(mu, height)
+        mu = top - system.weight_of(m)
+        dims = basis(mu, depth - sum(m))
         if dims.get(zero) != 1:
             raise ValueError(f"basis character at {mu} does not have leading coefficient 1")
         out[mu] = a
         for nu, d in dims.items():
-            if not (type(nu) is tuple and len(nu) == len(zero) and all(type(c) is int and c >= 0 for c in nu)):
-                raise ValueError(f"basis character at {mu} has key {nu!r}, not {len(zero)} nonnegative ints")
-            if sum(nu) <= height:  # mu - nu is the member at offset m + nu
-                m2 = tuple(map(add, m, nu))
-                if within is None or m2 in within:
-                    residual[m2] = residual.get(m2, 0) - a * d
+            m2 = tuple(map(add, m, nu))
+            if m2 in residual:
+                residual[m2] -= a * d
     return out
+
+
+def peel_decompose(
+    chi: FormalCharacter,
+    basis: Callable[[Weight, int], Mapping[tuple[int, ...], int]],
+) -> dict[Weight, int]:
+    """Expand ``chi`` in a triangular basis: :func:`peel` over its box,
+    after checking that each key ``basis`` returns is ``rank`` nonnegative
+    ints."""
+    box = chi.box
+    rank = box.system.rank
+
+    def checked(mu: Weight, height: int) -> Mapping[tuple[int, ...], int]:
+        dims = basis(mu, height)
+        for nu in dims:
+            if not (type(nu) is tuple and len(nu) == rank and all(type(c) is int and c >= 0 for c in nu)):
+                raise ValueError(f"basis character at {mu} has key {nu!r}, not {rank} nonnegative ints")
+        return dims
+
+    counts = dict.fromkeys(box.system.root_vectors_up_to_height(box.depth), 0)
+    counts.update(chi.offsets)
+    return peel(box.top, counts, checked)

@@ -262,6 +262,21 @@ def test_table_consistency_a2():
     assert report.passed
 
 
+def test_table_consistency_writes_no_simple_dim_record(tmp_path, monkeypatch):
+    # The check reads the table's comparable pairs and the simple-dimension
+    # tables of the peel, so under a cache directory the table's own
+    # decomp_table record is the only one.
+    monkeypatch.delenv("MODCATO_CACHE", raising=False)
+    cache.configure(tmp_path)
+    try:
+        table = build_decomposition_table(interval(A2.weight(-1, -1), A2.weight(1, 1)), 3)
+        assert validate_table_consistency(table).passed
+    finally:
+        cache.configure(None)
+    kinds = [path.read_text().split("\t")[1].split(";")[0] for path in tmp_path.glob("*.rec")]
+    assert kinds == ["kind=decomp_table"]
+
+
 def test_tensor_flag_identity_for_trivial_gamma():
     V = FlagVector({A1.weight(0): 1, A1.weight(2): 3})
     out = tensor_flag(V, A1.weight(0), 2)

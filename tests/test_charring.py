@@ -10,6 +10,7 @@ import pytest
 from modcato.charring import (
     FormalCharacter,
     TruncationBox,
+    peel,
     peel_decompose,
     verma_character,
     weyl_character,
@@ -306,8 +307,9 @@ def test_peel_goes_down_by_offset_height_then_coordinates(rs):
 @pytest.mark.parametrize("rs", [A1, A2, B2], ids=lambda rs: rs.cartan_type)
 def test_peel_within_a_convex_set_is_the_box_peel_restricted_to_it(rs):
     # A character supported on the offsets W of an interval [lo, hi] of the
-    # box: peeled within W, it gives the box peel's coefficients on W, and
-    # the basis is asked only at weights of W, since no subtraction lands
+    # box: peeled by charring.peel over the interval's offsets below hi,
+    # zeros included, it gives the box peel's coefficients on W, and the
+    # basis is asked only at weights of W, since no subtraction lands
     # outside it.  The box peel of the same character leaves weights outside
     # W with nonzero coefficients.
     rng = random.Random(40 + rs.rank)
@@ -320,6 +322,7 @@ def test_peel_within_a_convex_set_is_the_box_peel_restricted_to_it(rs):
         coeffs = {w: rng.randint(-3, 3) for w in box.weights()}
         full = verma_sum(coeffs, box)
         chi = FormalCharacter({m: c for m, c in full.offsets.items() if m in W}, box)
+        counts = {rs.to_root_vector(hi - w): full.coefficient(w) for w in interval(lo, hi)}
         asked = []
 
         def recording(mu, height):
@@ -327,7 +330,7 @@ def test_peel_within_a_convex_set_is_the_box_peel_restricted_to_it(rs):
             return verma_basis(rs)(mu, height)
 
         whole = peel_decompose(chi, verma_basis(rs))
-        inside = peel_decompose(chi, recording, within=W)
+        inside = peel(hi, counts, recording)
         assert inside == {w: a for w, a in whole.items() if box.offset(w) in W}
         assert all(box.offset(mu) in W for mu in asked)
         outside += sum(box.offset(w) not in W for w in whole)

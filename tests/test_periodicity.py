@@ -230,7 +230,7 @@ def test_verify_periodicity_reads_comparability_from_the_table(monkeypatch):
         raise AssertionError("comparability derived again")
 
     monkeypatch.setattr(rootdata, "leq", no_leq)
-    monkeypatch.setattr(category_o, "leq", no_leq)
+    monkeypatch.setattr(category_o, "leq", no_leq, raising=False)
     monkeypatch.setattr(periodicity, "leq", no_leq, raising=False)
     rep = verify_periodicity(ctx)
     assert rep.passed
