@@ -18,9 +18,15 @@ its mod-p rank takes 0.10-0.12 ms to compute (nu <= (6,6)), so a
 per-space record cost more to write than it saved.
 
 One record per file, one line per record: ``version<TAB>key<TAB>value``,
-all UTF-8 text, written atomically (temp file + rename).  Values are
-deterministic functions of their keys, so last-write-wins is safe and two
-puts of the same pair are a single logical record.
+all UTF-8 text with a JSON value, written atomically (temp file + rename).
+Values are deterministic functions of their keys, so last-write-wins is safe
+and two puts of the same pair are a single logical record.  A record that is
+not UTF-8, lacks a field or holds a value ``json.loads`` rejects is corrupt
+and read as absent.  A record's file is named by the SHA-256 of its
+canonical key from CPython's built-in ``_sha2`` (``_sha256`` before 3.12),
+which ``hashlib`` uses without OpenSSL: importing ``hashlib`` loads OpenSSL's
+libcrypto, 3.6 MiB of peak RSS and 3-4 ms in every process.  The digests are
+the same, so existing stores stay warm.
 
 The store directory comes from an explicit :func:`configure` call (the CLI
 wires ``--cache-dir`` through it) or the ``MODCATO_CACHE`` environment
@@ -29,11 +35,19 @@ variable; with neither set, every lookup misses and puts are no-ops.
 
 from __future__ import annotations
 
-import hashlib
+import json
 import os
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # an interpreter built without either
+        from hashlib import sha256
 
 RECORD_VERSION = "modcato-cache-v1"
 
@@ -54,7 +68,7 @@ class CacheKey(NamedTuple):
         return f"kind={self.kind};system={self.system};p={p};{self.payload}"
 
     def filename(self) -> str:
-        digest = hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
+        digest = sha256(self.canonical().encode("utf-8")).hexdigest()
         return f"{digest}.rec"
 
 
@@ -95,17 +109,19 @@ def get(key: CacheKey) -> str | None:
         return None
     path = root / key.filename()
     try:
-        line = path.read_text(encoding="utf-8")
+        version, canonical, value = path.read_text(encoding="utf-8").rstrip("\n").split("\t", 2)
+        if version == RECORD_VERSION and canonical == key.canonical():
+            json.loads(value)
+            return value
     except FileNotFoundError:
         return None
     except OSError as exc:
         _logger().warning("unreadable cache record %s: %s", path, exc)
         return None
-    parts = line.rstrip("\n").split("\t", 2)
-    if len(parts) != 3 or parts[0] != RECORD_VERSION or parts[1] != key.canonical():
-        _logger().warning("corrupt or stale cache record %s; treating as absent", path)
-        return None
-    return parts[2]
+    except ValueError:  # not UTF-8, fewer than three fields, or not JSON
+        pass
+    _logger().warning("corrupt or stale cache record %s; treating as absent", path)
+    return None
 
 
 def put(key: CacheKey, value: str) -> None:

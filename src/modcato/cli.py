@@ -80,12 +80,11 @@ def _emit(args, text_payload: str, json_payload) -> None:
         print(text_payload)
 
 
-def _character_output(args, chi, meta: dict) -> None:
-    entries = chi.serialize()
+def _entries_output(args, values, meta: dict, column: str = "coeff") -> None:
+    """Print a character or a Verma flag: one row per weight and value."""
+    entries = values.serialize()
     rows = [[_coords_str_from(coords), c] for coords, c in entries]
-    payload = dict(meta)
-    payload["entries"] = entries
-    _emit(args, _format_table(rows, ["weight", "coeff"]), payload)
+    _emit(args, _format_table(rows, ["weight", column]), {**meta, "entries": entries})
 
 
 def _coords_str_from(coords: list[int]) -> str:
@@ -107,8 +106,8 @@ def cmd_char(args) -> int:
     lam = parse_weight(rs, args.lam)
     if args.which == "weyl":
         chi = weyl_character(lam)
-        _character_output(args, chi, {"kind": "weyl", "system": rs.cartan_type,
-                                      "lambda": list(lam.coords)})
+        _entries_output(args, chi, {"kind": "weyl", "system": rs.cartan_type,
+                                    "lambda": list(lam.coords)})
         return 0
     box = TruncationBox.make(lam, args.depth)
     if args.which == "verma":
@@ -119,7 +118,7 @@ def cmd_char(args) -> int:
         chi = simple_character(lam, args.p, box)
         meta = {"kind": "simple", "system": rs.cartan_type, "p": args.p,
                 "lambda": list(lam.coords), "depth": args.depth}
-    _character_output(args, chi, meta)
+    _entries_output(args, chi, meta)
     return 0
 
 
@@ -140,34 +139,20 @@ def cmd_decomp(args) -> int:
     return 0
 
 
-def _flag_output(args, flag, meta: dict) -> None:
-    entries = flag.serialize()
-    rows = [[_coords_str_from(coords), m] for coords, m in entries]
-    payload = dict(meta)
-    payload["entries"] = entries
-    _emit(args, _format_table(rows, ["weight", "mult"]), payload)
-
-
-def cmd_qmult(args) -> int:
+def cmd_mult(args) -> int:
+    """``qmult`` (the big projective) and ``projmult`` (the projective cover)."""
     rs = build_root_system(args.type)
     lam = parse_weight(rs, args.lam)
     J = OpenSet.down_closure(parse_weight_set(rs, args.ceiling))
-    flag = q_module_mult(lam, J)
-    _flag_output(args, flag, {"kind": "q_module_mult", "system": rs.cartan_type,
-                              "lambda": list(lam.coords),
-                              "ceiling": [list(c.coords) for c in J.ceiling]})
-    return 0
-
-
-def cmd_projmult(args) -> int:
-    rs = build_root_system(args.type)
-    lam = parse_weight(rs, args.lam)
-    J = OpenSet.down_closure(parse_weight_set(rs, args.ceiling))
-    flag = projective_verma_mult(lam, J, args.p)
-    _flag_output(args, flag, {"kind": "projective_verma_mult",
-                              "system": rs.cartan_type, "p": args.p,
-                              "lambda": list(lam.coords),
-                              "ceiling": [list(c.coords) for c in J.ceiling]})
+    meta = {"system": rs.cartan_type, "lambda": list(lam.coords),
+            "ceiling": [list(c.coords) for c in J.ceiling]}
+    if args.command == "qmult":
+        flag = q_module_mult(lam, J)
+        meta["kind"] = "q_module_mult"
+    else:
+        flag = projective_verma_mult(lam, J, args.p)
+        meta.update(kind="projective_verma_mult", p=args.p)
+    _entries_output(args, flag, meta, "mult")
     return 0
 
 
@@ -224,96 +209,93 @@ def cmd_periodicity(args) -> int:
 
 # -- parser ----------------------------------------------------------------
 
-def _add_common(sub, *, p=False, lam=False, depth=None, ceiling=False,
-                weight_set=False, gamma=False, level=False):
-    sub.add_argument("--type", required=True, choices=["A1", "A2", "B2"],
-                     help="root-system type")
-    if p:
-        sub.add_argument("--p", required=True, type=int, help="prime characteristic")
-    if lam:
-        sub.add_argument("--lambda", dest="lam", required=True,
-                         help="weight, comma-separated fundamental coordinates")
-    if depth is not None:
-        sub.add_argument("--depth", type=int, required=depth == "required",
-                         default=None if depth == "required" else depth,
-                         help="truncation depth below the top weight")
-    if ceiling:
-        sub.add_argument("--ceiling", required=True,
-                         help="ceiling weights of the open set, ';'-separated")
-    if weight_set:
-        sub.add_argument("--set", required=True, help="weight set, ';'-separated")
-    if gamma:
-        sub.add_argument("--gamma", required=True, help="dominant shift weight")
-    if level:
-        sub.add_argument("--l", type=int, required=True, help="Frobenius twist exponent")
-    sub.add_argument("--format", choices=["text", "json"], default="text")
-    sub.add_argument("--cache-dir", default=None,
-                     help="persistent cache directory (or MODCATO_CACHE)")
+# Every option of a leaf, by the name the leaf table below gives it.
+_OPTIONS = {
+    "type": ("--type", dict(required=True, choices=["A1", "A2", "B2"], help="root-system type")),
+    "p": ("--p", dict(required=True, type=int, help="prime characteristic")),
+    "lambda": ("--lambda", dict(dest="lam", required=True,
+                                help="weight, comma-separated fundamental coordinates")),
+    "depth": ("--depth", dict(type=int, required=True,
+                              help="truncation depth below the top weight")),
+    "ceiling": ("--ceiling", dict(required=True,
+                                  help="ceiling weights of the open set, ';'-separated")),
+    "set": ("--set", dict(required=True, help="weight set, ';'-separated")),
+    "gamma": ("--gamma", dict(required=True, help="dominant shift weight")),
+    "l": ("--l", dict(type=int, required=True, help="Frobenius twist exponent")),
+    "format": ("--format", dict(choices=["text", "json"], default="text")),
+    "cache-dir": ("--cache-dir", dict(help="persistent cache directory (or MODCATO_CACHE)")),
+    "mu": ("--mu", dict(required=True, help="highest weight of the Verma")),
+    "old-depth": ("--depth", dict(type=int, help="accepted for old scripts; the tables peel "
+                                                 "inside K and do not depend on it")),
+}
+
+# The help line of each command, in the order the top-level help lists them.
+_COMMANDS = {
+    "char": "formal characters",
+    "decomp": "decomposition-number row",
+    "qmult": "Verma multiplicities of the big projective",
+    "projmult": "Verma multiplicities of the projective cover",
+    "steinberg": "base-p tensor factorization check",
+    "topology": "locally closed sets",
+    "periodicity": "shift-functor verification",
+}
+
+# Each leaf of the command tree: its handler and its options, in help order.
+_LEAVES = {
+    ("char", "verma"): (cmd_char, "type lambda depth format cache-dir"),
+    ("char", "simple"): (cmd_char, "type p lambda depth format cache-dir"),
+    ("char", "weyl"): (cmd_char, "type lambda format cache-dir"),
+    ("decomp",): (cmd_decomp, "type p depth format cache-dir mu"),
+    ("qmult",): (cmd_mult, "type lambda ceiling format cache-dir"),
+    ("projmult",): (cmd_mult, "type p lambda ceiling format cache-dir"),
+    ("steinberg",): (cmd_steinberg, "type p lambda depth format cache-dir"),
+    ("topology", "check"): (cmd_topology, "type set format cache-dir"),
+    ("topology", "minl"): (cmd_topology, "type p set format cache-dir"),
+    ("periodicity", "updown"): (cmd_periodicity, "type p set gamma l format cache-dir"),
+    ("periodicity", "full"): (cmd_periodicity, "type p set gamma l format cache-dir old-depth"),
+}
 
 
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: it reads no environment."""
+def _tree() -> tuple[argparse.ArgumentParser, dict]:
+    """Every parser and help line of the command tree, and its leaf parsers,
+    by path, that have no options yet."""
     parser = argparse.ArgumentParser(
         prog="modcato",
         description="Exact character and multiplicity calculus for the "
                     "modular category O at small rank.",
     )
     parser.add_argument("--version", action="version", version=f"modcato {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = {(): parser.add_subparsers(dest="command", required=True)}
+    unarmed = {}
+    for path, (handler, _) in _LEAVES.items():
+        if path[:-1] not in subs:
+            group = subs[()].add_parser(path[0], help=_COMMANDS[path[0]])
+            subs[path[:-1]] = group.add_subparsers(dest="which", required=True)
+        extra = {"help": _COMMANDS[path[0]]} if len(path) == 1 else {}
+        leaf = unarmed[path] = subs[path[:-1]].add_parser(path[-1], **extra)
+        leaf.set_defaults(handler=handler)
+    return parser, unarmed
 
-    char = subs.add_parser("char", help="formal characters")
-    char_sub = char.add_subparsers(dest="which", required=True)
-    for which in ("verma", "simple", "weyl"):
-        s = char_sub.add_parser(which)
-        _add_common(s, p=which == "simple", lam=True,
-                    depth="required" if which != "weyl" else None)
-        s.set_defaults(handler=cmd_char)
 
-    decomp = subs.add_parser("decomp", help="decomposition-number row")
-    _add_common(decomp, p=True, depth="required")
-    decomp.add_argument("--mu", required=True, help="highest weight of the Verma")
-    decomp.set_defaults(handler=cmd_decomp)
-
-    qmult = subs.add_parser("qmult", help="Verma multiplicities of the big projective")
-    _add_common(qmult, lam=True, ceiling=True)
-    qmult.set_defaults(handler=cmd_qmult)
-
-    projmult = subs.add_parser("projmult", help="Verma multiplicities of the projective cover")
-    _add_common(projmult, p=True, lam=True, ceiling=True)
-    projmult.set_defaults(handler=cmd_projmult)
-
-    steinberg = subs.add_parser("steinberg", help="base-p tensor factorization check")
-    _add_common(steinberg, p=True, lam=True, depth="required")
-    steinberg.set_defaults(handler=cmd_steinberg)
-
-    topo = subs.add_parser("topology", help="locally closed sets")
-    topo_sub = topo.add_subparsers(dest="which", required=True)
-    check = topo_sub.add_parser("check")
-    _add_common(check, weight_set=True)
-    check.set_defaults(handler=cmd_topology)
-    minl = topo_sub.add_parser("minl")
-    _add_common(minl, p=True, weight_set=True)
-    minl.set_defaults(handler=cmd_topology)
-
-    peri = subs.add_parser("periodicity", help="shift-functor verification")
-    peri_sub = peri.add_subparsers(dest="which", required=True)
-    updown = peri_sub.add_parser("updown")
-    _add_common(updown, p=True, weight_set=True, gamma=True, level=True)
-    updown.set_defaults(handler=cmd_periodicity)
-    full = peri_sub.add_parser("full")
-    _add_common(full, p=True, weight_set=True, gamma=True, level=True, depth=None)
-    full.add_argument("--depth", type=int, default=None,
-                      help="accepted for old scripts; the tables peel inside K "
-                           "and do not depend on it")
-    full.set_defaults(handler=cmd_periodicity)
-
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The argument parser for ``argv``; it reads no environment.  The tree
+    is built once per process, and a leaf gets its options once, when an argv
+    first names it: argparse reads no other leaf, so every help, usage and
+    error byte is as if all leaves had them."""
+    parser, unarmed = _tree()
+    for path in (tuple(argv[:1]), tuple(argv[:2])):
+        leaf = unarmed.pop(path, None)
+        if leaf is not None:
+            for name in _LEAVES[path][1].split():
+                flag, options = _OPTIONS[name]
+                leaf.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     if args.cache_dir is not None:
         cache.configure(args.cache_dir)
     try:

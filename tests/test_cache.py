@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import logging
+import random
 
 import pytest
 
@@ -45,6 +47,37 @@ def test_corrupt_record_treated_as_absent(isolate, caplog):
     with caplog.at_level(logging.WARNING, logger="modcato.cache"):
         assert cache.get(key) is None
     assert any("corrupt" in r.message for r in caplog.records)
+
+
+# Names of records that the CLI wrote through hashlib.sha256, one key of each
+# kind: a store keeps answering only while its records keep these names.
+PINNED_FILENAMES = {
+    ("decomp_row", "A2", 3, "mu=2,2;depth=4"):
+        "e59361bd0aa60873c6768e3a57f9b17a3dba13f780a24c7697bf55b204497224.rec",
+    ("simple_dim", "A2", 3, "lam=2,1;box=2,1;depth=6"):
+        "a99b6e4d72d3dddd12fa07b4e8ede3afff78064289b83878bdf4443ba31edaca.rec",
+    ("decomp_table", "A2", 3, "region=-1,2;0,0;1,1;2,-1"):
+        "6883ecc1ee1a9ae3841281161b6eed8a4b2a6b7ed6890404d5ea51e46a6728d3.rec",
+}
+
+
+def test_record_filenames_are_pinned():
+    for args, name in PINNED_FILENAMES.items():
+        assert cache.make_key(*args).filename() == name
+    assert {kind for kind, *_ in PINNED_FILENAMES} == set(cache.KINDS)
+
+
+def test_record_filenames_match_hashlib_sha256():
+    # The built-in SHA-256 the store names records with must agree with
+    # hashlib's (OpenSSL's) on any canonical key, non-ASCII payloads included.
+    rng = random.Random(1)
+    alphabet = "0123456789,;=-_abcdefghijklmnopqrstuvwxyz\u03bb\u03bc\u00e9"
+    for _ in range(200):
+        key = cache.make_key(rng.choice(cache.KINDS), rng.choice(["A1", "A2", "B2"]),
+                             rng.choice([None, 2, 3, 7, 10**20 + 39]),
+                             "".join(rng.choices(alphabet, k=rng.randrange(80))))
+        expected = hashlib.sha256(key.canonical().encode("utf-8")).hexdigest()
+        assert key.filename() == f"{expected}.rec"
 
 
 def test_version_mismatch_invalidates(isolate):

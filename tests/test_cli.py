@@ -7,10 +7,12 @@ import hashlib
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -338,17 +340,22 @@ def test_huge_height_fails_before_enumerating(argv):
     assert done.stderr.splitlines()[-1].startswith(b"OverflowError"), done.stderr[-300:]
 
 
-def test_start_up_loads_no_dataclasses_inspect_or_logging():
+def test_start_up_loads_no_dataclasses_inspect_or_logging(tmp_path):
     # What every process pays: importing the CLI, building the three engines
-    # (each runs its structure self-test) and running a command load none of
-    # these; the cache imports logging only once a record or store fails.
+    # (each runs its structure self-test) and running a command, with the
+    # cache off and on, load none of these. The cache imports logging only
+    # once a record or store fails, and names records with CPython's built-in
+    # SHA-256, so neither hashlib nor OpenSSL's _hashlib loads.
     # -S keeps site's own imports out of the count.
     script = "\n".join([
         "import sys, modcato.cli",
         "from modcato.hypalg import get_engine",
         "for t in ('A1', 'A2', 'B2'): get_engine(t)",
         "modcato.cli.main(['char', 'weyl', '--type', 'B2', '--lambda=1,1'])",
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'logging') if m in sys.modules))",
+        "modcato.cli.main(['decomp', '--type', 'A2', '--p', '3', '--mu=2,2', '--depth', '4',"
+        f" '--cache-dir', {str(tmp_path)!r}])",
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'logging', 'hashlib', '_hashlib')"
+        " if m in sys.modules))",
     ])
     env = {k: v for k, v in os.environ.items() if k != "MODCATO_CACHE"}
     env["PYTHONPATH"] = str(Path(modcato.__file__).resolve().parents[1])
@@ -356,6 +363,86 @@ def test_start_up_loads_no_dataclasses_inspect_or_logging():
                           capture_output=True, env=env, check=False)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == b"[]"
+    assert len(list(tmp_path.glob("*.rec"))) == 1
+
+
+# SHA-1 of what each help, version and usage-error command prints at
+# COLUMNS=80, as Python 3.10-3.12 format it: stdout with exit 0 for --help
+# and --version, stderr with exit 2 for each of the 11 leaves without its
+# options.
+CLI_BYTES = {
+    ("--help",): "50e992856c98775f625e6265d62a858a0498f635",
+    ("--version",): "9b415a0cea2eddcb22646a8af7861bb2d75558f4",
+    ("char", "--help"): "669194be8c3061835dba2e709f754a939062528e",
+    ("topology", "--help"): "2a76618d9e723ac79e01259269439f97cf0a110e",
+    ("periodicity", "--help"): "0ee2580cf29a7c436de20870b7869d1e029bf5cc",
+    ("char", "verma", "--help"): "7ef3b165704353dec2fd62c38a4365d3f43713a2",
+    ("char", "simple", "--help"): "37b04c620ff42847d0d9fb6d3b44609b36672c51",
+    ("char", "weyl", "--help"): "df4453dfe9894c86a7e54a7b7c40a7612abac857",
+    ("decomp", "--help"): "cf161d6de3855048610992a212d3f65164823d2a",
+    ("qmult", "--help"): "fccfe8a8f0bb7e47334f4238d5ad33e7a991022b",
+    ("projmult", "--help"): "4e05e2acccf96210a3ba172f4ab60e374f7dc523",
+    ("steinberg", "--help"): "eb4190cc04d28515496973763cd203c25605bd11",
+    ("topology", "check", "--help"): "1576507f3424bdaa983faa18b250f94c329b1f63",
+    ("topology", "minl", "--help"): "f12cac2fb6b05529869443759175fb35c63702d8",
+    ("periodicity", "updown", "--help"): "dd0b8819fbe6f6e134cbd93d9799b2e8d7778d5b",
+    ("periodicity", "full", "--help"): "3c06f31e394b92696addda0f5782bf58643673fe",
+    ("char", "verma"): "2e0e32c42123e9d063aa1a22d6cb2964ad17028f",
+    ("char", "simple"): "74d8cd7d65f139c1007cd1fe4562cdce0046a003",
+    ("char", "weyl"): "53d5b9aed879dfcec9fc44a30a8d754af60ed6c4",
+    ("decomp",): "91c9b6b9bef2286dba0cc8a061287d747b6048ff",
+    ("qmult",): "1f09ce60ef70b8986b603f203d8b7233917d9b8f",
+    ("projmult",): "8854fced69200012db16a6c53bce0ed77d7f1975",
+    ("steinberg",): "57c8910bd5648de2dbfaf625cc4fa6ead27a86e7",
+    ("topology", "check"): "786f13671f0ea7026de1a0c365b68d79515faf79",
+    ("topology", "minl"): "088322fdcfbf09abca1b9965f431e426c307f898",
+    ("periodicity", "updown"): "d5cbdc7ecb8b1af6f542eec433e2611d3e31ee3d",
+    ("periodicity", "full"): "d928b8884b11a9b508713b2f8d355ace9f8035c1",
+}
+if sys.version_info[:2] == (3, 13):  # its usage lines wrap the long leaves differently
+    CLI_BYTES.update({
+        ("char", "simple", "--help"): "1444bf881ce198c583065d9f3e27250df97e2285",
+        ("projmult", "--help"): "70be0ad20e70d62992b010bc8fa815fcd319ba81",
+        ("steinberg", "--help"): "8b3174e93fe79f9ad51e23761c9e80eb8a33092c",
+        ("periodicity", "full", "--help"): "29e5453cb947dafb978ba4067e9ddae5f0a5b80e",
+        ("char", "simple"): "462ecc626893f00b911cbcd14934c65ac41b2fa4",
+        ("projmult",): "1d0c9952c7d64484d33a35b2665eae96b90db2c3",
+        ("steinberg",): "f44c654e178a0ce3c48449e1273af535aafd7a75",
+        ("periodicity", "full"): "693d81d12ffa23d7268eb5bf836bf28c622291fc",
+    })
+
+
+def _check_cli_bytes(argv, code, out, err):
+    expected = 0 if argv[-1] in ("--help", "--version") else 2
+    shown, silent = (out, err) if expected == 0 else (err, out)
+    assert (code, silent) == (expected, b""), argv
+    assert hashlib.sha1(shown).hexdigest() == CLI_BYTES[argv], argv
+
+
+@pytest.fixture
+def pinned_cli_bytes(monkeypatch):
+    if sys.version_info >= (3, 14):
+        pytest.skip("help and usage bytes are pinned as Python 3.10-3.13 format them")
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+def test_help_usage_and_version_bytes_in_fresh_processes(pinned_cli_bytes):
+    with ThreadPoolExecutor(max_workers=4) as pool:  # four processes at a time
+        runs = pool.map(lambda argv: _separate_process(*argv), CLI_BYTES)
+        for argv, done in zip(CLI_BYTES, runs):
+            _check_cli_bytes(argv, done.returncode, done.stdout, done.stderr)
+
+
+def test_help_usage_and_version_bytes_shuffled_in_one_process(pinned_cli_bytes, capsys):
+    # Each leaf gets its options when an argv first names it; whichever leaf
+    # comes first, every other command must print the same bytes.
+    commands = list(CLI_BYTES)
+    random.Random(7).shuffle(commands)
+    for argv in commands:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        _check_cli_bytes(argv, exc.value.code, out.out.encode(), out.err.encode())
 
 
 def test_one_process_runs_many_commands_like_separate_processes(capsys):
@@ -522,6 +609,20 @@ def test_cold_commands_write_only_their_answer_records(capsys, tmp_path):
                      "--lambda", "2,1", "--depth", "4", "--cache-dir", str(char_dir))
     assert code == 0
     assert _record_kinds(char_dir) == ["kind=simple_dim"]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda record: record.rstrip(b"\n") + b"\xff\n",  # not UTF-8
+    lambda record: record[:-10] + b"\n",  # its JSON value cut short
+], ids=["not-utf8", "value-cut-short"])
+def test_damaged_record_reads_as_absent(capsys, caplog, tmp_path, damage):
+    argv = ("decomp", "--type", "A2", "--p", "3", "--mu=2,2", "--depth", "4",
+            "--cache-dir", str(tmp_path))
+    cold = run(capsys, *argv)
+    (record,) = tmp_path.glob("*.rec")
+    record.write_bytes(damage(record.read_bytes()))
+    assert run(capsys, *argv)[:2] == cold[:2]
+    assert any("corrupt" in r.message for r in caplog.records)
 
 
 def test_identical_runs_identical_bytes(capsys, tmp_path):
