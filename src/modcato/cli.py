@@ -272,13 +272,15 @@ def _tree() -> tuple[argparse.ArgumentParser, dict]:
         if path[:-1] not in subs:
             group = subs[()].add_parser(path[0], help=_COMMANDS[path[0]])
             subs[path[:-1]] = group.add_subparsers(dest="which", required=True)
+        # Only a top-level leaf has a help line; even help=None would list a
+        # second-level leaf in its group's help.
         extra = {"help": _COMMANDS[path[0]]} if len(path) == 1 else {}
         leaf = unarmed[path] = subs[path[:-1]].add_parser(path[-1], **extra)
         leaf.set_defaults(handler=handler)
     return parser, unarmed
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
     """The argument parser for ``argv``; it reads no environment.  The tree
     is built once per process, and a leaf gets its options once, when an argv
     first names it: argparse reads no other leaf, so every help, usage and
