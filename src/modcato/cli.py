@@ -10,14 +10,21 @@ weight sets are semicolon-separated (``--set "0,0;1,-1"``).  For rank-1
 systems a comma-separated list like ``--set 0,2`` is also accepted as a
 set of singletons.  Values starting with a dash need the ``--flag=value``
 form.
+
+A plain argv (the command, then each of its flags at most once, as
+``--flag=value`` or ``--flag value``, every value valid) is read from the
+leaf table below.  Any other argv goes to argparse, imported only then: it
+parses ``--dep 4``, a repeated flag or ``--depth -3`` and prints help,
+usage and errors as it always has.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
 
 from . import __version__, cache
 from .category_o import (
@@ -31,7 +38,6 @@ from .category_o import (
 from .charring import TruncationBox, verma_character, weyl_character
 from .errors import ExactnessError, ModcatoError
 from .periodicity import ShiftContext, verify_periodicity, verify_updown
-from .reporting import Report
 from .rootdata import RootSystem, Weight, build_root_system
 from .topology import LocallyClosedSet, OpenSet, is_locally_closed, min_l
 
@@ -89,14 +95,6 @@ def _entries_output(args, values, meta: dict, column: str = "coeff") -> None:
 
 def _coords_str_from(coords: list[int]) -> str:
     return ",".join(str(c) for c in coords)
-
-
-def _report_output(args, report: Report) -> int:
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), sort_keys=True))
-    else:
-        print(report.format_text())
-    return 0 if report.passed else 1
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -204,7 +202,8 @@ def cmd_periodicity(args) -> int:
         if args.depth is not None and args.depth < 0:
             raise ModcatoError(f"depth={args.depth} must be nonnegative")
         report = verify_periodicity(ctx)
-    return _report_output(args, report)
+    _emit(args, report.format_text(), report.to_dict())
+    return 0 if report.passed else 1
 
 
 # -- parser ----------------------------------------------------------------
@@ -256,10 +255,43 @@ _LEAVES = {
 }
 
 
+def _parse_plain(argv):
+    """The namespace argparse returns for ``argv``, if it has the plain shape:
+    a separate value must not start with a dash, every required flag must be
+    given and every ``int`` and ``choices`` check pass.  Else None."""
+    path = tuple(argv[:1]) if tuple(argv[:1]) in _LEAVES else tuple(argv[:2])
+    if path not in _LEAVES:
+        return None
+    flags = dict(_OPTIONS[name] for name in _LEAVES[path][1].split())
+    given, tokens = {}, iter(argv[len(path):])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        value = value if eq else next(tokens, "-")
+        if flag not in flags or flag in given or (not eq and value.startswith("-")):
+            return None
+        given[flag] = value
+    args = dict(zip(("command", "which"), path), handler=_LEAVES[path][0])
+    for flag, options in flags.items():
+        if flag not in given and options.get("required"):
+            return None
+        value = given.get(flag, options.get("default"))
+        try:  # argparse converts a given value and a string default
+            value = options.get("type", str)(value) if isinstance(value, str) else value
+        except ValueError:
+            return None
+        if value not in options.get("choices", [value]):
+            return None
+        args[options.get("dest", flag[2:].replace("-", "_"))] = value
+    return SimpleNamespace(**args)
+
+
 @lru_cache(maxsize=None)
-def _tree() -> tuple[argparse.ArgumentParser, dict]:
-    """Every parser and help line of the command tree, and its leaf parsers,
-    by path, that have no options yet."""
+def build_parser():
+    """The whole command tree, built once per process; it reads no
+    environment.  Only an argv that ``_parse_plain`` declines needs it, so
+    ``argparse`` (with ``gettext`` and ``locale``) is imported only here."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="modcato",
         description="Exact character and multiplicity calculus for the "
@@ -267,39 +299,27 @@ def _tree() -> tuple[argparse.ArgumentParser, dict]:
     )
     parser.add_argument("--version", action="version", version=f"modcato {__version__}")
     subs = {(): parser.add_subparsers(dest="command", required=True)}
-    unarmed = {}
-    for path, (handler, _) in _LEAVES.items():
+    for path, (handler, names) in _LEAVES.items():
         if path[:-1] not in subs:
             group = subs[()].add_parser(path[0], help=_COMMANDS[path[0]])
             subs[path[:-1]] = group.add_subparsers(dest="which", required=True)
         # Only a top-level leaf has a help line; even help=None would list a
         # second-level leaf in its group's help.
         extra = {"help": _COMMANDS[path[0]]} if len(path) == 1 else {}
-        leaf = unarmed[path] = subs[path[:-1]].add_parser(path[-1], **extra)
+        leaf = subs[path[:-1]].add_parser(path[-1], **extra)
         leaf.set_defaults(handler=handler)
-    return parser, unarmed
-
-
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The argument parser for ``argv``; it reads no environment.  The tree
-    is built once per process, and a leaf gets its options once, when an argv
-    first names it: argparse reads no other leaf, so every help, usage and
-    error byte is as if all leaves had them."""
-    parser, unarmed = _tree()
-    for path in (tuple(argv[:1]), tuple(argv[:2])):
-        leaf = unarmed.pop(path, None)
-        if leaf is not None:
-            for name in _LEAVES[path][1].split():
-                flag, options = _OPTIONS[name]
-                leaf.add_argument(flag, **options)
+        for name in names.split():
+            flag, options = _OPTIONS[name]
+            leaf.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
-    if args.cache_dir is not None:
-        cache.configure(args.cache_dir)
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
+    # The store is this command's alone: --cache-dir, else the process default.
+    cache.configure(args.cache_dir if args.cache_dir is not None
+                    else os.environ.get("MODCATO_CACHE") or None)
     try:
         return args.handler(args)
     except ExactnessError as exc:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import modcato
-from modcato import cache
+from modcato import cache, cli
 from modcato.cli import main
 
 from oracles import base_p_digits, sweep_simple_coeffs
@@ -316,6 +316,71 @@ def test_argparse_usage_exit_2():
     assert exc.value.code == 2
 
 
+# Values for each option of the leaf table: a valid one first, then other
+# spellings, values its int or choices check refuses, and values that start
+# with a dash or are empty.
+_VALUES = {
+    "--type": ["A1", "A2", "B2", "Z9"],
+    "--p": ["3", "2", "1_1", " 5", "x"],
+    "--lambda": ["1,0", "3", "a=b", "-2,-2", ""],
+    "--depth": ["4", "0", "-3", "four"],
+    "--ceiling": ["2,2", "4,4;6,0", "-1"],
+    "--set": ["0,0;2,-1", "0,2", "-1,2"],
+    "--gamma": ["3", "2,2", "-3"],
+    "--l": ["1", "2", "-1"],
+    "--format": ["text", "json", "xml"],
+    "--cache-dir": ["store", "-store"],
+    "--mu": ["2,2", "1", "-1"],
+}
+
+
+def _fuzzed_argv(rng, path, names):
+    """An argv for a leaf: its flags in random order, each in the = or the
+    separate form, some abbreviated, and now and then one token repeated,
+    dropped or put in that a plain argv lacks."""
+    argv = list(path)
+    for name in rng.sample(names.split(), len(names.split())):
+        flag, options = cli._OPTIONS[name]
+        if not options.get("required") and rng.random() < 0.5:
+            continue
+        value = _VALUES[flag][0] if rng.random() < 0.8 else rng.choice(_VALUES[flag])
+        if len(flag) > 3 and rng.random() < 0.05:
+            flag = flag[:-1]
+        argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+    at = rng.randint(len(path), len(argv))
+    change = rng.randrange(5)
+    if change == 0:
+        argv += argv[len(path):len(path) + 2]
+    elif change == 1 and at < len(argv):
+        del argv[at]
+    elif change == 2:
+        argv[at:at] = rng.choice([["--depth", "-3"], ["--depth=-3"], ["--lambda=-2,-2"],
+                                  ["--p", "x"], ["--type", "Z9"], ["--lambda="],
+                                  ["stray"], ["--"], ["-h"], ["--version"]])
+    return argv
+
+
+def test_plain_argv_parses_as_argparse_does(capsys):
+    # Whenever the leaf table reads an argv, argparse reads the same
+    # namespace from it; whenever argparse refuses one, the table declined.
+    rng = random.Random(20261020)
+    parser = cli.build_parser()
+    seen = {"table": 0, "argparse only": 0, "refused": 0}
+    for path, (_, names) in cli._LEAVES.items():
+        for _ in range(120):
+            argv = _fuzzed_argv(rng, path, names)
+            plain = cli._parse_plain(argv)
+            try:
+                expected = vars(parser.parse_args(argv))
+            except SystemExit:
+                expected = None
+            capsys.readouterr()
+            if plain is not None:
+                assert vars(plain) == expected, argv
+            seen["table" if plain else "argparse only" if expected else "refused"] += 1
+    assert min(seen.values()) > 200, seen
+
+
 def _separate_process(*argv, **kwargs):
     env = {k: v for k, v in os.environ.items() if k != "MODCATO_CACHE"}
     env["PYTHONPATH"] = str(Path(modcato.__file__).resolve().parents[1])
@@ -345,7 +410,9 @@ def test_start_up_loads_no_dataclasses_inspect_or_logging(tmp_path):
     # (each runs its structure self-test) and running a command, with the
     # cache off and on, load none of these. The cache imports logging only
     # once a record or store fails, and names records with CPython's built-in
-    # SHA-256, so neither hashlib nor OpenSSL's _hashlib loads.
+    # SHA-256, so neither hashlib nor OpenSSL's _hashlib loads. A plain argv
+    # is read from the leaf table, so argparse, with gettext and locale,
+    # loads only for help, usage and errors.
     # -S keeps site's own imports out of the count.
     script = "\n".join([
         "import sys, modcato.cli",
@@ -354,8 +421,8 @@ def test_start_up_loads_no_dataclasses_inspect_or_logging(tmp_path):
         "modcato.cli.main(['char', 'weyl', '--type', 'B2', '--lambda=1,1'])",
         "modcato.cli.main(['decomp', '--type', 'A2', '--p', '3', '--mu=2,2', '--depth', '4',"
         f" '--cache-dir', {str(tmp_path)!r}])",
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'logging', 'hashlib', '_hashlib')"
-        " if m in sys.modules))",
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'logging', 'hashlib', '_hashlib',"
+        " 'argparse', 'gettext', 'locale') if m in sys.modules))",
     ])
     env = {k: v for k, v in os.environ.items() if k != "MODCATO_CACHE"}
     env["PYTHONPATH"] = str(Path(modcato.__file__).resolve().parents[1])
@@ -434,8 +501,8 @@ def test_help_usage_and_version_bytes_in_fresh_processes(pinned_cli_bytes):
 
 
 def test_help_usage_and_version_bytes_shuffled_in_one_process(pinned_cli_bytes, capsys):
-    # Each leaf gets its options when an argv first names it; whichever leaf
-    # comes first, every other command must print the same bytes.
+    # The argparse tree is built once per process, by whichever command
+    # first needs it; every later command must print the same bytes.
     commands = list(CLI_BYTES)
     random.Random(7).shuffle(commands)
     for argv in commands:
@@ -445,9 +512,17 @@ def test_help_usage_and_version_bytes_shuffled_in_one_process(pinned_cli_bytes, 
         _check_cli_bytes(argv, exc.value.code, out.out.encode(), out.err.encode())
 
 
+def _exit_code_and_stdout(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out.encode()
+
+
 def test_one_process_runs_many_commands_like_separate_processes(capsys):
-    # The parser is built once per process; reusing it must not leak state
-    # from one command into the next, including after a usage error.
+    # The argparse parser is built once per process; reusing it must not leak
+    # state from one command into the next, including after a usage error.
     commands = [
         ["decomp", "--type", "A2", "--p", "3", "--mu=2,2", "--depth", "4", "--format", "json"],
         ["char", "simple", "--type", "B2", "--p", "3", "--lambda=1,1", "--depth", "6"],
@@ -460,6 +535,45 @@ def test_one_process_runs_many_commands_like_separate_processes(capsys):
         alone = _separate_process(*argv)
         assert code == alone.returncode == 0
         assert out.encode() == alone.stdout
+
+    # Argvs the leaf table reads, interleaved with ones only argparse reads:
+    # an abbreviation, a repeated flag, a separate negative value and a
+    # usage error.
+    full = ["periodicity", "full", "--type", "A1", "--p", "2", "--l", "1", "--set", "0,2",
+            "--gamma", "2"]
+    mixed = [
+        (True, ["decomp", "--type", "A2", "--p", "3", "--mu=2,2", "--depth", "4"]),
+        (False, ["decomp", "--type", "A2", "--p", "3", "--mu=2,2", "--dep", "4"]),
+        (True, ["char", "simple", "--type", "A2", "--p", "2", "--lambda", "2,1", "--depth", "4"]),
+        (False, ["char", "simple", "--type", "A2", "--p", "5", "--lambda", "2,1", "--depth", "4",
+                 "--p", "2"]),
+        (True, [*full, "--depth", "8"]),
+        (False, [*full, "--depth", "-3"]),
+        (True, [*full, "--depth=-3"]),
+        (False, ["topology", "minl", "--type", "A1", "--p", "2", "--set"]),
+        (True, ["topology", "minl", "--type", "A1", "--p", "2", "--set", "0,2"]),
+    ]
+    assert [cli._parse_plain(argv) is not None for _, argv in mixed] == [t for t, _ in mixed]
+    in_process = [_exit_code_and_stdout(capsys, argv) for _, argv in mixed]
+    with ThreadPoolExecutor(max_workers=4) as pool:  # four processes at a time
+        alone = list(pool.map(lambda argv: _separate_process(*argv[1]), mixed))
+    assert in_process == [(done.returncode, done.stdout) for done in alone]
+    assert [code for code, _ in in_process] == [0, 0, 0, 0, 0, 2, 2, 2, 0]
+
+
+@pytest.mark.parametrize("env", [False, True], ids=["no-env", "env"])
+def test_cache_dir_holds_for_its_command_only(capsys, monkeypatch, tmp_path, env):
+    # --cache-dir names the store of its own command; the next command
+    # without it uses the process default, MODCATO_CACHE or no store.
+    given, default = tmp_path / "given", tmp_path / "default"
+    if env:
+        monkeypatch.setenv("MODCATO_CACHE", str(default))
+    row = ("decomp", "--type", "A2", "--p", "3", "--depth", "4")
+    assert run(capsys, *row, "--mu=2,2", "--cache-dir", str(given))[0] == 0
+    assert run(capsys, *row, "--mu=1,1")[0] == 0
+    assert len(list(given.glob("*.rec"))) == 1
+    assert len(list(default.glob("*.rec"))) == (1 if env else 0)
+    assert cache.active_dir() == (default if env else None)
 
 
 def test_deep_a1_weight_needs_no_deep_recursion(capsys):
