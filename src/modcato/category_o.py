@@ -22,9 +22,18 @@ digit recursion :func:`_simple_dims` is the one product of the theorem: the
 factorization check compares it with a Gram sweep of every weight space of
 its box, which never factorizes and never uses W.
 
+The inner loops run on coordinate tuples, not on ``Weight`` objects.  The
+digit recursion and its memo ``_SIMPLE_CACHE`` are keyed by the Cartan type
+and the coordinates of lam.  A table row reads its below-set from the
+offsets of its root-lattice coset (:meth:`LocallyClosedSet.below`) and
+peels offsets (:func:`~modcato.charring.peel`), so the table's weights are
+the region's own; rows and flags build a ``Weight`` only for what they
+return.
+
 Dual Vermas never appear as objects: their characters equal the Verma
 characters, and every statement made here factors through characters,
-read as tables: a flag is tensored with a character's ``coeffs`` dict.
+read as tables: a flag is tensored with a character's ``coeffs`` dict,
+adding coordinates.
 """
 
 from __future__ import annotations
@@ -47,7 +56,9 @@ from .errors import (
 from .hypalg import DEFAULT_GUARD, SizeGuard, simple_weight_dims
 from .reporting import Report
 from .rootdata import (
+    RootSystem,
     Weight,
+    _check_same,
     height_drop,
     is_dominant,
     kostant_table,
@@ -137,7 +148,8 @@ class DecompositionTable(NamedTuple):
         return sorted(triples)
 
 
-# (lam, p) -> (h, {nu: dim L(lam)_{lam - nu}}): the nonzero ones of height <= h
+# (Cartan type, coordinates of lam, p) -> (h, {nu: dim L(lam)_{lam - nu}}):
+# the nonzero ones of height <= h
 _SIMPLE_CACHE: dict = {}
 
 
@@ -169,14 +181,15 @@ def simple_character(
     height = box.depth - sum(gap)
     payload = f"lam={_csv(lam.coords)};box={_csv(box.top.coords)};depth={box.depth}"
     cached = cache_store.get_value("simple_dim", rs.cartan_type, p, payload)
+    key = (rs.cartan_type, lam.coords, p)
     if cached is not None:
         # A record lists the nonzero dimensions of every weight space in its box.
-        done, dims = _SIMPLE_CACHE.get((lam, p), (-1, {}))
+        done, dims = _SIMPLE_CACHE.get(key, (-1, {}))
         if height > done:
             gaps = ((rs.to_root_vector(lam - rs.weight(*c)), d) for c, d in json.loads(cached))
             on_disk = {nu: d for nu, d in gaps if nu is not None and min(nu) >= 0 and sum(nu) <= height}
-            _SIMPLE_CACHE[(lam, p)] = (height, {**on_disk, **dims})
-    dims = _simple_dims(lam, p, height, guard)
+            _SIMPLE_CACHE[key] = (height, {**on_disk, **dims})
+    dims = _simple_dims(rs, lam.coords, p, height, guard)
     chi = FormalCharacter({tuple(map(add, gap, nu)): d for nu, d in dims.items() if sum(nu) <= height}, box)
     if chi.coefficient(lam) != 1:
         raise ExactnessError(f"L({lam}) has multiplicity {chi.coefficient(lam)} at its highest weight")
@@ -187,15 +200,16 @@ def simple_character(
     return chi
 
 
-def _digits(lam: Weight, p: int) -> tuple[Weight, Weight]:
-    """(lam0, lam1) with lam = lam0 + p*lam1 and lam0's coordinates in [0, p)."""
-    rs = lam.system
-    return rs.weight(*(c % p for c in lam.coords)), rs.weight(*(c // p for c in lam.coords))
+def _digits(lam: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(lam0, lam1) with lam = lam0 + p*lam1 and lam0's coordinates in [0, p),
+    all as coordinate tuples."""
+    return tuple([c % p for c in lam]), tuple([c // p for c in lam])
 
 
-def _simple_dims(lam: Weight, p: int, height: int, guard: SizeGuard | None) -> dict:
+def _simple_dims(rs: RootSystem, lam: tuple[int, ...], p: int, height: int, guard: SizeGuard | None) -> dict:
     """Every nonzero dim L(lam)_{lam - nu} with nu of height <= ``height``,
-    as ``{nu: dim}``, by the theorem above; kept in ``_SIMPLE_CACHE``.
+    as ``{nu: dim}``, by the theorem above, for the weight of ``rs`` with
+    coordinates ``lam``; kept in ``_SIMPLE_CACHE``.
 
     A restricted lam is dominant, so every weight of L(lam) is one of its
     Weyl module W(lam), whose dominant weights are the dominant lam - nu with
@@ -212,20 +226,21 @@ def _simple_dims(lam: Weight, p: int, height: int, guard: SizeGuard | None) -> d
     recursion ends even where lam1 = lam.  A step whose term count passes
     the guard's ``max_terms`` raises ``SizeGuardError`` before it is built.
     """
-    done, dims = _SIMPLE_CACHE.get((lam, p), (-1, {}))
+    key = (rs.cartan_type, lam, p)
+    done, dims = _SIMPLE_CACHE.get(key, (-1, {}))
     if height <= done:
         return dims
-    zero = (0,) * len(lam.coords)
+    zero = (0,) * len(lam)
     lam0, lam1 = _digits(lam, p)
     if lam0 == lam:
-        rs = lam.system
+        weight = Weight(rs, lam)
         # Every weight lam - nu of W(lam) has nu of height at most height_drop(lam).
-        dominant = [nu for nu in rs.root_vectors_up_to_height(min(height, height_drop(lam)))
-                    if all(c >= sum(map(mul, row, nu)) for c, row in zip(lam.coords, rs.cartan_matrix))]
-        ranked = simple_weight_dims(lam, [nu for nu in dominant if sum(nu) > done], p, guard=guard)
+        dominant = [nu for nu in rs.root_vectors_up_to_height(min(height, height_drop(weight)))
+                    if all(c >= sum(map(mul, row, nu)) for c, row in zip(lam, rs.cartan_matrix))]
+        ranked = simple_weight_dims(weight, [nu for nu in dominant if sum(nu) > done], p, guard=guard)
         if done < 0 and ranked[zero] != 1:
-            raise ExactnessError(f"L({lam}) has multiplicity {ranked[zero]} at its highest weight")
-        dims, hull = dict(dims), weyl_hull(lam)
+            raise ExactnessError(f"L({weight}) has multiplicity {ranked[zero]} at its highest weight")
+        dims, hull = dict(dims), weyl_hull(weight)
         for nu in dominant:
             d = ranked[nu] if sum(nu) > done else dims.get(nu, 0)
             for offset, w in hull if d else ():
@@ -235,7 +250,7 @@ def _simple_dims(lam: Weight, p: int, height: int, guard: SizeGuard | None) -> d
     elif height == 0:
         dims = {zero: 1}
     else:
-        d0 = _simple_dims(lam0, p, height, guard)
+        d0 = _simple_dims(rs, lam0, p, height, guard)
         # A step has at most comb(height + r, r) * comb(height // p + r, r)
         # terms.  Past the guard, their count is read first as a floor, before
         # L(lam1) is asked, then exactly, before the product is built.
@@ -243,15 +258,15 @@ def _simple_dims(lam: Weight, p: int, height: int, guard: SizeGuard | None) -> d
         large = comb(height + r, r) * comb(height // p + r, r) > limit
         terms = 0
         if large:
-            n1, top1 = _size_floor(lam1, p, height // p)
+            n1, top1 = _size_floor(rs, lam1, p, height // p)
             terms = n1 * sum(1 for nu0 in d0 if sum(nu0) + p * top1 <= height)
         if terms <= limit:
-            d1 = [(p * sum(mu), [p * b for b in mu], c) for mu, c in _simple_dims(lam1, p, height // p, guard).items()]
+            d1 = [(p * sum(mu), [p * b for b in mu], c) for mu, c in _simple_dims(rs, lam1, p, height // p, guard).items()]
             if large:
                 heights = sorted(h1 for h1, _, _ in d1)
                 terms = sum(bisect_right(heights, height - sum(nu0)) for nu0 in d0)
         if terms > limit:
-            raise SizeGuardError(f"digit product L({lam0.coords}) x L({lam1.coords})^[1] of L({lam.coords}) "
+            raise SizeGuardError(f"digit product L({lam0}) x L({lam1})^[1] of L({lam}) "
                                  f"at p={p} has at least {terms} terms, over the guard's max_terms={limit}")
         dims = {}
         for nu0, c0 in d0.items():
@@ -260,11 +275,11 @@ def _simple_dims(lam: Weight, p: int, height: int, guard: SizeGuard | None) -> d
                 if h1 <= room:
                     nu = tuple(map(add, nu0, pmu))
                     dims[nu] = dims.get(nu, 0) + c0 * c1
-    _SIMPLE_CACHE[(lam, p)] = (height, dims)
+    _SIMPLE_CACHE[key] = (height, dims)
     return dims
 
 
-def _size_floor(lam: Weight, p: int, height: int) -> tuple[int, int]:
+def _size_floor(rs: RootSystem, lam: tuple[int, ...], p: int, height: int) -> tuple[int, int]:
     """(n, top): the table of L(lam) to ``height`` has at least n entries,
     none of them higher than top, read from the digits' Weyl orbits without
     a table or a Gram rank.
@@ -279,11 +294,11 @@ def _size_floor(lam: Weight, p: int, height: int) -> tuple[int, int]:
     if height == 0:
         return 1, 0
     lam0, lam1 = _digits(lam, p)
-    orbit = {offset for offset, _ in weyl_hull(lam0)}
+    orbit = {offset for offset, _ in weyl_hull(Weight(rs, lam0))}
     drop = max(map(sum, orbit))
     if lam0 == lam:
         return sum(1 for nu in orbit if sum(nu) <= height), min(height, drop)
-    n1, top1 = _size_floor(lam1, p, height // p)
+    n1, top1 = _size_floor(rs, lam1, p, height // p)
     fit = sum(1 for nu0 in orbit if sum(nu0) + p * top1 <= height)
     disjoint = len({tuple(c % p for c in nu0) for nu0 in orbit}) == len(orbit)
     return (fit * n1 if disjoint else n1), min(height, drop + p * top1)
@@ -297,16 +312,18 @@ def full_simple_character(lam: Weight, p: int, *, guard: SizeGuard | None = None
     return simple_character(lam, p, TruncationBox.make(lam, height_drop(lam)), guard=guard)
 
 
-def _checked_row(mu: Weight, row: dict[Weight, int]) -> dict[Weight, int]:
-    """A peeled row [Delta(mu) : L(lam)], after checking that no
-    multiplicity is negative and that L(mu) occurs once."""
-    for w, a in row.items():
+def _checked_row(mu: Weight, row: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """A peeled row [Delta(mu) : L(mu - m)], keyed by offset m, after
+    checking that no multiplicity is negative and that L(mu) occurs once."""
+    rs = mu.system
+    for m, a in row.items():
         if a < 0:
             raise ExactnessError(
-                f"negative multiplicity {a} at {w} while decomposing {mu}"
+                f"negative multiplicity {a} at {Weight(rs, rs.lower(mu.coords, m))} while decomposing {mu}"
             )
-    if row.get(mu) != 1:
-        raise ExactnessError(f"row of {mu} has multiplicity {row.get(mu)} at its own head")
+    head = row.get((0,) * rs.rank)
+    if head != 1:
+        raise ExactnessError(f"row of {mu} has multiplicity {head} at its own head")
     return row
 
 
@@ -329,7 +346,9 @@ def decomposition_numbers(
         return {
             rs.weight(*coords): v for coords, v in json.loads(cached)
         }
-    row = _checked_row(mu, peel(mu, kostant_table(rs, depth), lambda w, height: _simple_dims(w, p, height, guard)))
+    top = mu.coords
+    peeled = peel(kostant_table(rs, depth), lambda m, height: _simple_dims(rs, rs.lower(top, m), p, height, guard))
+    row = {Weight(rs, rs.lower(top, m)): a for m, a in _checked_row(mu, peeled).items()}
     cache_store.put_value(
         "decomp_row",
         rs.cartan_type,
@@ -356,7 +375,9 @@ def build_decomposition_table(
     lam <= xi <= mu lies in it too, and [Delta(mu) : L(lam)] depends only on
     characters at region weights.  Each row peels the Kostant counts of the
     region weights below mu, read from one table, and no row reads a weight
-    outside the region.  The finished table is one ``decomp_table``
+    outside the region.  A row's below-set comes from the offsets of mu's
+    root-lattice coset (:meth:`LocallyClosedSet.below`), keyed by the gap
+    mu - lam the peel works on.  The finished table is one ``decomp_table``
     disk record, keyed by p and the sorted region, read first on a rerun.
     """
     require_prime(p)
@@ -364,36 +385,19 @@ def build_decomposition_table(
         weights = LocallyClosedSet.make(weights)
     region = weights.sorted
     rs = region[0].system
-    # One conversion per weight: lam <= mu only inside one coset of the root
-    # lattice, where mu - lam = (mu - base) - (lam - base).
-    bases: list[Weight] = []
-    place = {}
-    for w in region:
-        for base in bases:
-            nu = rs.to_root_vector(w - base)
-            if nu is not None:
-                place[w] = (base, nu)
-                break
-        else:
-            bases.append(w)
-            place[w] = (w, (0,) * rs.rank)
-    below = {}
-    for mu in region:
-        base, high = place[mu]
-        gaps = ((lam, tuple(map(sub, high, nu))) for lam, (b, nu) in place.items() if b == base)
-        below[mu] = {lam: gap for lam, gap in gaps if min(gap) >= 0}
-    comparable = tuple((mu, lam) for mu in region for lam in below[mu])
+    rows = [(mu, weights.below(mu)) for mu in region]
+    comparable = tuple((mu, lam) for mu, below in rows for lam in below.values())
     payload = f"region={';'.join(_csv(w.coords) for w in region)}"
     cached = cache_store.get_value("decomp_table", rs.cartan_type, p, payload)
     if cached is not None:
         entries = {(rs.weight(*m), rs.weight(*l)): v for m, l, v in json.loads(cached)}
         return DecompositionTable(p, region, entries, comparable)
-    kp = kostant_table(rs, max(sum(nu) for gaps in below.values() for nu in gaps.values()))
+    kp = kostant_table(rs, max(sum(gap) for _, below in rows for gap in below))
     entries: dict[tuple[Weight, Weight], int] = {}
-    basis = lambda w, height: _simple_dims(w, p, height, guard)
-    for mu in region:
-        row = peel(mu, {gap: kp[gap] for gap in below[mu].values()}, basis)
-        entries.update(((mu, lam), a) for lam, a in _checked_row(mu, row).items())
+    for mu, below in rows:
+        row = peel({gap: kp[gap] for gap in below},
+                   lambda m, height: _simple_dims(rs, below[m].coords, p, height, guard))
+        entries.update(((mu, below[m]), a) for m, a in _checked_row(mu, row).items())
     table = DecompositionTable(p, region, entries, comparable)
     cache_store.put_value("decomp_table", rs.cartan_type, p, payload, json.dumps(table.serialize()))
     return table
@@ -407,13 +411,14 @@ def validate_table_consistency(
     require_prime(table.p)
     report = Report(f"character consistency over {len(table.region)} weights, p={table.p}")
     rs = table.region[0].system
+    offset = {w: rs.coset_offset(w.coords)[1] for w in table.region}
     gaps: dict[Weight, dict[Weight, tuple[int, ...]]] = {}
     for mu, nu in table.comparable:
-        gaps.setdefault(mu, {})[nu] = rs.to_root_vector(mu - nu)
+        gaps.setdefault(mu, {})[nu] = tuple(map(sub, offset[mu], offset[nu]))
     kp = kostant_table(rs, max(sum(gap) for below in gaps.values() for gap in below.values()))
     for mu, below in gaps.items():
         depth = max(map(sum, below.values()))
-        simples = [(g, table.entry(mu, lam), _simple_dims(lam, table.p, depth - sum(g), guard))
+        simples = [(g, table.entry(mu, lam), _simple_dims(rs, lam.coords, table.p, depth - sum(g), guard))
                    for lam, g in below.items() if table.entry(mu, lam)]
         for nu, gap in below.items():
             rhs = sum(a * dims.get(tuple(map(sub, gap, g)), 0) for g, a, dims in simples if all(map(ge, gap, g)))
@@ -423,13 +428,22 @@ def validate_table_consistency(
 
 def _flag_tensor_char(V: FlagVector, coeffs: Mapping[Weight, int]) -> FlagVector:
     """Flag of M (x) a module of character ``coeffs``: convolve multiplicities
-    with the character; the flag total must grow by its dimension."""
-    out: dict[Weight, int] = {}
+    with the character; the flag total must grow by its dimension.  The
+    sums run on coordinates; each weight of the result is built once."""
+    if not V.mult:
+        return FlagVector({})
+    rs = next(iter(V.mult)).system
+    shifts = []
+    for s, c in coeffs.items():
+        _check_same(s.system, rs)
+        shifts.append((s.coords, c))
+    out: dict[tuple[int, ...], int] = {}
     for lam, m in V.mult.items():
-        for s, c in coeffs.items():
-            w = lam + s
+        _check_same(lam.system, rs)
+        for s, c in shifts:
+            w = tuple(map(add, lam.coords, s))
             out[w] = out.get(w, 0) + m * c
-    flag = FlagVector(out)
+    flag = FlagVector({Weight(rs, w): c for w, c in out.items()})
     if flag.total() != V.total() * sum(coeffs.values()):
         raise ExactnessError("flag total is not multiplied by the character's dimension")
     return flag
@@ -498,10 +512,10 @@ def steinberg_digits(lam: Weight, p: int) -> tuple[Weight, ...]:
     require_prime(p)
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    digits = []
-    while not digits or any(lam.coords):
-        digit, lam = _digits(lam, p)
-        digits.append(digit)
+    coords, digits = lam.coords, []
+    while not digits or any(coords):
+        digit, coords = _digits(coords, p)
+        digits.append(Weight(lam.system, digit))
     return tuple(digits)
 
 
@@ -531,6 +545,6 @@ def steinberg_check(
         raise BoxMarginError(f"box does not contain the highest weight {lam}")
     below = box.below(lam)
     sweep = simple_weight_dims(lam, [nu for _, nu in below], p, guard=guard)
-    product = _simple_dims(lam, p, box.depth - sum(box.offset(lam)), guard)
+    product = _simple_dims(lam.system, lam.coords, p, box.depth - sum(box.offset(lam)), guard)
     diff = FormalCharacter({m: sweep[nu] - product.get(nu, 0) for m, nu in below}, box)
     return not diff.offsets, diff

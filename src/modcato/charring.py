@@ -16,9 +16,11 @@ Verma and Weyl characters walk the lattice through :meth:`TruncationBox.below`,
 which gives the offsets of the members below a weight without a scan:
 Verma characters read Kostant partition counts for it from one
 :func:`~modcato.rootdata.kostant_table` at the box depth, and Weyl characters
-sum those counts with signs over the dot-action orbit.  :func:`peel` reads
-its triangular basis as a sparse table by height, ``basis(mu, height)``,
-and subtracts those entries alone, at the offsets it peels.
+sum those counts with signs over the dot-action orbit.  :func:`peel` works
+on offsets from one top alone and builds no ``Weight``: it reads its
+triangular basis as a sparse table by height, ``basis(m, height)`` for the
+basis character at offset m, subtracts those entries alone, at the offsets
+it peels, and returns offsets; :func:`peel_decompose` names them by weight.
 
 Boxes and characters are immutable values.
 """
@@ -181,34 +183,32 @@ def weyl_character(lam: Weight) -> FormalCharacter:
 
 
 def peel(
-    top: Weight,
     counts: Mapping[tuple[int, ...], int],
-    basis: Callable[[Weight, int], Mapping[tuple[int, ...], int]],
-) -> dict[Weight, int]:
+    basis: Callable[[tuple[int, ...], int], Mapping[tuple[int, ...], int]],
+) -> dict[tuple[int, ...], int]:
     """Expand ``counts``, the coefficient of e^(top - m) at each offset m of
     an order-convex set of offsets that holds 0, zeros included, in a
-    triangular basis.  ``basis(mu, height)`` gives the basis character
-    labelled mu as ``{nu: coefficient of e^(mu - nu)}``, keyed by offsets:
+    triangular basis, as ``{m: coefficient of the basis character at
+    top - m}``.  ``basis(m, height)`` gives the basis character labelled
+    top - m as ``{nu: coefficient of e^(top - m - nu)}``, keyed by offsets:
     every nonzero one up to ``height``, the highest offset's height less
-    mu's, and 1 at nu = 0.  Offsets are peeled by height, then by
+    m's, and 1 at nu = 0.  Offsets are peeled by height, then by
     reverse-lexicographic offset (increasing coordinates in A1, A2 and B2),
     and a subtraction at an offset that is not a key of ``counts`` is
     skipped; the set is convex, so each residual is final at its turn.
     """
-    system = top.system
     depth = max(map(sum, counts))
-    zero = (0,) * system.rank
+    zero = (0,) * len(next(iter(counts)))
     residual = dict(counts)
-    out: dict[Weight, int] = {}
-    for m in sorted(counts, key=lambda m: (sum(m), [-a for a in m])):
+    out: dict[tuple[int, ...], int] = {}
+    for m in sorted(sorted(counts, reverse=True), key=sum):
         a = residual[m]
         if a == 0:
             continue
-        mu = top - system.weight_of(m)
-        dims = basis(mu, depth - sum(m))
+        dims = basis(m, depth - sum(m))
         if dims.get(zero) != 1:
-            raise ValueError(f"basis character at {mu} does not have leading coefficient 1")
-        out[mu] = a
+            raise ValueError(f"basis character at offset {m} does not have leading coefficient 1")
+        out[m] = a
         for nu, d in dims.items():
             m2 = tuple(map(add, m, nu))
             if m2 in residual:
@@ -222,17 +222,21 @@ def peel_decompose(
 ) -> dict[Weight, int]:
     """Expand ``chi`` in a triangular basis: :func:`peel` over its box,
     after checking that each key ``basis`` returns is ``rank`` nonnegative
-    ints."""
+    ints and that its coefficient at 0 is 1."""
     box = chi.box
     rank = box.system.rank
+    zero = (0,) * rank
 
-    def checked(mu: Weight, height: int) -> Mapping[tuple[int, ...], int]:
+    def checked(m: tuple[int, ...], height: int) -> Mapping[tuple[int, ...], int]:
+        mu = box.weight(m)
         dims = basis(mu, height)
         for nu in dims:
             if not (type(nu) is tuple and len(nu) == rank and all(type(c) is int and c >= 0 for c in nu)):
                 raise ValueError(f"basis character at {mu} has key {nu!r}, not {rank} nonnegative ints")
+        if dims.get(zero) != 1:
+            raise ValueError(f"basis character at {mu} does not have leading coefficient 1")
         return dims
 
     counts = dict.fromkeys(box.system.root_vectors_up_to_height(box.depth), 0)
     counts.update(chi.offsets)
-    return peel(box.top, counts, checked)
+    return {box.weight(m): a for m, a in peel(counts, checked).items()}

@@ -142,11 +142,12 @@ def verify_periodicity(ctx: ShiftContext) -> Report:
     shifted = build_decomposition_table(ctx.Kt, ctx.p, guard=ctx.guard)
     report.payload["table"] = table.serialize()
     report.payload["shifted_table"] = shifted.serialize()
+    moved = {w: w + ctx.gamma for w in table.region}
     for mu, lam in table.comparable:
         report.record(
             f"[Delta({mu.coords}):L({lam.coords})] vs shift by {ctx.gamma.coords}",
             table.entry(mu, lam),
-            shifted.entry(mu + ctx.gamma, lam + ctx.gamma),
+            shifted.entry(moved[mu], moved[lam]),
         )
     return report
 

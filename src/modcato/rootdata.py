@@ -4,7 +4,10 @@ Weights are stored in fundamental-weight coordinates; a root-lattice
 vector is a plain tuple of simple-root coordinates.  The Cartan matrix
 converts between the two, here and nowhere else.  All arithmetic is exact
 and never uses floats; lattice conversion is integer-only (adjugate of C
-and a divisibility test by det C).
+and a divisibility test by det C).  :meth:`RootSystem.coset_offset` splits
+a coordinate tuple into its root-lattice coset and an integer offset, so
+the order inside a coset is a componentwise test on offsets; the layers
+above compare those tuples and build a ``Weight`` only for what they return.
 
 Kostant partition counts come a table at a time from :func:`kostant_table`,
 built once per walk by its caller and not kept; nothing here memoises them.
@@ -13,8 +16,8 @@ built once per walk by its caller and not kept; nothing here memoises them.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from operator import mul, sub
-from typing import Iterator, NamedTuple
+from operator import add, mul, sub
+from typing import NamedTuple
 
 from .errors import ExactnessError
 from .record import Record
@@ -54,22 +57,23 @@ class Weight(Record):
         object.__setattr__(self, "coords", coords)
 
     def __eq__(self, other: object) -> bool:
-        return (
+        # Systems are shared, so the type names are compared only for a copy.
+        return self is other or (
             isinstance(other, Weight)
-            and self.system.cartan_type == other.system.cartan_type
             and self.coords == other.coords
+            and (self.system is other.system or self.system.cartan_type == other.system.cartan_type)
         )
 
     def __hash__(self) -> int:
-        return hash((self.system.cartan_type, self.coords))
+        return hash(self.coords)
 
     def __add__(self, other: "Weight") -> "Weight":
         _check_same(self.system, other.system)
-        return Weight(self.system, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Weight(self.system, tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "Weight") -> "Weight":
         _check_same(self.system, other.system)
-        return Weight(self.system, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Weight(self.system, tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "Weight":
         return Weight(self.system, tuple(-a for a in self.coords))
@@ -238,16 +242,26 @@ class RootSystem:
     def to_root_vector(self, w: Weight) -> tuple[int, ...] | None:
         """Simple-root coordinates of ``w``, exactly; None when ``w`` is not
         in the root lattice."""
+        coset, nu = self.coset_offset(w.coords)
+        return None if any(coset) else nu
+
+    def coset_offset(self, coords: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(coset, nu) with adj(C)·coords = det(C)·nu + coset and every
+        entry of coset in [0, det C).  Two weights lie in one root-lattice
+        coset exactly when their cosets are equal, and then they differ by
+        the root vector nu - nu'; so mu <= lam exactly when the cosets agree
+        and nu(mu) <= nu(lam) componentwise."""
         d = self.cartan_det
-        coeffs = []
+        coset, nu = [], []
         for row in self._cartan_adj:
-            v = 0
-            for a, c in zip(row, w.coords):
-                v += a * c
-            if v % d:
-                return None
-            coeffs.append(v // d)
-        return tuple(coeffs)
+            q, r = divmod(sum(map(mul, row, coords)), d)
+            nu.append(q)
+            coset.append(r)
+        return tuple(coset), tuple(nu)
+
+    def lower(self, coords: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:
+        """The fundamental coordinates coords - C·nu of the weight nu below coords."""
+        return tuple([c - sum(map(mul, row, nu)) for c, row in zip(coords, self.cartan_matrix)])
 
     def root_pairing(self, w: Weight, k: int) -> int:
         """Pairing of ``w`` with the coroot of the k-th positive root."""
@@ -262,7 +276,7 @@ class RootSystem:
 
 
 def _check_same(a: RootSystem, b: RootSystem) -> None:
-    if a.cartan_type != b.cartan_type:
+    if a is not b and a.cartan_type != b.cartan_type:
         raise ValueError(f"mismatched root systems {a.cartan_type} and {b.cartan_type}")
 
 
@@ -315,8 +329,14 @@ def pairing(lam: Weight, i: int) -> int:
 
 def leq(mu: Weight, lam: Weight) -> bool:
     """Dominance order: lam - mu is a nonnegative root-lattice vector."""
-    nu = lam.system.to_root_vector(lam - mu)
-    return nu is not None and min(nu) >= 0
+    rs = lam.system
+    _check_same(mu.system, rs)
+    gap, d = tuple(map(sub, lam.coords, mu.coords)), rs.cartan_det
+    for row in rs._cartan_adj:
+        v = sum(map(mul, row, gap))
+        if v < 0 or v % d:
+            return False
+    return True
 
 
 def is_dominant(lam: Weight) -> bool:
@@ -355,25 +375,21 @@ def dot_action(w: WeylElement, lam: Weight) -> Weight:
 
 def height_drop(lam: Weight) -> int:
     """Height of lam minus its lowest Weyl image; bounds orbit-hull depth."""
-    return max(map(sum, _weyl_offsets(lam)))
+    return max(sum(offset) for offset, _ in weyl_hull(lam))
 
 
+@lru_cache(maxsize=None)
 def weyl_hull(lam: Weight) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    """One pair (lam - w(lam), w on simple-root coordinates) per w in W.
+    """One pair (lam - w(lam), w on simple-root coordinates) per w in W,
+    in ``weyl_group`` order.
 
     For dominant lam, lam - nu lies in the Weyl hull of lam, i.e.
     w(lam - nu) <= lam for every w, exactly when offset + w(nu) >= 0
     coordinatewise for every pair; those are the weights of the Weyl module
     (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
-    §21.3)."""
-    return tuple(zip(_weyl_offsets(lam), lam.system.weyl_root_matrices))
-
-
-def _weyl_offsets(lam: Weight) -> Iterator[tuple[int, ...]]:
-    """lam - w(lam) in simple-root coordinates, for w in ``weyl_group`` order."""
+    §21.3).  Kept per weight: the digit recursion asks it once per height."""
     rs = lam.system
-    for w in rs.weyl_group:
-        offset = rs.to_root_vector(lam - w.apply(lam))
-        if offset is None:
-            raise ExactnessError("Weyl images differ by root-lattice vectors")
-        yield offset
+    offsets = [rs.to_root_vector(lam - w.apply(lam)) for w in rs.weyl_group]
+    if None in offsets:
+        raise ExactnessError("Weyl images differ by root-lattice vectors")
+    return tuple(zip(offsets, rs.weyl_root_matrices))

@@ -3,47 +3,114 @@
 Open sets are downward closed; only down-closures of finite ceilings are
 representable here, which makes every open set quasi-bounded by
 construction.  Locally closed sets are finite and order-convex.
+
+Order tests run on integer offsets, not on weights.
+:meth:`~modcato.rootdata.RootSystem.coset_offset` names each weight by its
+root-lattice coset, whose base is the same for every set, and its offset
+nu from that base in simple-root coordinates, so mu <= lam exactly when
+the cosets agree and nu(mu) <= nu(lam) componentwise.  A
+:class:`LocallyClosedSet` keeps its members' offsets by coset, and an
+:class:`OpenSet` its ceiling's; a ``Weight`` is built only for what a
+function returns.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from operator import add, ge, mul, sub
 from typing import NamedTuple
 
 from .errors import ExactnessError, PredicateError, require_prime
 from .record import Record
-from .rootdata import Weight, leq
+from .rootdata import Weight, _check_same
 
 
-class OpenSet(NamedTuple):
+def _split(weights):
+    """(w, coset, offset) per weight, in the order given; the weights must
+    share one root system (ValueError otherwise)."""
+    rs = None
+    for w in weights:
+        if rs is None:
+            rs = w.system
+        _check_same(w.system, rs)
+        yield (w, *rs.coset_offset(w.coords))
+
+
+def _cosets(weights) -> dict[tuple[int, ...], dict[tuple[int, ...], Weight]]:
+    """{coset: {offset: weight}}, weights in the order given."""
+    out: dict = {}
+    for w, coset, nu in _split(weights):
+        out.setdefault(coset, {})[nu] = w
+    return out
+
+
+def _under(nu: tuple[int, ...], tops) -> bool:
+    """nu <= some offset of ``tops``, componentwise."""
+    return any(all(map(ge, top, nu)) for top in tops)
+
+
+def _maxima(offsets) -> list[tuple[int, ...]]:
+    """The maximal members of a finite set of offsets.  An offset below
+    another has a lower height, so visiting by height, highest first, meets
+    every maximal one before anything it bounds."""
+    tops: list[tuple[int, ...]] = []
+    for nu in sorted(offsets, key=sum, reverse=True):
+        if not _under(nu, tops):
+            tops.append(nu)
+    return tops
+
+
+def _lift(lam: Weight, vectors) -> tuple[Weight, ...]:
+    """The weights lam + C·v for the root vectors v, sorted by coordinates."""
+    rs = lam.system
+    rows = rs.cartan_matrix
+    coords = sorted({tuple([c + sum(map(mul, row, v)) for c, row in zip(lam.coords, rows)]) for v in vectors})
+    return tuple(Weight(rs, c) for c in coords)
+
+
+class OpenSet(Record):
     """Down-closure of a finite ceiling; membership is mu <= some ceiling."""
 
-    ceiling: tuple[Weight, ...]
+    _fields = ("ceiling",)
+    __slots__ = _fields + ("__dict__",)  # the dict holds ``tops`` once read
+
+    def __init__(self, ceiling: tuple[Weight, ...]):
+        object.__setattr__(self, "ceiling", ceiling)
 
     @staticmethod
     def down_closure(weights) -> "OpenSet":
-        weights = list(weights)
-        if not weights:
+        cosets = _cosets(weights)
+        if not cosets:
             raise ValueError("open sets need a nonempty ceiling")
-        maximal = [
-            w for w in weights if not any(leq(w, v) and w != v for v in weights)
-        ]
-        unique = sorted(set(maximal), key=lambda w: w.coords)
-        return OpenSet(tuple(unique))
+        maximal = [members[nu] for members in cosets.values() for nu in _maxima(members)]
+        return OpenSet(tuple(sorted(maximal, key=lambda w: w.coords)))
 
     @property
     def system(self):
         return self.ceiling[0].system
 
+    @cached_property
+    def tops(self) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+        """The ceiling's offsets by coset."""
+        return {coset: list(members) for coset, members in _cosets(self.ceiling).items()}
+
+    def _split(self, w: Weight) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        rs = self.system
+        _check_same(w.system, rs)
+        return rs.coset_offset(w.coords)
+
     def contains(self, w: Weight) -> bool:
-        return any(leq(w, c) for c in self.ceiling)
+        coset, nu = self._split(w)
+        return _under(nu, self.tops.get(coset, ()))
 
     def up_set(self, lam: Weight) -> tuple[Weight, ...]:
         """The finite set of members above lam (quasi-boundedness): the
         union of the intervals [lam, c] over the ceiling."""
-        found = {w.coords: w for c in self.ceiling for w in interval(lam, c)}
-        return tuple(found[c] for c in sorted(found))
+        coset, low = self._split(lam)
+        gaps = [tuple(map(sub, top, low)) for top in self.tops.get(coset, ())]
+        return _lift(lam, itertools.chain.from_iterable(
+            itertools.product(*(range(g + 1) for g in gap)) for gap in gaps if min(gap) >= 0))
 
     def translate(self, gamma: Weight) -> "OpenSet":
         return OpenSet(tuple(c + gamma for c in self.ceiling))
@@ -70,7 +137,7 @@ class LocallyClosedSet(Record):
     checks convexity; :func:`shift_set` translates a checked set."""
 
     _fields = ("elements",)
-    __slots__ = _fields + ("__dict__",)  # the dict holds ``sorted`` once read
+    __slots__ = _fields + ("__dict__",)  # the dict holds ``sorted`` and ``cosets`` once read
 
     def __init__(self, elements: frozenset[Weight]):
         object.__setattr__(self, "elements", elements)
@@ -88,6 +155,18 @@ class LocallyClosedSet(Record):
     def sorted(self) -> tuple[Weight, ...]:
         return tuple(sorted(self.elements, key=lambda w: w.coords))
 
+    @cached_property
+    def cosets(self) -> dict[tuple[int, ...], dict[tuple[int, ...], Weight]]:
+        """{coset: {offset: member}}, members in coordinate order."""
+        return _cosets(self.sorted)
+
+    def below(self, mu: Weight) -> dict[tuple[int, ...], Weight]:
+        """{mu - lam in simple-root coordinates: lam} for the members
+        lam <= mu, in coordinate order."""
+        coset, high = mu.system.coset_offset(mu.coords)
+        return {tuple(map(sub, high, nu)): lam for nu, lam in self.cosets.get(coset, {}).items()
+                if all(map(ge, high, nu))}
+
     def __iter__(self):
         return iter(self.sorted)
 
@@ -103,13 +182,10 @@ class LocallyClosedSet(Record):
 
 def interval(lam: Weight, nu: Weight) -> tuple[Weight, ...]:
     """The finite order interval [lam, nu]; empty unless lam <= nu."""
-    rs = lam.system
-    gap = rs.to_root_vector(nu - lam)
+    gap = lam.system.to_root_vector(nu - lam)
     if gap is None or min(gap) < 0:
         return ()
-    vectors = itertools.product(*(range(g + 1) for g in gap))
-    out = tuple(lam + rs.weight_of(v) for v in vectors)
-    return tuple(sorted(out, key=lambda w: w.coords))
+    return _lift(lam, itertools.product(*(range(g + 1) for g in gap)))
 
 
 def is_locally_closed(weights) -> bool:
@@ -118,10 +194,18 @@ def is_locally_closed(weights) -> bool:
     Simple-root steps suffice: if lam < mu < nu with lam, nu inside and mu
     outside, a chain of simple-root steps from lam through mu up to nu leaves
     the set at some step lam' -> lam' + alpha_i, and lam' + alpha_i <= nu.
+    A step lies below a member exactly when it lies below a maximal one of
+    its coset.
     """
-    weights = set(weights)
-    steps = (lam + lam.system.weight_of(a) for lam in weights for a in lam.system.simple_roots)
-    return not any(w not in weights and any(leq(w, nu) for nu in weights) for w in steps)
+    for members in _cosets(weights).values():
+        tops = _maxima(members)
+        rank = len(tops[0])
+        for nu in members:
+            for i in range(rank):
+                step = nu[:i] + (nu[i] + 1,) + nu[i + 1:]
+                if step not in members and _under(step, tops):
+                    return False
+    return True
 
 
 def carve_J_Jprime(K: LocallyClosedSet) -> tuple[OpenSet, CarvedOpen]:
@@ -136,37 +220,53 @@ def _assert_open_on_sample(Jprime: CarvedOpen, K: LocallyClosedSet) -> None:
     # Openness can only fail just below K, so K and its one-root-deep
     # neighbours are a sufficient witness set for the finite data we ever
     # touch.  K is convex (make and shift_set keep it so): the intervals
-    # between its members lie in K.
+    # between its members lie in K.  Each sample weight is read once by the
+    # predicates; a leak is a point lo of J but not of J' below a point hi
+    # of J', in one coset, so below a maximal such hi.
     rs = K.sorted[0].system
-    sample = set(K.sorted) | {a - rs.weight_of(r) for a in K.sorted for r in rs.positive_roots}
-    for hi in sample:
-        if not Jprime.contains(hi):
-            continue
-        for lo in sample:
-            if leq(lo, hi) and Jprime.inside.contains(lo) and not Jprime.contains(lo):
-                raise ExactnessError("carved complement failed openness sample")
+    for members in K.cosets.values():
+        sample = dict(members)
+        for nu, w in members.items():
+            for r in rs.positive_roots:
+                lo = tuple(map(sub, nu, r))
+                if lo not in sample:
+                    sample[lo] = Weight(rs, rs.lower(w.coords, r))
+        marked = [(nu, Jprime.inside.contains(w), Jprime.contains(w)) for nu, w in sample.items()]
+        his = _maxima([nu for nu, _, carved in marked if carved])
+        if any(_under(nu, his) for nu, inside, carved in marked if inside and not carved):
+            raise ExactnessError("carved complement failed openness sample")
+
+
+def _clashes(groups, factor: int) -> list[list[tuple[int, ...]]]:
+    """Each group of offsets regrouped by residue mod ``factor``, keeping the
+    parts with two members, one below the other.  Members of one part differ
+    by ``factor`` times a root vector, so such a pair is a collision."""
+    out = []
+    for group in groups:
+        parts: dict = {}
+        for nu in group:
+            parts.setdefault(tuple([c % factor for c in nu]), []).append(nu)
+        out.extend(part for part in parts.values() if len(part) > 1 and any(
+            all(map(ge, hi, lo)) for hi, lo in itertools.permutations(part, 2)))
+    return out
 
 
 def periodicity_condition(K: LocallyClosedSet, p: int, l: int) -> bool:
-    """No two elements of K differ by p^l times a positive root-lattice vector."""
+    """No two elements of K differ by p^l times a positive root-lattice
+    vector: no two offsets of one coset, one below the other, agree mod p^l."""
     require_prime(p)
-    rs = K.sorted[0].system
-    factor = p**l
-    for k1 in K.sorted:
-        for k2 in K.sorted:
-            nu = rs.to_root_vector(k1 - k2)
-            if nu is None or min(nu) < 0 or not any(nu):
-                continue
-            if all(c % factor == 0 for c in nu):
-                return False
-    return True
+    return not _clashes(K.cosets.values(), p**l)
 
 
 def min_l(K: LocallyClosedSet, p: int) -> int:
-    """Smallest l >= 1 making the periodicity condition hold; always exists."""
-    l = 1
-    while not periodicity_condition(K, p, l):
+    """Smallest l >= 1 making the periodicity condition hold; always exists.
+    Only the parts that clash at l are regrouped for l + 1: a collision mod
+    p^(l+1) is one mod p^l."""
+    require_prime(p)
+    l, groups = 1, _clashes(K.cosets.values(), p)
+    while groups:
         l += 1
+        groups = _clashes(groups, p**l)
     return l
 
 
@@ -177,11 +277,12 @@ def shift_set(K: LocallyClosedSet, gamma: Weight) -> LocallyClosedSet:
 
 def _check_downward(pred, support, message: str) -> None:
     # A pair lo <= hi can break downward closure only with pred(hi) and not
-    # pred(lo), so pred is read once per weight and leq only on such pairs.
-    marked = [(w, bool(pred(w))) for w in support]
-    for hi, hi_in in marked:
-        for lo, lo_in in marked:
-            if hi_in and not lo_in and leq(lo, hi):
+    # pred(lo), so pred is read once per weight and offsets compared only on
+    # such pairs of one coset.
+    marked = [(w, coset, nu, bool(pred(w))) for w, coset, nu in _split(support)]
+    for hi, hi_coset, hi_nu, hi_in in marked:
+        for lo, lo_coset, lo_nu, lo_in in marked:
+            if hi_in and not lo_in and hi_coset == lo_coset and all(map(ge, hi_nu, lo_nu)):
                 raise PredicateError(message.format(lo=lo, hi=hi))
 
 

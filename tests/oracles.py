@@ -356,3 +356,52 @@ def ring_digit_product(lam, p: int) -> dict:
         coords, i = tuple(c // p for c in coords), i + 1
         if not any(coords):
             return prod
+
+
+def comparable_gaps(weights, points) -> set:
+    """Every nonzero nonnegative c with k1 - k2 = sum_i c_i alpha_i, over the
+    ordered pairs k1, k2 of ``weights``, pair by pair, read off ``points``,
+    a :func:`root_lattice_points` table that must hold every such c."""
+    gaps = set()
+    for k1 in weights:
+        for k2 in weights:
+            c = points.get(_diff(k1, k2))
+            if c is not None and min(c) >= 0 and any(c):
+                gaps.add(c)
+    return gaps
+
+
+def periodicity_by_pairs(gaps, p: int, l: int) -> bool:
+    """The periodicity condition on a set with these :func:`comparable_gaps`:
+    no gap is p^l times a root vector."""
+    return not any(all(c % p**l == 0 for c in gap) for gap in gaps)
+
+
+def min_l_by_pairs(gaps, p: int) -> int:
+    """The smallest l >= 1 at which :func:`periodicity_by_pairs` holds."""
+    l = 1
+    while not periodicity_by_pairs(gaps, p, l):
+        l += 1
+    return l
+
+
+def a2_restricted_simple(lam, p: int) -> dict:
+    """ch L(lam) for a restricted A2 weight lam = (a, b): chi(lam) when
+    a + b + 2 <= p, and otherwise chi(lam) - chi(lam - k(alpha_1 + alpha_2))
+    with k = a + b + 2 - p, where chi(mu) = 0 when mu + rho is singular.
+    alpha_1 + alpha_2 has fundamental coordinates (1, 1), so
+    mu = (p - 2 - b, p - 2 - a): dominant, or with a coordinate -1, where
+    mu + rho is singular.  Reads only Weyl characters."""
+    from modcato.charring import weyl_character
+
+    a, b = lam.coords
+    assert lam.system.cartan_type == "A2" and 0 <= a < p and 0 <= b < p
+    out = dict(weyl_character(lam).coeffs)
+    k = a + b + 2 - p
+    if k > 0:
+        mu = lam.system.weight(a - k, b - k)
+        assert min(mu.coords) >= -1
+        if min(mu.coords) >= 0:
+            for w, c in weyl_character(mu).coeffs.items():
+                out[w] = out.get(w, 0) - c
+    return {w: c for w, c in out.items() if c}

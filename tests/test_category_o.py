@@ -506,7 +506,7 @@ def test_restricted_asks_are_the_weyl_module_support(monkeypatch):
         nus = list(rs.root_vectors_up_to_height(drop))
         monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
         asked.clear()
-        dims = category_o._simple_dims(lam, p, drop, None)
+        dims = category_o._simple_dims(rs, lam.coords, p, drop, None)
         support = oracles.weyl_alternating_sum(lam, [lam - rs.weight_of(nu) for nu in nus])
         dominant = {w for w in support if is_dominant(w)}
         assert len(asked) == len(set(asked)), (lam, p)
@@ -534,7 +534,7 @@ def test_restricted_tables_match_one_sweep_without_w(monkeypatch):
             continue
         nus = list(lam.system.root_vectors_up_to_height(drop))
         monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
-        dims = category_o._simple_dims(lam, p, drop, None)
+        dims = category_o._simple_dims(lam.system, lam.coords, p, drop, None)
         sweep = simple_weight_dims(lam, nus, p)
         assert dims == {nu: d for nu, d in sweep.items() if d}, (lam, p)
         cases += 1
@@ -555,12 +555,12 @@ def test_digit_product_asks_each_digit_once(typ, coords, p, depth, monkeypatch):
     level = []
     children = []
 
-    def record(lam, p, height, guard):
+    def record(rs, lam, p, height, guard):
         if len(level) == 1:
             children.append((lam, height))
         level.append(lam)
         try:
-            return real(lam, p, height, guard)
+            return real(rs, lam, p, height, guard)
         finally:
             level.pop()
 
@@ -568,8 +568,8 @@ def test_digit_product_asks_each_digit_once(typ, coords, p, depth, monkeypatch):
     monkeypatch.setattr(category_o, "_simple_dims", record)
     rs = build_root_system(typ)
     lam = rs.weight(*coords)
-    lam0, lam1 = category_o._digits(lam, p)
-    dims = category_o._simple_dims(lam, p, depth, None)
+    lam0, lam1 = category_o._digits(lam.coords, p)
+    dims = category_o._simple_dims(rs, lam.coords, p, depth, None)
     assert children == [(lam0, depth), (lam1, depth // p)]
     assert all(dims.values()) and max(map(sum, dims)) <= depth
     box = TruncationBox.make(lam, depth)
@@ -589,20 +589,20 @@ def test_digit_product_guard_reads_the_step_term_count(typ, coords, p, height, m
 
     rs = build_root_system(typ)
     lam = rs.weight(*coords)
-    lam0, lam1 = category_o._digits(lam, p)
+    lam0, lam1 = category_o._digits(lam.coords, p)
     monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
-    d0 = category_o._simple_dims(lam0, p, height, None)
-    d1 = category_o._simple_dims(lam1, p, height // p, None)
+    d0 = category_o._simple_dims(rs, lam0, p, height, None)
+    d1 = category_o._simple_dims(rs, lam1, p, height // p, None)
     terms = sum(1 for nu0 in d0 for mu in d1 if sum(nu0) + p * sum(mu) <= height)
-    n1, top1 = category_o._size_floor(lam1, p, height // p)
+    n1, top1 = category_o._size_floor(rs, lam1, p, height // p)
     assert n1 * sum(1 for nu0 in d0 if sum(nu0) + p * top1 <= height) <= terms
     assert n1 <= len(d1) and max(map(sum, d1)) <= top1
     category_o._SIMPLE_CACHE.clear()
     with pytest.raises(SizeGuardError, match=f"of L\\({re.escape(str(lam.coords))}\\) at p={p} has at least "
                                              f"\\d+ terms, over the guard's max_terms={terms - 1}"):
-        category_o._simple_dims(lam, p, height, SizeGuard(max_terms=terms - 1))
+        category_o._simple_dims(rs, lam.coords, p, height, SizeGuard(max_terms=terms - 1))
     category_o._SIMPLE_CACHE.clear()
-    assert category_o._simple_dims(lam, p, height, SizeGuard(max_terms=terms))
+    assert category_o._simple_dims(rs, lam.coords, p, height, SizeGuard(max_terms=terms))
 
 
 def test_digit_product_trips_the_guard_before_building_it(monkeypatch):
@@ -612,12 +612,12 @@ def test_digit_product_trips_the_guard_before_building_it(monkeypatch):
     import modcato.category_o as category_o
 
     monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
-    dims = category_o._simple_dims(A1.weight(2**16 - 1), 2, 70000, None)
+    dims = category_o._simple_dims(A1, (2**16 - 1,), 2, 70000, None)
     assert len(dims) == 2**16 and set(dims.values()) == {1}
     for lam in (2**20 - 1, 10**20 - 1):
         category_o._SIMPLE_CACHE.clear()
         with pytest.raises(SizeGuardError, match="max_terms=1000000"):
-            category_o._simple_dims(A1.weight(lam), 2, 10**20, None)
+            category_o._simple_dims(A1, (lam,), 2, 10**20, None)
     assert len(category_o._SIMPLE_CACHE) < 100
 
 
@@ -634,9 +634,20 @@ def test_a_table_extended_in_steps_equals_one_ask(typ, coords, monkeypatch):
     for p, steps in ((3, (0, 1, 4, 10)), (2, (3, 9))):
         monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
         for h in steps:
-            stepped = category_o._simple_dims(lam, p, h, None)
+            stepped = category_o._simple_dims(rs, lam.coords, p, h, None)
         monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
-        assert stepped == category_o._simple_dims(lam, p, steps[-1], None), (lam, p)
+        assert stepped == category_o._simple_dims(rs, lam.coords, p, steps[-1], None), (lam, p)
         box = TruncationBox.make(lam, steps[-1])
         expect = oracles.sweep_simple_coeffs(lam, p, box)
         assert {box.weight(nu): d for nu, d in stepped.items()} == expect, (lam, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_a2_restricted_simples_match_the_closed_form(p):
+    # Every restricted A2 simple against a Gram-free closed form read off
+    # Weyl characters alone: a rank over Q instead of F_p at any of these p
+    # changes some of them.
+    for a in range(p):
+        for b in range(p):
+            lam = A2.weight(a, b)
+            assert full_simple_character(lam, p).coeffs == oracles.a2_restricted_simple(lam, p), (a, b)

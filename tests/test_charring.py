@@ -325,12 +325,13 @@ def test_peel_within_a_convex_set_is_the_box_peel_restricted_to_it(rs):
         counts = {rs.to_root_vector(hi - w): full.coefficient(w) for w in interval(lo, hi)}
         asked = []
 
-        def recording(mu, height):
+        def recording(m, height):
+            mu = hi - rs.weight_of(m)
             asked.append(mu)
             return verma_basis(rs)(mu, height)
 
         whole = peel_decompose(chi, verma_basis(rs))
-        inside = peel(hi, counts, recording)
+        inside = {hi - rs.weight_of(m): a for m, a in peel(counts, recording).items()}
         assert inside == {w: a for w, a in whole.items() if box.offset(w) in W}
         assert all(box.offset(mu) in W for mu in asked)
         outside += sum(box.offset(w) not in W for w in whole)

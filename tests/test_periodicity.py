@@ -190,9 +190,9 @@ def test_verify_periodicity_checks_no_region_again(monkeypatch):
     guards = []
     convexity = []
 
-    def dims(lam, p, height, guard):
+    def dims(rs, lam, p, height, guard):
         guards.append(guard)
-        return real_dims(lam, p, height, guard)
+        return real_dims(rs, lam, p, height, guard)
 
     def convex(weights):
         convexity.append(weights)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import operator
+import pickle
 import sys
 
 import pytest
@@ -281,3 +283,22 @@ def test_dot_action_of_identity(rs):
     assert len(identity) == 1
     lam = rs.weight(*range(1, rs.rank + 1))
     assert dot_action(identity[0], lam) == lam
+
+
+def test_weight_equality_and_hash_keep_their_meaning():
+    # Equality has an identity fast path and hashes the coordinates alone:
+    # A2 (1,1) and B2 (1,1) stay unequal, a pickled copy (whose root system
+    # is a new object) equals and hashes like the original, and arithmetic
+    # and leq across types still raise.
+    A2, B2 = build_root_system("A2"), build_root_system("B2")
+    a, b = A2.weight(1, 1), B2.weight(1, 1)
+    assert a != b and b != a and len({a, b}) == 2
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy.system is not A2
+    assert copy == a and a == copy and hash(copy) == hash(a) and {a: 1}[copy] == 1
+    assert copy != b and copy + copy == a * 2
+    for op in (leq, operator.add, operator.sub):
+        with pytest.raises(ValueError, match="mismatched root systems A2 and B2"):
+            op(a, b)
+    with pytest.raises(ValueError, match="mismatched root systems"):
+        OpenSet.down_closure([a]).contains(b)

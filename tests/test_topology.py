@@ -22,6 +22,7 @@ from modcato.topology import (
     validate_open_predicate,
 )
 
+import oracles
 from oracles import convex_by_intervals
 
 A1 = build_root_system("A1")
@@ -209,3 +210,47 @@ def test_predicate_validators_match_every_pair(rs):
                 seen[kind] += 1
                 check(pred, support)
     assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("typ, n", [("B2", 3), ("B2", 5), ("A2", 9)])
+def test_bucketed_checks_match_the_pairwise_oracles(typ, n):
+    # periodicity_condition and min_l compare offsets only inside a residue
+    # bucket, and a row's below-set reads its coset's offsets; the oracles
+    # compare every pair of K through a brute-force root-lattice table.
+    rs = build_root_system(typ)
+    K = LocallyClosedSet.make(interval(rs.weight(-n, -n), rs.weight(n, n)))
+    points = oracles.root_lattice_points(typ, 20)
+    gaps = oracles.comparable_gaps(K.sorted, points)
+    seen = set()
+    for p in (2, 3, 5):
+        for l in range(1, 5):
+            holds = periodicity_condition(K, p, l)
+            assert holds == oracles.periodicity_by_pairs(gaps, p, l), (p, l)
+            seen.add(holds)
+        assert min_l(K, p) == oracles.min_l_by_pairs(gaps, p), p
+    assert seen == {True, False}
+    for mu in K:
+        below = [(lam, gap) for gap, lam in K.below(mu).items()]
+        assert below == list(oracles.below_set(mu, K.sorted, points).items()), mu
+
+
+@pytest.mark.parametrize("rs", [A1, A2, B2], ids=lambda rs: rs.cartan_type)
+def test_membership_on_offsets_matches_brute_force(rs):
+    # OpenSet.contains and LocallyClosedSet membership read coset offsets;
+    # the oracle reads each difference off a brute-force root-lattice table.
+    rng = random.Random(70 + rs.rank)
+    points = oracles.root_lattice_points(rs.cartan_type, 24)
+    rand = lambda: rs.weight(*[rng.randint(-6, 6) for _ in range(rs.rank)])
+    below = lambda w, top: bool(oracles.below_set(top, [w], points))
+    hits = [0, 0]
+    for _ in range(20):
+        ceiling = [rand() for _ in range(rng.randint(1, 4))]
+        J = OpenSet.down_closure(ceiling)
+        lo, hi = sorted((rand(), rand()), key=lambda w: sum(w.coords))
+        K = LocallyClosedSet.make(interval(lo, hi) or [lo])
+        for w in [rand() for _ in range(40)] + list(K):
+            inside = any(below(w, c) for c in ceiling)
+            assert J.contains(w) == inside, (ceiling, w)
+            hits[inside] += 1
+            assert (w in K) == (w == lo or below(lo, w) and below(w, hi)), (lo, hi, w)
+    assert min(hits) > 0
