@@ -164,8 +164,11 @@ class LocallyClosedSet(Record):
         """{mu - lam in simple-root coordinates: lam} for the members
         lam <= mu, in coordinate order."""
         coset, high = mu.system.coset_offset(mu.coords)
-        return {tuple(map(sub, high, nu)): lam for nu, lam in self.cosets.get(coset, {}).items()
-                if all(map(ge, high, nu))}
+        members = self.cosets.get(coset, {})
+        if len(high) == 2:  # written out for rank 2, where the table rows spend their time
+            h0, h1 = high
+            return {(h0 - x, h1 - y): lam for (x, y), lam in members.items() if x <= h0 and y <= h1}
+        return {tuple(map(sub, high, nu)): lam for nu, lam in members.items() if all(map(ge, high, nu))}
 
     def __iter__(self):
         return iter(self.sorted)
