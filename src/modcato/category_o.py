@@ -430,20 +430,16 @@ def _flag_tensor_char(V: FlagVector, coeffs: Mapping[Weight, int]) -> FlagVector
     """Flag of M (x) a module of character ``coeffs``: convolve multiplicities
     with the character; the flag total must grow by its dimension.  The
     sums run on coordinates; each weight of the result is built once."""
-    if not V.mult:
-        return FlagVector({})
-    rs = next(iter(V.mult)).system
-    shifts = []
-    for s, c in coeffs.items():
-        _check_same(s.system, rs)
-        shifts.append((s.coords, c))
+    shifts = [(s.coords, c) for s, c in coeffs.items()]
     out: dict[tuple[int, ...], int] = {}
     for lam, m in V.mult.items():
-        _check_same(lam.system, rs)
         for s, c in shifts:
             w = tuple(map(add, lam.coords, s))
             out[w] = out.get(w, 0) + m * c
-    flag = FlagVector({Weight(rs, w): c for w, c in out.items()})
+    weights = [*V.mult, *coeffs]
+    for w in weights:
+        _check_same(w.system, weights[0].system)
+    flag = FlagVector({Weight(weights[0].system, w): c for w, c in out.items()})
     if flag.total() != V.total() * sum(coeffs.values()):
         raise ExactnessError("flag total is not multiplied by the character's dimension")
     return flag
