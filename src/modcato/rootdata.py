@@ -375,21 +375,27 @@ def dot_action(w: WeylElement, lam: Weight) -> Weight:
 
 def height_drop(lam: Weight) -> int:
     """Height of lam minus its lowest Weyl image; bounds orbit-hull depth."""
-    return max(sum(offset) for offset, _ in weyl_hull(lam))
+    return max(map(sum, _weyl_offsets(lam)))
 
 
-@lru_cache(maxsize=None)
 def weyl_hull(lam: Weight) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    """One pair (lam - w(lam), w on simple-root coordinates) per w in W,
-    in ``weyl_group`` order.
+    """One pair (lam - w(lam), w on simple-root coordinates) per w in W.
 
     For dominant lam, lam - nu lies in the Weyl hull of lam, i.e.
     w(lam - nu) <= lam for every w, exactly when offset + w(nu) >= 0
     coordinatewise for every pair; those are the weights of the Weyl module
     (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
-    §21.3).  Kept per weight: the digit recursion asks it once per height."""
+    §21.3)."""
+    return tuple(zip(_weyl_offsets(lam), lam.system.weyl_root_matrices))
+
+
+@lru_cache(maxsize=None)
+def _weyl_offsets(lam: Weight) -> tuple[tuple[int, ...], ...]:
+    """lam - w(lam) in simple-root coordinates, for w in ``weyl_group``
+    order; kept per weight, since the digit recursion asks for it at every
+    height it extends a restricted table to."""
     rs = lam.system
-    offsets = [rs.to_root_vector(lam - w.apply(lam)) for w in rs.weyl_group]
+    offsets = tuple(rs.to_root_vector(lam - w.apply(lam)) for w in rs.weyl_group)
     if None in offsets:
         raise ExactnessError("Weyl images differ by root-lattice vectors")
-    return tuple(zip(offsets, rs.weyl_root_matrices))
+    return offsets

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from operator import add, ge, mul, sub
+from operator import ge, mul, sub
 from typing import NamedTuple
 
 from .errors import ExactnessError, PredicateError, require_prime
