@@ -329,14 +329,9 @@ def pairing(lam: Weight, i: int) -> int:
 
 def leq(mu: Weight, lam: Weight) -> bool:
     """Dominance order: lam - mu is a nonnegative root-lattice vector."""
-    rs = lam.system
-    _check_same(mu.system, rs)
-    gap, d = tuple(map(sub, lam.coords, mu.coords)), rs.cartan_det
-    for row in rs._cartan_adj:
-        v = sum(map(mul, row, gap))
-        if v < 0 or v % d:
-            return False
-    return True
+    _check_same(mu.system, lam.system)
+    coset, nu = lam.system.coset_offset(tuple(map(sub, lam.coords, mu.coords)))
+    return not any(coset) and min(nu) >= 0
 
 
 def is_dominant(lam: Weight) -> bool:
