@@ -234,13 +234,15 @@ def _simple_dims(rs: RootSystem, lam: tuple[int, ...], p: int, height: int, guar
     lam0, lam1 = _digits(lam, p)
     if lam0 == lam:
         weight = Weight(rs, lam)
+        hull = weyl_hull(weight)
         # Every weight lam - nu of W(lam) has nu of height at most height_drop(lam).
-        dominant = [nu for nu in rs.root_vectors_up_to_height(min(height, height_drop(weight)))
+        drop = max(sum(offset) for offset, _ in hull)
+        dominant = [nu for nu in rs.root_vectors_up_to_height(min(height, drop))
                     if all(c >= sum(map(mul, row, nu)) for c, row in zip(lam, rs.cartan_matrix))]
         ranked = simple_weight_dims(weight, [nu for nu in dominant if sum(nu) > done], p, guard=guard)
         if done < 0 and ranked[zero] != 1:
             raise ExactnessError(f"L({weight}) has multiplicity {ranked[zero]} at its highest weight")
-        dims, hull = dict(dims), weyl_hull(weight)
+        dims = dict(dims)
         for nu in dominant:
             d = ranked[nu] if sum(nu) > done else dims.get(nu, 0)
             for offset, w in hull if d else ():

@@ -209,19 +209,11 @@ def peel(
         if dims.get(zero) != 1:
             raise ValueError(f"basis character at offset {m} does not have leading coefficient 1")
         out[m] = a
-        for m2, d in zip(_shifted(m, dims), dims.values()):
+        for nu, d in dims.items():
+            m2 = tuple(map(add, m, nu))
             if m2 in residual:
                 residual[m2] -= a * d
     return out
-
-
-def _shifted(m: tuple[int, ...], offsets) -> list[tuple[int, ...]]:
-    """m + nu for each nu of ``offsets``, in order; written out for rank 2,
-    where the peel spends its time."""
-    if len(m) == 2:
-        a, b = m
-        return [(a + x, b + y) for x, y in offsets]
-    return [tuple(map(add, m, nu)) for nu in offsets]
 
 
 def peel_decompose(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from operator import add, mul, sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ExactnessError
 from .record import Record
@@ -384,13 +384,11 @@ def weyl_hull(lam: Weight) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...]
     return tuple(zip(_weyl_offsets(lam), lam.system.weyl_root_matrices))
 
 
-@lru_cache(maxsize=None)
-def _weyl_offsets(lam: Weight) -> tuple[tuple[int, ...], ...]:
-    """lam - w(lam) in simple-root coordinates, for w in ``weyl_group``
-    order; kept per weight, since the digit recursion asks for it at every
-    height it extends a restricted table to."""
+def _weyl_offsets(lam: Weight) -> Iterator[tuple[int, ...]]:
+    """lam - w(lam) in simple-root coordinates, for w in ``weyl_group`` order."""
     rs = lam.system
-    offsets = tuple(rs.to_root_vector(lam - w.apply(lam)) for w in rs.weyl_group)
-    if None in offsets:
-        raise ExactnessError("Weyl images differ by root-lattice vectors")
-    return offsets
+    for w in rs.weyl_group:
+        offset = rs.to_root_vector(lam - w.apply(lam))
+        if offset is None:
+            raise ExactnessError("Weyl images differ by root-lattice vectors")
+        yield offset

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from operator import ge, mul, sub
+from operator import ge, sub
 from typing import NamedTuple
 
 from .errors import ExactnessError, PredicateError, require_prime
@@ -61,11 +61,11 @@ def _maxima(offsets) -> list[tuple[int, ...]]:
     return tops
 
 
-def _lift(lam: Weight, vectors) -> tuple[Weight, ...]:
-    """The weights lam + C·v for the root vectors v, sorted by coordinates."""
-    rs = lam.system
-    rows = rs.cartan_matrix
-    coords = sorted({tuple([c + sum(map(mul, row, v)) for c, row in zip(lam.coords, rows)]) for v in vectors})
+def _lower_boxes(rs, boxes) -> tuple[Weight, ...]:
+    """The weights top - C·v for each pair (top coordinates, gap) of
+    ``boxes`` and each root vector 0 <= v <= gap, sorted by coordinates."""
+    coords = sorted({rs.lower(top, v) for top, gap in boxes
+                     for v in itertools.product(*(range(g + 1) for g in gap))})
     return tuple(Weight(rs, c) for c in coords)
 
 
@@ -91,26 +91,25 @@ class OpenSet(Record):
         return self.ceiling[0].system
 
     @cached_property
-    def tops(self) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-        """The ceiling's offsets by coset."""
-        return {coset: list(members) for coset, members in _cosets(self.ceiling).items()}
+    def tops(self) -> dict[tuple[int, ...], dict[tuple[int, ...], Weight]]:
+        """The ceiling by coset, as {offset: weight}."""
+        return _cosets(self.ceiling)
 
-    def _split(self, w: Weight) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _offset(self, w: Weight) -> tuple[tuple[int, ...], tuple[int, ...]]:
         rs = self.system
         _check_same(w.system, rs)
         return rs.coset_offset(w.coords)
 
     def contains(self, w: Weight) -> bool:
-        coset, nu = self._split(w)
+        coset, nu = self._offset(w)
         return _under(nu, self.tops.get(coset, ()))
 
     def up_set(self, lam: Weight) -> tuple[Weight, ...]:
         """The finite set of members above lam (quasi-boundedness): the
         union of the intervals [lam, c] over the ceiling."""
-        coset, low = self._split(lam)
-        gaps = [tuple(map(sub, top, low)) for top in self.tops.get(coset, ())]
-        return _lift(lam, itertools.chain.from_iterable(
-            itertools.product(*(range(g + 1) for g in gap)) for gap in gaps if min(gap) >= 0))
+        coset, low = self._offset(lam)
+        boxes = [(c.coords, tuple(map(sub, top, low))) for top, c in self.tops.get(coset, {}).items()]
+        return _lower_boxes(lam.system, [(top, gap) for top, gap in boxes if min(gap) >= 0])
 
     def translate(self, gamma: Weight) -> "OpenSet":
         return OpenSet(tuple(c + gamma for c in self.ceiling))
@@ -165,9 +164,6 @@ class LocallyClosedSet(Record):
         lam <= mu, in coordinate order."""
         coset, high = mu.system.coset_offset(mu.coords)
         members = self.cosets.get(coset, {})
-        if len(high) == 2:  # written out for rank 2, where the table rows spend their time
-            h0, h1 = high
-            return {(h0 - x, h1 - y): lam for (x, y), lam in members.items() if x <= h0 and y <= h1}
         return {tuple(map(sub, high, nu)): lam for nu, lam in members.items() if all(map(ge, high, nu))}
 
     def __iter__(self):
@@ -188,7 +184,7 @@ def interval(lam: Weight, nu: Weight) -> tuple[Weight, ...]:
     gap = lam.system.to_root_vector(nu - lam)
     if gap is None or min(gap) < 0:
         return ()
-    return _lift(lam, itertools.product(*(range(g + 1) for g in gap)))
+    return _lower_boxes(lam.system, [(nu.coords, gap)])
 
 
 def is_locally_closed(weights) -> bool:
