@@ -27,7 +27,8 @@ Boxes and characters are immutable values.
 
 from __future__ import annotations
 
-from operator import add, sub
+from itertools import repeat
+from operator import add, itemgetter, sub
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import BoxMarginError, ExactnessError
@@ -209,8 +210,9 @@ def peel(
         if dims.get(zero) != 1:
             raise ValueError(f"basis character at offset {m} does not have leading coefficient 1")
         out[m] = a
-        for nu, d in dims.items():
-            m2 = tuple(map(add, m, nu))
+        # m + nu for every key nu of dims, added a coordinate column at a time
+        shifted = zip(*[map(add, map(itemgetter(i), dims), repeat(c)) for i, c in enumerate(m)])
+        for m2, d in zip(shifted, dims.values()):
             if m2 in residual:
                 residual[m2] -= a * d
     return out
