@@ -148,8 +148,9 @@ class DecompositionTable(NamedTuple):
         return sorted(triples)
 
 
-# (Cartan type, coordinates of lam, p) -> (h, {nu: dim L(lam)_{lam - nu}}):
-# the nonzero ones of height <= h
+# (Cartan type, coordinates of lam, p) -> (h, {nu: dim L(lam)_{lam - nu}}, hull):
+# the nonzero ones of height <= h, and weyl_hull(lam) once the recursion has
+# built a restricted lam's table (else None)
 _SIMPLE_CACHE: dict = {}
 
 
@@ -184,11 +185,11 @@ def simple_character(
     key = (rs.cartan_type, lam.coords, p)
     if cached is not None:
         # A record lists the nonzero dimensions of every weight space in its box.
-        done, dims = _SIMPLE_CACHE.get(key, (-1, {}))
+        done, dims, hull = _SIMPLE_CACHE.get(key, (-1, {}, None))
         if height > done:
             gaps = ((rs.to_root_vector(lam - rs.weight(*c)), d) for c, d in json.loads(cached))
             on_disk = {nu: d for nu, d in gaps if nu is not None and min(nu) >= 0 and sum(nu) <= height}
-            _SIMPLE_CACHE[key] = (height, {**on_disk, **dims})
+            _SIMPLE_CACHE[key] = (height, {**on_disk, **dims}, hull)
     dims = _simple_dims(rs, lam.coords, p, height, guard)
     chi = FormalCharacter({tuple(map(add, gap, nu)): d for nu, d in dims.items() if sum(nu) <= height}, box)
     if chi.coefficient(lam) != 1:
@@ -227,14 +228,14 @@ def _simple_dims(rs: RootSystem, lam: tuple[int, ...], p: int, height: int, guar
     the guard's ``max_terms`` raises ``SizeGuardError`` before it is built.
     """
     key = (rs.cartan_type, lam, p)
-    done, dims = _SIMPLE_CACHE.get(key, (-1, {}))
+    done, dims, hull = _SIMPLE_CACHE.get(key, (-1, {}, None))
     if height <= done:
         return dims
     zero = (0,) * len(lam)
     lam0, lam1 = _digits(lam, p)
     if lam0 == lam:
         weight = Weight(rs, lam)
-        hull = weyl_hull(weight)
+        hull = hull or weyl_hull(weight)
         # Every weight lam - nu of W(lam) has nu of height at most height_drop(lam).
         drop = max(sum(offset) for offset, _ in hull)
         dominant = [nu for nu in rs.root_vectors_up_to_height(min(height, drop))
@@ -277,7 +278,7 @@ def _simple_dims(rs: RootSystem, lam: tuple[int, ...], p: int, height: int, guar
                 if h1 <= room:
                     nu = tuple(map(add, nu0, pmu))
                     dims[nu] = dims.get(nu, 0) + c0 * c1
-    _SIMPLE_CACHE[key] = (height, dims)
+    _SIMPLE_CACHE[key] = (height, dims, hull)
     return dims
 
 
