@@ -17,16 +17,19 @@ per-weight-space Gram matrices and their ranks: on an ext4 virtio disk of a
 its mod-p rank takes 0.10-0.12 ms to compute (nu <= (6,6)), so a
 per-space record cost more to write than it saved.
 
-One record per file, one line per record: ``version<TAB>key<TAB>value``,
-all UTF-8 text with a JSON value, written atomically (temp file + rename).
-Values are deterministic functions of their keys, so last-write-wins is safe
-and two puts of the same pair are a single logical record.  A record that is
-not UTF-8, lacks a field or holds a value ``json.loads`` rejects is corrupt
-and read as absent.  A record's file is named by the SHA-256 of its
-canonical key from CPython's built-in ``_sha2`` (``_sha256`` before 3.12),
-which ``hashlib`` uses without OpenSSL: importing ``hashlib`` loads OpenSSL's
-libcrypto, 3.6 MiB of peak RSS and 3-4 ms in every process.  The digests are
-the same, so existing stores stay warm.
+One record per file, one line per record: ``version<TAB>key<TAB>value``, all
+UTF-8 text, written atomically (temp file + rename).  The value is an
+answer's ``json.dumps`` (:func:`put_value`); :func:`get_value` parses it once
+and returns the caller's ``decode`` of it, an answer that no caller copies
+into a memo.  Values are deterministic functions of their keys, so
+last-write-wins is safe and two puts of the same pair are a single logical
+record.  A record that is not UTF-8, lacks a field, or holds a value that is
+not JSON or that ``decode`` rejects is corrupt and read as absent.  A
+record's file is named by the SHA-256 of its canonical key from CPython's
+built-in ``_sha2`` (``_sha256`` before 3.12), which ``hashlib`` uses without
+OpenSSL: importing ``hashlib`` loads OpenSSL's libcrypto, 3.6 MiB of peak RSS
+and 3-4 ms in every process.  The digests are the same, so existing stores
+stay warm.
 
 The store directory comes from an explicit :func:`configure` call (the CLI
 wires ``--cache-dir`` through it) or the ``MODCATO_CACHE`` environment
@@ -39,7 +42,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 try:
     from _sha2 import sha256
@@ -104,6 +107,7 @@ def make_key(kind: str, system: str, p: int | None, payload: str) -> CacheKey:
 
 
 def get(key: CacheKey) -> str | None:
+    """The unparsed value of ``key``'s record, or None if it is absent, unreadable or corrupt."""
     root = active_dir()
     if root is None:
         return None
@@ -111,14 +115,13 @@ def get(key: CacheKey) -> str | None:
     try:
         version, canonical, value = path.read_text(encoding="utf-8").rstrip("\n").split("\t", 2)
         if version == RECORD_VERSION and canonical == key.canonical():
-            json.loads(value)
             return value
     except FileNotFoundError:
         return None
     except OSError as exc:
         _logger().warning("unreadable cache record %s: %s", path, exc)
         return None
-    except ValueError:  # not UTF-8, fewer than three fields, or not JSON
+    except ValueError:  # not UTF-8, or fewer than three fields
         pass
     _logger().warning("corrupt or stale cache record %s; treating as absent", path)
     return None
@@ -147,9 +150,21 @@ def put(key: CacheKey, value: str) -> None:
         _logger().error("cache store %s is not writable (%s); proceeding uncached", root, exc)
 
 
-def get_value(kind: str, system: str, p: int | None, payload: str) -> str | None:
-    return get(make_key(kind, system, p, payload))
+def get_value(kind: str, system: str, p: int | None, payload: str, decode: Callable[[Any], Any]) -> Any:
+    """``decode`` of a record's value, parsed once, or None without a record.
+    A value that is not JSON, or that ``decode`` rejects with ``TypeError`` or
+    ``ValueError``, is corrupt and reads as absent."""
+    key = make_key(kind, system, p, payload)
+    value = get(key)
+    if value is None:
+        return None
+    try:
+        return decode(json.loads(value))
+    except (TypeError, ValueError):
+        _logger().warning("corrupt or stale cache record %s; treating as absent", active_dir() / key.filename())
+        return None
 
 
-def put_value(kind: str, system: str, p: int | None, payload: str, value: str) -> None:
-    put(make_key(kind, system, p, payload), value)
+def put_value(kind: str, system: str, p: int | None, payload: str, value: Any) -> None:
+    """Record the JSON-able answer ``value`` as its ``json.dumps``."""
+    put(make_key(kind, system, p, payload), json.dumps(value))

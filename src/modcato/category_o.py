@@ -24,11 +24,12 @@ its box, which never factorizes and never uses W.
 
 The inner loops run on coordinate tuples, not on ``Weight`` objects.  The
 digit recursion and its memo ``_SIMPLE_CACHE`` are keyed by the Cartan type
-and the coordinates of lam.  A table row reads its below-set from the
-offsets of its root-lattice coset (:meth:`LocallyClosedSet.below`) and
-peels offsets (:func:`~modcato.charring.peel`), so the table's weights are
-the region's own; rows and flags build a ``Weight`` only for what they
-return.
+and the coordinates of lam, and only the recursion writes the memo: a disk
+record is decoded as a finished answer and fills no memo.  A table row reads
+its below-set from the offsets of its root-lattice coset
+(:meth:`LocallyClosedSet.below`) and peels offsets
+(:func:`~modcato.charring.peel`), so the table's weights are the region's
+own; rows and flags build a ``Weight`` only for what they return.
 
 Dual Vermas never appear as objects: their characters equal the Verma
 characters, and every statement made here factors through characters,
@@ -38,7 +39,6 @@ adding coordinates.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from math import comb
 from operator import add, ge, mul, sub
@@ -165,39 +165,29 @@ def simple_character(
 
     Dimensions are memoized per (lam, p) up to a height, so a character
     asked on a deeper box ranks only the weight spaces below that height.
-    The finished character is one ``simple_dim`` disk record per box; a hit
-    fills the memo without a Gram build, and the highest-weight check still
-    runs on it.  ``char simple``, :func:`tensor_flag` and
-    :func:`full_simple_character` come here.  The peel bases of
-    :func:`decomposition_numbers` and :func:`build_decomposition_table`
-    read the memo through :func:`_simple_dims` and write no record: only a
-    rerun of that row or table could read one, and its own ``decomp_row``
-    or ``decomp_table`` record answers the rerun first.
+    The finished character is one ``simple_dim`` disk record per box.  A hit
+    is decoded as the answer and fills no memo; the highest-weight check
+    runs on it too.  The peel bases of rows and tables read the memo through
+    :func:`_simple_dims` and write no record (see :mod:`modcato.cache`).
     """
     require_prime(p)
     gap = box.offset(lam)
     if gap is None:
         raise BoxMarginError(f"box does not contain the highest weight {lam}")
     rs = lam.system
-    height = box.depth - sum(gap)
     payload = f"lam={_csv(lam.coords)};box={_csv(box.top.coords)};depth={box.depth}"
-    cached = cache_store.get_value("simple_dim", rs.cartan_type, p, payload)
-    key = (rs.cartan_type, lam.coords, p)
-    if cached is not None:
-        # A record lists the nonzero dimensions of every weight space in its box.
-        done, dims, hull = _SIMPLE_CACHE.get(key, (-1, {}, None))
-        if height > done:
-            gaps = ((rs.to_root_vector(lam - rs.weight(*c)), d) for c, d in json.loads(cached))
-            on_disk = {nu: d for nu, d in gaps if nu is not None and min(nu) >= 0 and sum(nu) <= height}
-            _SIMPLE_CACHE[key] = (height, {**on_disk, **dims}, hull)
-    dims = _simple_dims(rs, lam.coords, p, height, guard)
-    chi = FormalCharacter({tuple(map(add, gap, nu)): d for nu, d in dims.items() if sum(nu) <= height}, box)
+    # A weight off the box has offset None, which FormalCharacter rejects.
+    chi = cache_store.get_value("simple_dim", rs.cartan_type, p, payload,
+                                lambda value: FormalCharacter({box.offset(rs.weight(*c)): d for c, d in value}, box))
+    computed = chi is None
+    if computed:
+        height = box.depth - sum(gap)
+        dims = _simple_dims(rs, lam.coords, p, height, guard)
+        chi = FormalCharacter({tuple(map(add, gap, nu)): d for nu, d in dims.items() if sum(nu) <= height}, box)
     if chi.coefficient(lam) != 1:
         raise ExactnessError(f"L({lam}) has multiplicity {chi.coefficient(lam)} at its highest weight")
-    if cached is None:
-        cache_store.put_value(
-            "simple_dim", rs.cartan_type, p, payload, json.dumps(chi.serialize())
-        )
+    if computed:
+        cache_store.put_value("simple_dim", rs.cartan_type, p, payload, chi.serialize())
     return chi
 
 
@@ -344,21 +334,14 @@ def decomposition_numbers(
         raise ModcatoError(f"depth={depth!r} must be a nonnegative int")
     rs = mu.system
     payload = f"mu={_csv(mu.coords)};depth={depth}"
-    cached = cache_store.get_value("decomp_row", rs.cartan_type, p, payload)
+    cached = cache_store.get_value("decomp_row", rs.cartan_type, p, payload,
+                                   lambda value: {rs.weight(*coords): v for coords, v in value})
     if cached is not None:
-        return {
-            rs.weight(*coords): v for coords, v in json.loads(cached)
-        }
+        return cached
     top = mu.coords
     peeled = peel(kostant_table(rs, depth), lambda m, height: _simple_dims(rs, rs.lower(top, m), p, height, guard))
     row = {Weight(rs, rs.lower(top, m)): a for m, a in _checked_row(mu, peeled).items()}
-    cache_store.put_value(
-        "decomp_row",
-        rs.cartan_type,
-        p,
-        payload,
-        json.dumps(sorted([list(w.coords), v] for w, v in row.items())),
-    )
+    cache_store.put_value("decomp_row", rs.cartan_type, p, payload, sorted([list(w.coords), v] for w, v in row.items()))
     return row
 
 
@@ -391,10 +374,10 @@ def build_decomposition_table(
     rows = [(mu, weights.below(mu)) for mu in region]
     comparable = tuple((mu, lam) for mu, below in rows for lam in below.values())
     payload = f"region={';'.join(_csv(w.coords) for w in region)}"
-    cached = cache_store.get_value("decomp_table", rs.cartan_type, p, payload)
+    cached = cache_store.get_value("decomp_table", rs.cartan_type, p, payload, lambda value: DecompositionTable(
+        p, region, {(rs.weight(*m), rs.weight(*l)): v for m, l, v in value}, comparable))
     if cached is not None:
-        entries = {(rs.weight(*m), rs.weight(*l)): v for m, l, v in json.loads(cached)}
-        return DecompositionTable(p, region, entries, comparable)
+        return cached
     kp = kostant_table(rs, max(sum(gap) for _, below in rows for gap in below))
     entries: dict[tuple[Weight, Weight], int] = {}
     for mu, below in rows:
@@ -402,7 +385,7 @@ def build_decomposition_table(
                    lambda m, height: _simple_dims(rs, below[m].coords, p, height, guard))
         entries.update(((mu, below[m]), a) for m, a in _checked_row(mu, row).items())
     table = DecompositionTable(p, region, entries, comparable)
-    cache_store.put_value("decomp_table", rs.cartan_type, p, payload, json.dumps(table.serialize()))
+    cache_store.put_value("decomp_table", rs.cartan_type, p, payload, table.serialize())
     return table
 
 

@@ -27,7 +27,7 @@ def test_round_trip(isolate):
 
 
 def test_fresh_store_is_absent(isolate):
-    assert cache.get_value("decomp_row", "A2", 3, "mu=1,0;depth=2") is None
+    assert cache.get_value("decomp_row", "A2", 3, "mu=1,0;depth=2", list) is None
 
 
 def test_idempotent_puts_single_record(isolate):
@@ -139,8 +139,70 @@ def test_existing_decomp_row_record_answers_without_ranking(isolate, monkeypatch
         raise RuntimeError("a weight space was ranked")
 
     A1 = build_root_system("A1")
-    cache.put_value("decomp_row", "A1", 2, "mu=1;depth=2", "[[[-3], 1], [[1], 1]]")
+    cache.put_value("decomp_row", "A1", 2, "mu=1;depth=2", [[[-3], 1], [[1], 1]])
     monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     monkeypatch.setattr(category_o, "simple_weight_dims", no_rank)
     row = category_o.decomposition_numbers(A1.weight(1), 2, 2)
     assert row == {A1.weight(1): 1, A1.weight(-3): 1}
+
+
+def test_put_value_writes_the_json_dumps_and_get_value_decodes_it_once(isolate, monkeypatch):
+    value = [[[2, 1], 1], [[0, 2], 2]]
+    cache.put_value("simple_dim", "A2", 3, "lam=2,1;box=2,1;depth=6", value)
+    key = cache.make_key("simple_dim", "A2", 3, "lam=2,1;box=2,1;depth=6")
+    assert (isolate / key.filename()).read_text(encoding="utf-8") == (
+        f"{cache.RECORD_VERSION}\t{key.canonical()}\t[[[2, 1], 1], [[0, 2], 2]]\n")
+    parses = []
+    real = cache.json.loads
+    monkeypatch.setattr(cache.json, "loads", lambda text: parses.append(text) or real(text))
+    assert cache.get_value("simple_dim", "A2", 3, "lam=2,1;box=2,1;depth=6", tuple) == tuple(value)
+    assert len(parses) == 1
+
+
+@pytest.mark.parametrize("text, decode", [
+    ("[[1, 2", list),  # not JSON
+    ("7", list),  # TypeError
+    ('{"a": 1}', lambda value: [int(v) for v in value]),  # ValueError
+])
+def test_a_value_that_does_not_decode_reads_as_absent(isolate, caplog, text, decode):
+    key = cache.make_key("decomp_row", "A2", 3, "mu=1,0;depth=2")
+    cache.put(key, text)
+    with caplog.at_level(logging.WARNING, logger="modcato.cache"):
+        assert cache.get_value("decomp_row", "A2", 3, "mu=1,0;depth=2", decode) is None
+    assert any("corrupt" in r.message for r in caplog.records)
+    assert cache.get(key) == text
+
+
+@pytest.mark.parametrize("coefficient", [0, 2])
+def test_a_simple_dim_hit_feeds_no_later_answer(isolate, monkeypatch, coefficient):
+    # A wrong but decodable simple_dim record may change its own answer, but
+    # a row computed later in the same process with the cache off must still
+    # equal a fresh row: the hit leaves the simple-character memo empty.
+    import modcato.category_o as category_o
+    from modcato.charring import TruncationBox
+    from modcato.rootdata import build_root_system
+
+    A2 = build_root_system("A2")
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    cache.configure(None)
+    fresh = category_o.decomposition_numbers(A2.weight(2, 2), 3, 6)
+    category_o._SIMPLE_CACHE.clear()
+
+    cache.configure(isolate)
+    lam = A2.weight(-4, 5)
+    box = TruncationBox.make(lam, 6)
+    category_o.simple_character(lam, 3, box)
+    payload = "lam=-4,5;box=-4,5;depth=6"
+    record = cache.get_value("simple_dim", "A2", 3, payload, list)
+    (entry,) = [e for e in record if e[0] == [-6, 6]]
+    assert entry[1] == 1
+    entry[1] = coefficient
+    cache.put_value("simple_dim", "A2", 3, payload, record)
+
+    category_o._SIMPLE_CACHE.clear()
+    hit = category_o.simple_character(lam, 3, box)
+    assert hit.coefficient(A2.weight(-6, 6)) == coefficient
+    assert category_o._SIMPLE_CACHE == {}
+
+    cache.configure(None)
+    assert category_o.decomposition_numbers(A2.weight(2, 2), 3, 6) == fresh

@@ -725,18 +725,50 @@ def test_cold_commands_write_only_their_answer_records(capsys, tmp_path):
     assert _record_kinds(char_dir) == ["kind=simple_dim"]
 
 
-@pytest.mark.parametrize("damage", [
-    lambda record: record.rstrip(b"\n") + b"\xff\n",  # not UTF-8
-    lambda record: record[:-10] + b"\n",  # its JSON value cut short
-], ids=["not-utf8", "value-cut-short"])
-def test_damaged_record_reads_as_absent(capsys, caplog, tmp_path, damage):
-    argv = ("decomp", "--type", "A2", "--p", "3", "--mu=2,2", "--depth", "4",
-            "--cache-dir", str(tmp_path))
-    cold = run(capsys, *argv)
-    (record,) = tmp_path.glob("*.rec")
-    record.write_bytes(damage(record.read_bytes()))
-    assert run(capsys, *argv)[:2] == cold[:2]
-    assert any("corrupt" in r.message for r in caplog.records)
+def _value(text):
+    """Damage that replaces a record's JSON value with ``text``."""
+    return lambda record: record.rsplit(b"\t", 1)[0] + b"\t" + text + b"\n"
+
+
+_DECOMP = ("decomp", "--type", "A2", "--p", "3", "--mu=2,2", "--depth", "4")
+_CHAR_SIMPLE = ("char", "simple", "--type", "A2", "--p", "3", "--lambda=2,1", "--depth", "4")
+_PERIODICITY_FULL = ("periodicity", "full", "--type", "A2", "--p", "3", "--l", "1",
+                     "--set=0,0;2,-1;-1,2;1,1", "--gamma", "3,3")
+_ALL_KINDS = (_DECOMP, _CHAR_SIMPLE, _PERIODICITY_FULL)
+
+
+@pytest.mark.parametrize("damage, commands", [
+    (lambda record: record.rstrip(b"\n") + b"\xff\n", _ALL_KINDS),  # not UTF-8
+    (lambda record: record[:-10] + b"\n", _ALL_KINDS),  # its JSON value cut short
+    (_value(b"[1, 2]"), _ALL_KINDS),
+    (_value(b"7"), _ALL_KINDS),
+    (_value(b"null"), _ALL_KINDS),
+    (_value(b'{"a": 1}'), _ALL_KINDS),
+    (_value(b"[[[2, 1], 1], [[2, 1, 0], 1]]"), (_CHAR_SIMPLE,)),
+    (_value(b"[[[2, 1], 1], [[50, 50], 1]]"), (_CHAR_SIMPLE,)),  # off the box
+], ids=["not-utf8", "value-cut-short", "list-of-ints", "int", "null", "object",
+        "three-coordinates", "off-the-box"])
+def test_damaged_record_reads_as_absent(capsys, caplog, monkeypatch, tmp_path, damage, commands):
+    # Each kind of record (decomp_row, simple_dim, decomp_table): a rerun on
+    # damaged records, with the memo as cold as a fresh process's, prints the
+    # cold bytes, logs the records as corrupt and writes the cold ones back.
+    import modcato.category_o as category_o
+
+    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
+    for n, argv in enumerate(commands):
+        store = tmp_path / str(n)
+        argv = (*argv, "--cache-dir", str(store))
+        cold = run(capsys, *argv)
+        assert cold[0] == 0
+        records = {path: path.read_bytes() for path in store.glob("*.rec")}
+        assert records
+        for path, data in records.items():
+            path.write_bytes(damage(data))
+        category_o._SIMPLE_CACHE.clear()
+        caplog.clear()
+        assert run(capsys, *argv)[:2] == cold[:2]
+        assert any("corrupt" in r.message for r in caplog.records)
+        assert {path: path.read_bytes() for path in store.glob("*.rec")} == records
 
 
 def test_identical_runs_identical_bytes(capsys, tmp_path):
@@ -791,9 +823,9 @@ def test_warm_cache_replays_answers_without_gram_work(capsys, tmp_path, monkeypa
     ("A2", (5, 4), 3, 4, 12), ("A2", (2, 1), 3, 2, 8), ("B2", (-1, -1), 2, 3, 10),
 ])
 def test_simple_dim_disk_hit_then_a_deeper_char_simple(capsys, monkeypatch, tmp_path, typ, lam, p, small, deep):
-    # A simple_dim record read on a small box fills the memo to that box's
-    # height without a Gram build; a deeper char simple then extends it and
-    # must print what a fresh process prints, which is the Gram sweep.
+    # A simple_dim record read on a small box answers without a Gram build
+    # and leaves the memo empty; a deeper char simple then computes its own
+    # answer and must print what a fresh process prints, the Gram sweep.
     import modcato.category_o as category_o
     from modcato.charring import TruncationBox
     from modcato.rootdata import build_root_system
@@ -815,7 +847,7 @@ def test_simple_dim_disk_hit_then_a_deeper_char_simple(capsys, monkeypatch, tmp_
     category_o._SIMPLE_CACHE.clear()
     ranked.clear()
     code, warm, _ = run(capsys, *argv, str(small), "--cache-dir", str(tmp_path))
-    assert code == 0 and warm == cold and not ranked
+    assert code == 0 and warm == cold and not ranked and category_o._SIMPLE_CACHE == {}
     code, extended, _ = run(capsys, *argv, str(deep), "--cache-dir", str(tmp_path))
     assert code == 0
     category_o._SIMPLE_CACHE.clear()
