@@ -24,8 +24,10 @@ and returns the caller's ``decode`` of it, an answer that no caller copies
 into a memo.  Values are deterministic functions of their keys, so
 last-write-wins is safe and two puts of the same pair are a single logical
 record.  A record that is not UTF-8, lacks a field, or holds a value that is
-not JSON or that ``decode`` rejects is corrupt and read as absent.  A
-record's file is named by the SHA-256 of its canonical key from CPython's
+not JSON or that ``decode`` rejects is corrupt and read as absent.  The
+decoders reject an entry off the answer's domain: a weight off a character's
+or row's box, a table pair that is not lam <= mu in its region, and a row or
+table multiplicity that is not a positive int.  A record's file is named by the SHA-256 of its canonical key from CPython's
 built-in ``_sha2`` (``_sha256`` before 3.12), which ``hashlib`` uses without
 OpenSSL: importing ``hashlib`` loads OpenSSL's libcrypto, 3.6 MiB of peak RSS
 and 3-4 ms in every process.  The digests are the same, so existing stores

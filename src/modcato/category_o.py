@@ -25,9 +25,10 @@ its box, which never factorizes and never uses W.
 The inner loops run on coordinate tuples, not on ``Weight`` objects.  The
 digit recursion and its memo ``_SIMPLE_CACHE`` are keyed by the Cartan type
 and the coordinates of lam, and only the recursion writes the memo: a disk
-record is decoded as a finished answer and fills no memo.  A table row reads
-its below-set from the offsets of its root-lattice coset
-(:meth:`LocallyClosedSet.below`) and peels offsets
+record is decoded as a finished answer and fills no memo.  The order is
+:mod:`~modcato.topology`'s alone: a table keeps its region, whose
+:meth:`~modcato.topology.LocallyClosedSet.below` gives each row's below-set
+from the offsets of its root-lattice coset, and the row peels those offsets
 (:func:`~modcato.charring.peel`), so the table's weights are the region's
 own; rows and flags build a ``Weight`` only for what they return.
 
@@ -67,6 +68,7 @@ from .rootdata import (
 from .topology import (
     LocallyClosedSet,
     OpenSet,
+    shift_set,
     validate_closed_predicate,
     validate_open_predicate,
 )
@@ -119,26 +121,23 @@ class FlagVector:
 
 
 class DecompositionTable(NamedTuple):
-    """Composition multiplicities of Vermas over a locally closed region.
+    """Composition multiplicities [Delta(mu) : L(lam)] of Vermas over a
+    locally closed region.
 
-    ``comparable`` lists every pair (mu, lam) of the region with lam <= mu, in
-    region order, zero entries included; ``entries`` holds the nonzero ones."""
+    ``entries`` holds the nonzero ones, keyed by (mu, lam); every other
+    pair reads 0.  The pairs with lam <= mu are the region's to say:
+    ``region.below(mu)`` gives them, zero entries included."""
 
     p: int
-    region: tuple[Weight, ...]
+    region: LocallyClosedSet
     entries: Mapping[tuple[Weight, Weight], int]
-    comparable: tuple[tuple[Weight, Weight], ...]
 
     def entry(self, mu: Weight, lam: Weight) -> int:
         return self.entries.get((mu, lam), 0)
 
     def translate(self, gamma: Weight) -> "DecompositionTable":
-        return DecompositionTable(
-            self.p,
-            tuple(sorted((w + gamma for w in self.region), key=lambda w: w.coords)),
-            {(mu + gamma, lam + gamma): v for (mu, lam), v in self.entries.items()},
-            tuple((mu + gamma, lam + gamma) for mu, lam in self.comparable),
-        )
+        return DecompositionTable(self.p, shift_set(self.region, gamma),
+                                  {(mu + gamma, lam + gamma): v for (mu, lam), v in self.entries.items()})
 
     def serialize(self) -> list[list]:
         triples = [
@@ -305,6 +304,14 @@ def full_simple_character(lam: Weight, p: int, *, guard: SizeGuard | None = None
     return simple_character(lam, p, TruncationBox.make(lam, height_drop(lam)), guard=guard)
 
 
+def _on_domain(entries: dict, member: Callable[[object], bool]) -> dict:
+    """A decoded record's ``entries``, after checking that each key passes
+    ``member`` and each value is a positive int (``ValueError`` if not)."""
+    if not all(type(v) is int and v > 0 and member(k) for k, v in entries.items()):
+        raise ValueError("an entry of the record lies off its answer's domain")
+    return entries
+
+
 def _checked_row(mu: Weight, row: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
     """A peeled row [Delta(mu) : L(mu - m)], keyed by offset m, after
     checking that no multiplicity is negative and that L(mu) occurs once."""
@@ -334,8 +341,9 @@ def decomposition_numbers(
         raise ModcatoError(f"depth={depth!r} must be a nonnegative int")
     rs = mu.system
     payload = f"mu={_csv(mu.coords)};depth={depth}"
-    cached = cache_store.get_value("decomp_row", rs.cartan_type, p, payload,
-                                   lambda value: {rs.weight(*coords): v for coords, v in value})
+    box = TruncationBox.make(mu, depth)
+    cached = cache_store.get_value("decomp_row", rs.cartan_type, p, payload, lambda value: _on_domain(
+        {rs.weight(*coords): v for coords, v in value}, lambda lam: box.offset(lam) is not None))
     if cached is not None:
         return cached
     top = mu.coords
@@ -364,18 +372,22 @@ def build_decomposition_table(
     outside the region.  A row's below-set comes from the offsets of mu's
     root-lattice coset (:meth:`LocallyClosedSet.below`), keyed by the gap
     mu - lam the peel works on.  The finished table is one ``decomp_table``
-    disk record, keyed by p and the sorted region, read first on a rerun.
+    disk record, keyed by p and the sorted region, read first on a rerun;
+    a record with a pair off the region's below-sets reads as absent.
     """
     require_prime(p)
     if not isinstance(weights, LocallyClosedSet):
         weights = LocallyClosedSet.make(weights)
-    region = weights.sorted
-    rs = region[0].system
-    rows = [(mu, weights.below(mu)) for mu in region]
-    comparable = tuple((mu, lam) for mu, below in rows for lam in below.values())
-    payload = f"region={';'.join(_csv(w.coords) for w in region)}"
-    cached = cache_store.get_value("decomp_table", rs.cartan_type, p, payload, lambda value: DecompositionTable(
-        p, region, {(rs.weight(*m), rs.weight(*l)): v for m, l, v in value}, comparable))
+    rs = weights.sorted[0].system
+    rows = [(mu, weights.below(mu)) for mu in weights]
+    payload = f"region={';'.join(_csv(w.coords) for w in weights)}"
+
+    def decode(value):
+        below = {mu: set(row.values()) for mu, row in rows}
+        entries = {(rs.weight(*m), rs.weight(*l)): v for m, l, v in value}
+        return DecompositionTable(p, weights, _on_domain(entries, lambda pair: pair[1] in below.get(pair[0], ())))
+
+    cached = cache_store.get_value("decomp_table", rs.cartan_type, p, payload, decode)
     if cached is not None:
         return cached
     kp = kostant_table(rs, max(sum(gap) for _, below in rows for gap in below))
@@ -384,7 +396,7 @@ def build_decomposition_table(
         row = peel({gap: kp[gap] for gap in below},
                    lambda m, height: _simple_dims(rs, below[m].coords, p, height, guard))
         entries.update(((mu, below[m]), a) for m, a in _checked_row(mu, row).items())
-    table = DecompositionTable(p, region, entries, comparable)
+    table = DecompositionTable(p, weights, entries)
     cache_store.put_value("decomp_table", rs.cartan_type, p, payload, table.serialize())
     return table
 
@@ -393,20 +405,17 @@ def validate_table_consistency(
     table: DecompositionTable, *, guard: SizeGuard | None = None
 ) -> Report:
     """Character identity dim Delta(mu)_nu = sum_lam [Delta(mu):L(lam)] dim L(lam)_nu
-    at each comparable pair of the table, read from the peel's tables."""
+    at each pair nu <= mu of the table's region, read from the peel's tables."""
     require_prime(table.p)
     report = Report(f"character consistency over {len(table.region)} weights, p={table.p}")
-    rs = table.region[0].system
-    offset = {w: rs.coset_offset(w.coords)[1] for w in table.region}
-    gaps: dict[Weight, dict[Weight, tuple[int, ...]]] = {}
-    for mu, nu in table.comparable:
-        gaps.setdefault(mu, {})[nu] = tuple(map(sub, offset[mu], offset[nu]))
-    kp = kostant_table(rs, max(sum(gap) for below in gaps.values() for gap in below.values()))
-    for mu, below in gaps.items():
-        depth = max(map(sum, below.values()))
+    rs = table.region.sorted[0].system
+    rows = [(mu, table.region.below(mu)) for mu in table.region]
+    kp = kostant_table(rs, max(sum(gap) for _, below in rows for gap in below))
+    for mu, below in rows:
+        depth = max(map(sum, below))
         simples = [(g, table.entry(mu, lam), _simple_dims(rs, lam.coords, table.p, depth - sum(g), guard))
-                   for lam, g in below.items() if table.entry(mu, lam)]
-        for nu, gap in below.items():
+                   for g, lam in below.items() if table.entry(mu, lam)]
+        for gap, nu in below.items():
             rhs = sum(a * dims.get(tuple(map(sub, gap, g)), 0) for g, a, dims in simples if all(map(ge, gap, g)))
             report.record(f"dim Delta({mu.coords})_{nu.coords}", kp[gap], rhs)
     return report

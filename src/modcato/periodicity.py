@@ -129,7 +129,8 @@ def verify_updown(ctx: ShiftContext) -> Report:
 
 
 def verify_periodicity(ctx: ShiftContext) -> Report:
-    """Entrywise equality of the K and K+gamma decomposition tables.
+    """Entrywise equality of the K and K+gamma decomposition tables, at
+    every pair lam <= mu of K (``K.below(mu)``), zero entries included.
 
     Both tables go through the full Gram pipeline independently; nothing is
     transported from one side to the other except the final comparison.
@@ -142,13 +143,11 @@ def verify_periodicity(ctx: ShiftContext) -> Report:
     shifted = build_decomposition_table(ctx.Kt, ctx.p, guard=ctx.guard)
     report.payload["table"] = table.serialize()
     report.payload["shifted_table"] = shifted.serialize()
-    moved = {w: w + ctx.gamma for w in table.region}
-    for mu, lam in table.comparable:
-        report.record(
-            f"[Delta({mu.coords}):L({lam.coords})] vs shift by {ctx.gamma.coords}",
-            table.entry(mu, lam),
-            shifted.entry(moved[mu], moved[lam]),
-        )
+    moved = {w: w + ctx.gamma for w in ctx.K}
+    for mu in ctx.K:
+        for lam in ctx.K.below(mu).values():
+            report.record(f"[Delta({mu.coords}):L({lam.coords})] vs shift by {ctx.gamma.coords}",
+                          table.entry(mu, lam), shifted.entry(moved[mu], moved[lam]))
     return report
 
 

@@ -26,21 +26,16 @@ from .record import Record
 from .rootdata import Weight, _check_same
 
 
-def _split(weights):
-    """(w, coset, offset) per weight, in the order given; the weights must
-    share one root system (ValueError otherwise)."""
+def _cosets(weights) -> dict[tuple[int, ...], dict[tuple[int, ...], Weight]]:
+    """{coset: {offset: weight}}, weights in the order given; the weights
+    must share one root system (ValueError otherwise)."""
+    out: dict = {}
     rs = None
     for w in weights:
         if rs is None:
             rs = w.system
         _check_same(w.system, rs)
-        yield (w, *rs.coset_offset(w.coords))
-
-
-def _cosets(weights) -> dict[tuple[int, ...], dict[tuple[int, ...], Weight]]:
-    """{coset: {offset: weight}}, weights in the order given."""
-    out: dict = {}
-    for w, coset, nu in _split(weights):
+        coset, nu = rs.coset_offset(w.coords)
         out.setdefault(coset, {})[nu] = w
     return out
 
@@ -219,21 +214,14 @@ def _assert_open_on_sample(Jprime: CarvedOpen, K: LocallyClosedSet) -> None:
     # Openness can only fail just below K, so K and its one-root-deep
     # neighbours are a sufficient witness set for the finite data we ever
     # touch.  K is convex (make and shift_set keep it so): the intervals
-    # between its members lie in K.  Each sample weight is read once by the
-    # predicates; a leak is a point lo of J but not of J' below a point hi
-    # of J', in one coset, so below a maximal such hi.
+    # between its members lie in K.  Every sample weight lies in J, so J'
+    # must be downward closed on the sample.
     rs = K.sorted[0].system
-    for members in K.cosets.values():
-        sample = dict(members)
-        for nu, w in members.items():
-            for r in rs.positive_roots:
-                lo = tuple(map(sub, nu, r))
-                if lo not in sample:
-                    sample[lo] = Weight(rs, rs.lower(w.coords, r))
-        marked = [(nu, Jprime.inside.contains(w), Jprime.contains(w)) for nu, w in sample.items()]
-        his = _maxima([nu for nu, _, carved in marked if carved])
-        if any(_under(nu, his) for nu, inside, carved in marked if inside and not carved):
-            raise ExactnessError("carved complement failed openness sample")
+    sample = dict.fromkeys([*K, *(Weight(rs, rs.lower(w.coords, r)) for w in K for r in rs.positive_roots)])
+    try:
+        _check_downward(Jprime.contains, sample, "J' holds {hi} but not {lo} below it")
+    except PredicateError as exc:
+        raise ExactnessError(f"carved complement failed openness sample: {exc}") from None
 
 
 def _clashes(groups, factor: int) -> list[list[tuple[int, ...]]]:
@@ -276,13 +264,14 @@ def shift_set(K: LocallyClosedSet, gamma: Weight) -> LocallyClosedSet:
 
 def _check_downward(pred, support, message: str) -> None:
     # A pair lo <= hi can break downward closure only with pred(hi) and not
-    # pred(lo), so pred is read once per weight and offsets compared only on
-    # such pairs of one coset.
-    marked = [(w, coset, nu, bool(pred(w))) for w, coset, nu in _split(support)]
-    for hi, hi_coset, hi_nu, hi_in in marked:
-        for lo, lo_coset, lo_nu, lo_in in marked:
-            if hi_in and not lo_in and hi_coset == lo_coset and all(map(ge, hi_nu, lo_nu)):
-                raise PredicateError(message.format(lo=lo, hi=hi))
+    # pred(lo), in one coset; such a lo lies below a maximal such hi.  So
+    # pred is read once per weight, and each offset outside is compared
+    # with the maximal offsets inside of its coset.
+    for members in _cosets(support).values():
+        inside = {nu: w for nu, w in members.items() if pred(w)}
+        for top, nu in itertools.product(_maxima(inside), [nu for nu in members if nu not in inside]):
+            if all(map(ge, top, nu)):
+                raise PredicateError(message.format(lo=members[nu], hi=inside[top]))
 
 
 def validate_open_predicate(pred, support) -> None:

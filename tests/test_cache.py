@@ -140,7 +140,6 @@ def test_existing_decomp_row_record_answers_without_ranking(isolate, monkeypatch
 
     A1 = build_root_system("A1")
     cache.put_value("decomp_row", "A1", 2, "mu=1;depth=2", [[[-3], 1], [[1], 1]])
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     monkeypatch.setattr(category_o, "simple_weight_dims", no_rank)
     row = category_o.decomposition_numbers(A1.weight(1), 2, 2)
     assert row == {A1.weight(1): 1, A1.weight(-3): 1}
@@ -174,7 +173,7 @@ def test_a_value_that_does_not_decode_reads_as_absent(isolate, caplog, text, dec
 
 
 @pytest.mark.parametrize("coefficient", [0, 2])
-def test_a_simple_dim_hit_feeds_no_later_answer(isolate, monkeypatch, coefficient):
+def test_a_simple_dim_hit_feeds_no_later_answer(isolate, coefficient):
     # A wrong but decodable simple_dim record may change its own answer, but
     # a row computed later in the same process with the cache off must still
     # equal a fresh row: the hit leaves the simple-character memo empty.
@@ -183,7 +182,6 @@ def test_a_simple_dim_hit_feeds_no_later_answer(isolate, monkeypatch, coefficien
     from modcato.rootdata import build_root_system
 
     A2 = build_root_system("A2")
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     cache.configure(None)
     fresh = category_o.decomposition_numbers(A2.weight(2, 2), 3, 6)
     category_o._SIMPLE_CACHE.clear()

@@ -89,7 +89,6 @@ def test_simple_character_ranks_exactly_the_weight_spaces_below(typ, monkeypatch
     monkeypatch.delenv("MODCATO_CACHE", raising=False)
     cache.configure(None)
     monkeypatch.setattr(category_o, "simple_weight_dims", record)
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     for _ in range(20):
         top = rs.weight(*[rng.randint(-3, 3) for _ in range(rs.rank)])
         box = TruncationBox.make(top, rng.randint(0, 4))
@@ -106,11 +105,8 @@ def test_simple_character_ranks_exactly_the_weight_spaces_below(typ, monkeypatch
 def test_simple_character_matches_the_gram_sweep(monkeypatch):
     # Differential test of the digit recursion against one Gram sweep on
     # every weight space below lam, for random (mostly non-dominant) lam.
-    import modcato.category_o as category_o
-
     monkeypatch.delenv("MODCATO_CACHE", raising=False)
     cache.configure(None)
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     rng = random.Random(20261019)
     cases = []
     for typ in ("A1", "A2", "B2"):
@@ -213,10 +209,12 @@ def test_negative_table_depth_is_rejected():
         decomposition_numbers(A1.weight(1), 2, -3)
     table = build_decomposition_table(weights, 2)
     assert table.entries
-    row = decomposition_numbers(A1.weight(1), 2, 4)
-    for mu, lam in table.comparable:
-        if mu == A1.weight(1):
-            assert row.get(lam, 0) == table.entry(mu, lam)
+    mu = A1.weight(1)
+    row = decomposition_numbers(mu, 2, 4)
+    below = table.region.below(mu).values()
+    assert len(below) == 3
+    for lam in below:
+        assert row.get(lam, 0) == table.entry(mu, lam)
 
 
 def test_table_region_must_be_nonempty_and_convex():
@@ -244,7 +242,7 @@ def test_table_checks_convexity_only_of_unchecked_regions(monkeypatch):
     monkeypatch.setattr(category_o, "is_locally_closed", record, raising=False)
     table = build_decomposition_table(K, 2)
     assert calls == []
-    assert table.region == K.sorted
+    assert table.region is K
     assert build_decomposition_table(list(K), 2) == table
     assert len(calls) == 1
 
@@ -377,7 +375,9 @@ def test_region_table_equals_rows_on_a_deeper_box(typ, p, span, size):
             row = decomposition_numbers(mu, p, depth)
             expect.update(((mu, lam), row[lam]) for lam in below if row.get(lam))
         assert table.entries == expect
-        assert set(table.comparable) == {(mu, lam) for mu in K for lam in K if leq(lam, mu)}
+        assert table.region is K
+        assert [(mu, lam) for mu in K for lam in table.region.below(mu).values()] == [
+            (mu, lam) for mu in K for lam in K if leq(lam, mu)]
         linked += sum(mu != lam for mu, lam in table.entries)
     assert linked
 
@@ -564,7 +564,6 @@ def test_digit_product_asks_each_digit_once(typ, coords, p, depth, monkeypatch):
         finally:
             level.pop()
 
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     monkeypatch.setattr(category_o, "_simple_dims", record)
     rs = build_root_system(typ)
     lam = rs.weight(*coords)
@@ -581,7 +580,7 @@ def test_digit_product_asks_each_digit_once(typ, coords, p, depth, monkeypatch):
     ("A1", (255,), 2, 300), ("A1", (-1,), 3, 200), ("A2", (-1, -1), 3, 60),
     ("A2", (8, 8), 3, 30), ("B2", (5, 4), 3, 40), ("B2", (-1, -1), 2, 30),
 ])
-def test_digit_product_guard_reads_the_step_term_count(typ, coords, p, height, monkeypatch):
+def test_digit_product_guard_reads_the_step_term_count(typ, coords, p, height):
     # The top step pairs nu0 of L(lam0) with mu of L(lam1) wherever
     # |nu0| + p|mu| <= height.  The guard trips one term below that count
     # and not at it; its floor, read before L(lam1) is asked, is no larger.
@@ -590,7 +589,6 @@ def test_digit_product_guard_reads_the_step_term_count(typ, coords, p, height, m
     rs = build_root_system(typ)
     lam = rs.weight(*coords)
     lam0, lam1 = category_o._digits(lam.coords, p)
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     d0 = category_o._simple_dims(rs, lam0, p, height, None)
     d1 = category_o._simple_dims(rs, lam1, p, height // p, None)
     terms = sum(1 for nu0 in d0 for mu in d1 if sum(nu0) + p * sum(mu) <= height)
@@ -605,13 +603,12 @@ def test_digit_product_guard_reads_the_step_term_count(typ, coords, p, height, m
     assert category_o._simple_dims(rs, lam.coords, p, height, SizeGuard(max_terms=terms))
 
 
-def test_digit_product_trips_the_guard_before_building_it(monkeypatch):
+def test_digit_product_trips_the_guard_before_building_it():
     # L(2^20 - 1) at p = 2 has 2^20 weights, each of dimension 1; its last
     # step trips the default guard of 10^6 terms, and L(10^20 - 1) trips it
     # from the digits' orbits alone, before any product is built.
     import modcato.category_o as category_o
 
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     dims = category_o._simple_dims(A1, (2**16 - 1,), 2, 70000, None)
     assert len(dims) == 2**16 and set(dims.values()) == {1}
     for lam in (2**20 - 1, 10**20 - 1):

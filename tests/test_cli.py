@@ -119,7 +119,6 @@ def test_steinberg_fail_prints_the_difference(capsys, monkeypatch):
             dims[(1,)] += 1
         return dims
 
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     monkeypatch.setattr(category_o, "simple_weight_dims", perturbed)
     argv = ("steinberg", "--type", "A1", "--p", "3", "--lambda", "4", "--depth", "8")
     code, out, _ = run(capsys, *argv)
@@ -149,7 +148,6 @@ def test_steinberg_at_a_restricted_weight_checks_the_sweep(capsys, monkeypatch):
             dims[(4, 0)] += 1
         return dims
 
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     monkeypatch.setattr(category_o, "simple_weight_dims", perturbed)
     code, out, _ = run(capsys, "steinberg", "--type", "A2", "--p", "3", "--lambda=2,2", "--depth", "8")
     assert code == 1
@@ -172,7 +170,6 @@ def test_steinberg_at_a_restricted_weight_checks_w_invariance(capsys, monkeypatc
             dims[(2, 0)] += 1
         return dims
 
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     monkeypatch.setattr(category_o, "simple_weight_dims", perturbed)
     code, out, _ = run(capsys, "steinberg", "--type", "A2", "--p", "3", "--lambda=2,2", "--depth", "8")
     assert code == 1
@@ -197,7 +194,6 @@ def test_steinberg_ranks_only_the_asked_box(capsys, monkeypatch, argv, n_digits)
         heights.extend(sum(nu) for nu in nus)
         return real(lam, nus, p, guard=guard)
 
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     monkeypatch.setattr(category_o, "simple_weight_dims", record)
     code, out, _ = run(capsys, "steinberg", *argv)
     assert code == 0
@@ -642,7 +638,6 @@ def test_failed_highest_weight_check_exits_3(capsys, monkeypatch):
     def no_top(lam, nus, p, guard=None):
         return {nu: 0 if not any(nu) else d for nu, d in real(lam, nus, p, guard=guard).items()}
 
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     monkeypatch.setattr(category_o, "simple_weight_dims", no_top)
     code, out, err = run(capsys, "char", "simple", "--type", "A2", "--p", "3",
                          "--lambda", "2,1", "--depth", "3")
@@ -663,7 +658,6 @@ def test_failed_digit_highest_weight_check_exits_3(capsys, monkeypatch):
     def no_top(lam, nus, p, guard=None):
         return {nu: 0 if not any(nu) else d for nu, d in real(lam, nus, p, guard=guard).items()}
 
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     monkeypatch.setattr(category_o, "simple_weight_dims", no_top)
     code, out, err = run(capsys, "char", "simple", "--type", "A2", "--p", "3",
                          "--lambda", "5,4", "--depth", "3")
@@ -690,7 +684,6 @@ def test_digit_ranks_stay_under_the_guard(capsys, monkeypatch):
         ranked.extend((lam, nu) for nu in nus)
         return real(lam, nus, p, guard=guard)
 
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     monkeypatch.setattr(category_o, "simple_weight_dims", record)
     code, out, _ = run(capsys, "char", "simple", "--type", "B2", "--p", "11",
                        "--lambda=21,21", "--depth", "8")
@@ -730,11 +723,19 @@ def _value(text):
     return lambda record: record.rsplit(b"\t", 1)[0] + b"\t" + text + b"\n"
 
 
+def _append(text):
+    """Damage that appends ``text`` to a record's JSON list."""
+    return lambda record: record[:-2] + b", " + text + b"]\n"
+
+
 _DECOMP = ("decomp", "--type", "A2", "--p", "3", "--mu=2,2", "--depth", "4")
 _CHAR_SIMPLE = ("char", "simple", "--type", "A2", "--p", "3", "--lambda=2,1", "--depth", "4")
 _PERIODICITY_FULL = ("periodicity", "full", "--type", "A2", "--p", "3", "--l", "1",
                      "--set=0,0;2,-1;-1,2;1,1", "--gamma", "3,3")
 _ALL_KINDS = (_DECOMP, _CHAR_SIMPLE, _PERIODICITY_FULL)
+# Text output prints only the pairs lam <= mu of the region; JSON prints
+# every entry of the table.
+_PERIODICITY_JSON = (*_PERIODICITY_FULL, "--format", "json")
 
 
 @pytest.mark.parametrize("damage, commands", [
@@ -746,15 +747,20 @@ _ALL_KINDS = (_DECOMP, _CHAR_SIMPLE, _PERIODICITY_FULL)
     (_value(b'{"a": 1}'), _ALL_KINDS),
     (_value(b"[[[2, 1], 1], [[2, 1, 0], 1]]"), (_CHAR_SIMPLE,)),
     (_value(b"[[[2, 1], 1], [[50, 50], 1]]"), (_CHAR_SIMPLE,)),  # off the box
+    (_append(b"[[9, 9], 4]"), (_DECOMP,)),  # not below mu
+    (_append(b"[[0, 0], 0]"), (_DECOMP,)),  # a zero multiplicity
+    (_append(b"[[9, 9], [0, 0], 5]"), (_PERIODICITY_JSON,)),  # off the region
+    (_append(b"[[2, -1], [-1, 2], 1]"), (_PERIODICITY_JSON,)),  # lam not below mu
+    (_append(b"[[0, 0], [0, 0], 0]"), (_PERIODICITY_JSON,)),  # a zero multiplicity
 ], ids=["not-utf8", "value-cut-short", "list-of-ints", "int", "null", "object",
-        "three-coordinates", "off-the-box"])
-def test_damaged_record_reads_as_absent(capsys, caplog, monkeypatch, tmp_path, damage, commands):
+        "three-coordinates", "off-the-box", "row-off-the-box", "row-zero",
+        "table-off-the-region", "table-incomparable", "table-zero"])
+def test_damaged_record_reads_as_absent(capsys, caplog, tmp_path, damage, commands):
     # Each kind of record (decomp_row, simple_dim, decomp_table): a rerun on
     # damaged records, with the memo as cold as a fresh process's, prints the
     # cold bytes, logs the records as corrupt and writes the cold ones back.
     import modcato.category_o as category_o
 
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     for n, argv in enumerate(commands):
         store = tmp_path / str(n)
         argv = (*argv, "--cache-dir", str(store))
@@ -796,7 +802,6 @@ def test_warm_cache_replays_answers_without_gram_work(capsys, tmp_path, monkeypa
          "--set", "0,0;2,-1", "--gamma", "2,2", "--depth", "2", *use],
         ["projmult", "--type", "A2", "--p", "3", "--lambda=-2,-2", "--ceiling=2,2", *use],
     ]
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     cold = [run(capsys, *argv) for argv in commands]
     assert [code for code, _, _ in cold] == [0, 0, 0, 0]
     records = sorted(p for p in tmp_path.iterdir() if p.suffix == ".rec")
@@ -840,7 +845,6 @@ def test_simple_dim_disk_hit_then_a_deeper_char_simple(capsys, monkeypatch, tmp_
         ranked.extend(nus)
         return real(lam, nus, p, guard=guard)
 
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     monkeypatch.setattr(category_o, "simple_weight_dims", record)
     code, cold, _ = run(capsys, *argv, str(small), "--cache-dir", str(tmp_path))
     assert code == 0 and ranked

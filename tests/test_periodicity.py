@@ -201,7 +201,6 @@ def test_verify_periodicity_checks_no_region_again(monkeypatch):
     guard = SizeGuard(max_gram_dim=150)
     K = LocallyClosedSet.make([A2.weight(0, 0), A2.weight(2, -1)])
     ctx = ShiftContext.build(K, A2.weight(2, 2), 2, 1, guard=guard)
-    monkeypatch.setattr(category_o, "_SIMPLE_CACHE", {})
     monkeypatch.setattr(category_o, "_simple_dims", dims)
     monkeypatch.setattr(topology, "is_locally_closed", convex)
     monkeypatch.setattr(category_o, "is_locally_closed", convex, raising=False)
@@ -211,9 +210,9 @@ def test_verify_periodicity_checks_no_region_again(monkeypatch):
 
 
 def test_verify_periodicity_reads_comparability_from_the_table(monkeypatch):
-    # The table keeps the comparable pairs it converted while building its
-    # rows, zero entries included; the comparison walks those and calls leq
-    # on no pair of K again.
+    # The table's region gives the pairs lam <= mu of K from coset offsets,
+    # zero entries included, and so does its translate's; the comparison
+    # walks those and calls leq on no pair of K again.
     import modcato.rootdata as rootdata
     from modcato.rootdata import leq
 
@@ -221,10 +220,15 @@ def test_verify_periodicity_reads_comparability_from_the_table(monkeypatch):
     ctx = ShiftContext.build(K, A2.weight(3, 3), 3, 1)
     table = build_decomposition_table(K, 3)
     expect = [(mu, lam) for mu in K for lam in K if leq(lam, mu)]
-    assert list(table.comparable) == expect
+
+    def pairs(region):
+        return [(mu, lam) for mu in region for lam in region.below(mu).values()]
+
+    assert table.region is K and pairs(table.region) == expect
     assert any(not table.entry(mu, lam) for mu, lam in expect)
     shifted = table.translate(ctx.gamma)
-    assert shifted.comparable == tuple((mu + ctx.gamma, lam + ctx.gamma) for mu, lam in expect)
+    assert shifted.region == ctx.Kt
+    assert pairs(shifted.region) == [(mu + ctx.gamma, lam + ctx.gamma) for mu, lam in expect]
 
     def no_leq(*args):
         raise AssertionError("comparability derived again")
